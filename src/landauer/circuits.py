@@ -10,9 +10,9 @@ definitionally Toffoli gates with constant-1 controls: `normalize_to_toffoli`
 rewrites any circuit into Toffoli-only form over two appended CONST_ONE
 lines, so the "reversible gates only, no AND/OR" discipline is checkable.
 
-Exhaustive sweeps are capped at LANDAUER_MAX_WIDTH lines (default 20,
-roughly 10^6 states) to bound runtime; wider circuits must use sampled
-checks, which are flagged as non-exhaustive by the callers that offer them.
+Exhaustive sweeps run as one batch through `run_states`, one packed bit
+plane per line, at any width.  A sweep is refused up front if it exceeds
+2**LANDAUER_MAX_WIDTH swept states (default 2**20, roughly 10^6).
 """
 
 from __future__ import annotations
@@ -174,8 +174,9 @@ def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
             raise BadConstantLine(f"line {i} is ANCILLA_ZERO but carries 1")
 
 
-def _run_mask(c: ReversibleCircuit, mask: int) -> int:
-    for op, a, b, d in c._program():
+def _run_mask(prog, mask: int) -> int:
+    """The scalar step: apply lowered gates to one state held as an int."""
+    for op, a, b, d in prog:
         if op == 0:
             if mask & a and mask & b:
                 mask ^= d
@@ -196,7 +197,7 @@ def simulate(c: ReversibleCircuit, input_bits: BitString) -> BitString:
         raise WidthMismatch(f"input has {len(input_bits)} bits, circuit width {c.width}")
     mask = _to_mask(input_bits)
     _check_constant_lines(c, mask)
-    return _from_mask(_run_mask(c, mask), c.width)
+    return _from_mask(_run_mask(c._program(), mask), c.width)
 
 
 @dataclass(frozen=True)
@@ -215,18 +216,8 @@ def simulate_trajectory(c: ReversibleCircuit, input_bits: BitString) -> StateTra
     mask = _to_mask(input_bits)
     _check_constant_lines(c, mask)
     states = [_from_mask(mask, c.width)]
-    for op, a, b, d in c._program():
-        if op == 0:
-            if mask & a and mask & b:
-                mask ^= d
-        elif op == 1:
-            if mask & a:
-                mask ^= b
-        elif op == 2:
-            mask ^= a
-        else:
-            if mask & a and bool(mask & b) != bool(mask & d):
-                mask ^= b | d
+    for step in c._program():
+        mask = _run_mask((step,), mask)
         states.append(_from_mask(mask, c.width))
     return StateTrajectory(tuple(states))
 
@@ -266,30 +257,49 @@ def compose(
     return ReversibleCircuit(n, gates, tuple(roles))
 
 
+def run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
+    """Apply the gates to a batch of states held as bit planes, at any width.
+
+    planes[i] is line i over the batch, packed by np.packbits; the result is
+    a new array in the same layout, whose padding bits carry no state.
+    Constant lines are not checked.
+    """
+    if len(planes) != c.width:
+        raise WidthMismatch(f"batch has {len(planes)} lines, circuit width {c.width}")
+    p = np.array(planes, dtype=np.uint8)
+    for g in c.gates:
+        t = g.targets[0]
+        if g.kind == TOFFOLI:
+            p[t] ^= p[g.controls[0]] & p[g.controls[1]]
+        elif g.kind == CNOT:
+            p[t] ^= p[g.controls[0]]
+        elif g.kind == NOT:
+            p[t] ^= 0xFF
+        else:
+            a, b = g.targets
+            swap = p[g.controls[0]] & (p[a] ^ p[b])
+            p[a] ^= swap
+            p[b] ^= swap
+    return p
+
+
+def pack_states(states: np.ndarray, width: int) -> np.ndarray:
+    """Bit planes of integer states (bit i = line i), as run_states takes them."""
+    planes = [np.packbits((states >> i & 1).astype(np.uint8)) for i in range(width)]
+    return np.array(planes, dtype=np.uint8).reshape(width, (len(states) + 7) // 8)
+
+
 def permutation_table(c: ReversibleCircuit) -> np.ndarray:
     """The full map of a circuit as an array t with t[x] = image of state x.
 
-    Vectorized over all 2^width states; refuses widths above the sweep
-    ceiling.  State integers use bit i = line i.
+    One batched run over all 2^width states; refuses widths above the
+    sweep ceiling.  State integers use bit i = line i.
     """
     if c.width > max_sweep_width():
         raise DomainTooLarge(f"width {c.width} exceeds ceiling {max_sweep_width()}")
-    states = np.arange(1 << c.width, dtype=np.int64)
-    for op, a, b, d in c._program():
-        if op == 0:
-            hit = (states & a).astype(bool) & (states & b).astype(bool)
-            states ^= np.where(hit, d, 0)
-        elif op == 1:
-            hit = (states & a).astype(bool)
-            states ^= np.where(hit, b, 0)
-        elif op == 2:
-            states ^= a
-        else:
-            hit = (states & a).astype(bool) & (
-                (states & b).astype(bool) != (states & d).astype(bool)
-            )
-            states ^= np.where(hit, b | d, 0)
-    return states
+    count = 1 << c.width
+    image = np.unpackbits(run_states(c, pack_states(np.arange(count), c.width)), axis=1, count=count)
+    return sum((line.astype(np.int64) << i for i, line in enumerate(image)), np.zeros(count, dtype=np.int64))
 
 
 def check_injective_bruteforce(
@@ -306,8 +316,9 @@ def check_injective_bruteforce(
     if isinstance(f, ReversibleCircuit):
         if f.width != n:
             raise WidthMismatch(f"circuit width {f.width}, asked to sweep {n} bits")
+        # a map of the 2^n states into themselves is injective iff onto
         table = permutation_table(f)
-        return len(np.unique(table)) == len(table)
+        return bool(np.array_equal(np.sort(table), np.arange(len(table))))
     seen = bytearray(1 << n)
     for x in range(1 << n):
         y = f(BitString.from_int(x, n)).to_int()
@@ -326,20 +337,8 @@ def check_conservative(c: ReversibleCircuit, exhaustive: bool = False) -> bool:
     """
     if not exhaustive:
         return all(g.kind == FREDKIN for g in c.gates)
-    if c.width > max_sweep_width():
-        raise DomainTooLarge(f"width {c.width} exceeds ceiling {max_sweep_width()}")
     table = permutation_table(c)
-    idx = np.arange(len(table), dtype=np.int64)
-    return bool(np.array_equal(_popcounts(idx), _popcounts(table)))
-
-
-def _popcounts(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.shape, dtype=np.int64)
-    work = a.copy()
-    while work.any():
-        out += work & 1
-        work >>= 1
-    return out
+    return bool(np.array_equal(np.bitwise_count(np.arange(len(table))), np.bitwise_count(table)))
 
 
 def normalize_to_toffoli(c: ReversibleCircuit) -> ReversibleCircuit:

@@ -24,13 +24,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .bitstring import BitString
+import numpy as np
+
 from .circuits import (
     ReversibleCircuit,
     check_conservative,
     fredkin,
     max_sweep_width,
-    simulate,
+    run_states,
 )
 from .errors import DomainTooLarge, NonIntegralWeights, NotConservative, WidthTooSmall
 from .rng import substream, substream_seed
@@ -106,22 +107,22 @@ def random_conservative_circuit(width: int, gate_count: int, seed: int) -> Rever
     return ReversibleCircuit(width, tuple(gates))
 
 
-def _class_members(couple: WeightCouple):
+def _check_class_sweep(source: WeightCouple) -> None:
+    """Refuse, before any work, a class larger than the sweep ceiling."""
+    if source.class_size() > 1 << max_sweep_width():
+        raise DomainTooLarge(f"{source.class_size()} class states exceeds 2^{max_sweep_width()} ceiling")
+
+
+def _class_planes(couple: WeightCouple) -> np.ndarray:
+    """Every state of a weight class as one run_states batch: each left half
+    (lines 0..n-1) paired with every right half."""
     n = couple.n
-    for left in combinations(range(n), couple.left_weight):
-        left_bits = ["0"] * n
-        for i in left:
-            left_bits[i] = "1"
-        left_str = "".join(left_bits)
-        for right in combinations(range(n), couple.right_weight):
-            right_bits = ["0"] * n
-            for i in right:
-                right_bits[i] = "1"
-            yield BitString(left_str + "".join(right_bits))
-
-
-def _couple_of(state: BitString, n: int) -> tuple[int, int]:
-    return state[:n].weight(), state[n:].weight()
+    left, right = (np.zeros((math.comb(n, w), n), dtype=bool) for w in (couple.left_weight, couple.right_weight))
+    for half, w in ((left, couple.left_weight), (right, couple.right_weight)):
+        for r, ones in enumerate(combinations(range(n), w)):
+            half[r, list(ones)] = True
+    states = np.hstack([np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))])
+    return np.packbits(states.T, axis=1)
 
 
 def count_class_transitions(
@@ -131,22 +132,18 @@ def count_class_transitions(
 ) -> int:
     """Exact count of source-class strings mapped into the target class.
 
-    Sweeps the source class only.  Requires a conservative circuit of
-    width 2n within the exhaustive ceiling.
+    Sweeps the source class only, within the ceiling on swept states.
+    Requires a conservative circuit of width 2n.
     """
     n = source.n
     if c.width != 2 * n:
         raise ValueError(f"circuit width {c.width} does not match 2n = {2 * n}")
-    if 2 * n > max_sweep_width():
-        raise DomainTooLarge(f"width {2 * n} exceeds ceiling {max_sweep_width()}")
+    _check_class_sweep(source)
     if not (check_conservative(c) or check_conservative(c, exhaustive=True)):
         raise NotConservative("circuit does not preserve Hamming weight")
-    want = (target.left_weight, target.right_weight)
-    return sum(
-        1
-        for s in _class_members(source)
-        if _couple_of(simulate(c, s), n) == want
-    )
+    image = np.unpackbits(run_states(c, _class_planes(source)), axis=1, count=source.class_size())
+    left, right = image[:n].sum(axis=0), image[n:].sum(axis=0)
+    return int(np.count_nonzero((left == target.left_weight) & (right == target.right_weight)))
 
 
 @dataclass(frozen=True)
@@ -191,25 +188,24 @@ def clausius_experiment(
     w = Fraction(w)
     delta = Fraction(delta)
     wn, wdn = _grid(n, w, delta)
+    if circuits < 1:
+        raise ValueError(f"circuits must be at least 1, got {circuits}")
     source = WeightCouple(n, wn, n - wn)
     target = WeightCouple(n, wdn, n - wdn)
+    _check_class_sweep(source)
     point_ceiling = imbalance_ratio_exact(n, w, delta)
     tail_ceiling = imbalance_tail_exact(n, w, delta)
     gc = gate_count if gate_count is not None else 4 * 2 * n
 
     size = source.class_size()
+    planes = _class_planes(source)
     max_point = Fraction(0)
     max_tail = Fraction(0)
     for i in range(circuits):
         circuit = random_conservative_circuit(2 * n, gc, substream_seed(seed, "circuit", i))
-        point = 0
-        tail = 0
-        for s in _class_members(source):
-            left, _ = _couple_of(simulate(circuit, s), n)
-            if left == target.left_weight:
-                point += 1
-            if left >= target.left_weight:
-                tail += 1
+        left = np.unpackbits(run_states(circuit, planes), axis=1, count=size)[:n].sum(axis=0)
+        point = int(np.count_nonzero(left == target.left_weight))
+        tail = int(np.count_nonzero(left >= target.left_weight))
         max_point = max(max_point, Fraction(point, size))
         max_tail = max(max_tail, Fraction(tail, size))
 

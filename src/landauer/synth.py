@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .bitstring import BitString
 from .circuits import (
     ANCILLA_ZERO,
@@ -43,9 +45,13 @@ from .circuits import (
     OUTPUT_ALIAS,
     Gate,
     ReversibleCircuit,
+    _check_constant_lines,
+    _to_mask,
     cnot,
     max_sweep_width,
     not_gate,
+    pack_states,
+    run_states,
     simulate,
     toffoli,
 )
@@ -235,14 +241,6 @@ def _cycles(perm: dict[int, int]) -> list[list[int]]:
     return out
 
 
-def _register_int(bits: BitString) -> int:
-    mask = 0
-    for i, b in enumerate(bits):
-        if b:
-            mask |= 1 << i
-    return mask
-
-
 def build_fig1_compressor(
     codec: CompressionCodec,
     block: int,
@@ -289,11 +287,8 @@ def build_fig1_compressor(
             raise CodecNotInjective(f"{codec.name} fails round-trip on {data}")
         coded = encode_with_escape(codec, data, helper, budget=block, raw_escape=raw_escape)
         padded = coded + BitString.zeros(reg_width - len(coded))
-        cells = ["0"] * reg_width
-        for bit, line in zip(data, input_lines):
-            cells[line] = "1" if bit else "0"
-        u = _register_int(BitString("".join(cells)))
-        e = _register_int(padded)
+        u = sum(bit << line for bit, line in zip(data, input_lines))
+        e = _to_mask(padded)
         if e in used:
             raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
         table[u] = e
@@ -387,44 +382,49 @@ class VerificationReport:
 def verify_compiled(
     compiled: CompiledReversible,
     oracle: Callable[[BitString], BitString],
-    max_width: int | None = None,
     keep: int = 16,
 ) -> VerificationReport:
     """Exhaustively compare a compiled circuit against a reference map.
 
-    Sweeps the whole input register, checking result equality, ancilla
-    restoration (ancilla lines back to 0, const lines still 1, helper
-    lines untouched), and injectivity of the full-state map on the swept
-    domain.  `keep` caps how many offending cases are recorded.
+    Sweeps the whole input register as one batch, checking result equality,
+    ancilla restoration (ancilla lines back to 0, const lines still 1,
+    helper lines untouched), and injectivity of the full-state map on the
+    swept domain.  `keep` caps how many offending cases are recorded, in
+    input order.
     """
-    ceiling = max_sweep_width() if max_width is None else max_width
     k = len(compiled.input_lines)
-    if k > ceiling:
-        raise DomainTooLarge(f"2^{k} inputs exceeds 2^{ceiling} ceiling")
+    if k > max_sweep_width():
+        raise DomainTooLarge(f"2^{k} inputs exceeds 2^{max_sweep_width()} ceiling")
+    c = compiled.circuit
+    count = 1 << k
+    # Only data lines differ between inputs, so the first input that breaks a
+    # line role (raising as simulate does) is 0 or sets a single data line.
+    for x in [0] + [1 << b for b in range(k)]:
+        _check_constant_lines(c, _to_mask(compiled.assemble_input(BitString.from_int(x, k))))
+    # Input x is BitString.from_int(x, k): data line j carries bit k-1-j of x.
+    planes = np.zeros((c.width, (count + 7) // 8), dtype=np.uint8)
+    planes[[i for i, bit in enumerate(compiled.assemble_input(BitString.zeros(k))) if bit]] = 0xFF
+    planes[list(reversed(compiled.input_lines))] = pack_states(np.arange(count), k)
+    out = run_states(c, planes)
 
+    results = np.unpackbits(out[list(compiled.result_lines)], axis=1, count=count).T + ord("0")
+    got = [row.tobytes().decode() for row in results]
     mismatches = []
-    violations = []
-    seen: set[str] = set()
-    injective = True
-    for x in range(1 << k):
+    for x in range(count):
         data = BitString.from_int(x, k)
-        state = compiled.run(data)
-        got = compiled.result(state)
         want = oracle(data)
-        if got != want and len(mismatches) < keep:
-            mismatches.append((data, got, want))
-        for line in compiled.ancilla_lines:
-            if state[line] != 0 and len(violations) < keep:
-                violations.append((data, line, "ancilla not restored"))
-        for line in compiled.const_one_lines:
-            if state[line] != 1 and len(violations) < keep:
-                violations.append((data, line, "constant line flipped"))
-        if compiled.helper_lines:
-            kept = compiled.pick(state, compiled.helper_lines)
-            if kept != compiled.helper_value and len(violations) < keep:
-                violations.append((data, compiled.helper_lines[0], "helper changed"))
-        text = str(state)
-        if text in seen:
-            injective = False
-        seen.add(text)
-    return VerificationReport(1 << k, tuple(mismatches), tuple(violations), injective)
+        if got[x] != str(want) and len(mismatches) < keep:
+            mismatches.append((data, BitString(got[x]), want))
+
+    helper = list(compiled.helper_lines)
+    checks = [(out[i], i, "ancilla not restored") for i in compiled.ancilla_lines]
+    checks += [(~out[i], i, "constant line flipped") for i in compiled.const_one_lines]
+    if helper:
+        checks.append((np.bitwise_or.reduce(out[helper] ^ planes[helper]), helper[0], "helper changed"))
+    flags = np.array([np.unpackbits(bad, count=count) for bad, _, _ in checks]).reshape(len(checks), count)
+    xs, rows = np.nonzero(flags.T)  # input order, then check order
+    violations = [(BitString.from_int(int(x), k), *checks[v][1:]) for x, v in zip(xs, rows[: max(keep, 0)])]
+
+    states = np.packbits(np.unpackbits(out, axis=1, count=count), axis=0).T  # one byte row per state
+    injective = len(np.unique(states, axis=0)) == count
+    return VerificationReport(count, tuple(mismatches), tuple(violations), injective)

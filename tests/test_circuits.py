@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landauer.bitstring import BitString
 from landauer.circuits import (
@@ -20,8 +22,10 @@ from landauer.circuits import (
     is_toffoli_only,
     normalize_to_toffoli,
     not_gate,
+    pack_states,
     permutation_table,
     reverse_circuit,
+    run_states,
     simulate,
     simulate_trajectory,
     toffoli,
@@ -184,6 +188,31 @@ def test_bijectivity_of_constructed_circuits():
         assert len(np.unique(table)) == 1 << width
     wide = random_circuit(rng, 16, 60)
     assert len(np.unique(permutation_table(wide))) == 1 << 16
+
+
+@st.composite
+def circuit_and_batch(draw):
+    width = draw(st.integers(1, 70))
+    kinds = [not_gate] + [cnot] * (width >= 2) + [toffoli, fredkin] * (width >= 3)
+    gates = []
+    for make in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        arity = 1 if make is not_gate else 2 if make is cnot else 3
+        lines = st.integers(0, width - 1)
+        gates.append(make(*draw(st.lists(lines, min_size=arity, max_size=arity, unique=True))))
+    values = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=20))
+    return ReversibleCircuit(width, tuple(gates)), [BitString.from_int(v, width) for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit_and_batch())
+def test_run_states_matches_scalar_simulate(case):
+    c, batch = case
+    rows = np.array([list(s) for s in batch], dtype=bool)
+    out = np.unpackbits(run_states(c, np.packbits(rows.T, axis=1)), axis=1, count=len(batch))
+    assert [BitString(row) for row in out.T] == [simulate(c, s) for s in batch]
+    if c.width <= 63:
+        ints = np.array([sum(b << i for i, b in enumerate(s)) for s in batch], dtype=np.int64)
+        assert np.array_equal(pack_states(ints, c.width), np.packbits(rows.T, axis=1))
 
 
 def test_injective_bruteforce_on_circuit_and_blackbox():

@@ -11,7 +11,7 @@ from landauer.clausius import (
     imbalance_tail_exact,
     random_conservative_circuit,
 )
-from landauer.errors import NonIntegralWeights, NotConservative, WidthTooSmall
+from landauer.errors import DomainTooLarge, NonIntegralWeights, NotConservative, WidthTooSmall
 
 
 def binom_oracle(n: int, k: int) -> int:
@@ -119,6 +119,20 @@ def test_count_class_transitions_requires_conservative():
     bad = ReversibleCircuit(8, (not_gate(0),))
     with pytest.raises(NotConservative):
         count_class_transitions(bad, WeightCouple(4, 2, 2), WeightCouple(4, 3, 1))
+
+
+def test_sweep_ceiling_counts_class_states_not_lines(monkeypatch):
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "4")
+    # 36 states > 2^4, although the circuit is only 8 lines wide
+    with pytest.raises(DomainTooLarge):
+        count_class_transitions(random_conservative_circuit(8, 8, 1), WeightCouple(4, 2, 2), WeightCouple(4, 3, 1))
+    with pytest.raises(DomainTooLarge):
+        clausius_experiment(4, Fraction(1, 2), Fraction(1, 4), circuits=1, seed=0)
+    # the 8 states of the (8, 1) class of a 16-line circuit fit
+    c = random_conservative_circuit(16, 40, 2)
+    source = WeightCouple(8, 8, 1)
+    counts = [count_class_transitions(c, source, WeightCouple(8, lw, 9 - lw)) for lw in range(1, 9)]
+    assert sum(counts) == source.class_size() == 8
 
 
 def test_injectivity_ceiling_exhaustive_small():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -176,6 +177,23 @@ def test_domain_error_exit_code_one():
     assert code == 1
     report = json.loads(text)
     assert report["error"]["type"] == "NonIntegralWeights"
+
+
+def test_clausius_class_beyond_ceiling_is_refused_up_front():
+    # the n = 20 source class holds C(20,10)^2 ~ 3.4e10 states
+    start = time.perf_counter()
+    code, text = run_cli(["clausius", "--n", "20", "--delta", "1/10", "--circuits", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "DomainTooLarge"
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_clausius_rejects_fewer_than_one_circuit(count):
+    code, text = run_cli(["clausius", "--n", "4", "--delta", "1/4", "--circuits", count])
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "ValueError" and "circuits" in error["message"]
 
 
 def test_usage_error_exit_code_two():

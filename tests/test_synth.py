@@ -1,7 +1,20 @@
+from dataclasses import replace
+
 import pytest
 
 from landauer.bitstring import BitString, encode_self_delimiting
-from landauer.circuits import CNOT, TOFFOLI, check_injective_bruteforce, simulate
+from landauer.circuits import (
+    ANCILLA_ZERO,
+    CNOT,
+    CONST_ONE,
+    INPUT,
+    OUTPUT_ALIAS,
+    TOFFOLI,
+    ReversibleCircuit,
+    check_injective_bruteforce,
+    cnot,
+    simulate,
+)
 from landauer.compress import (
     BOOKMARK8,
     IDENTITY,
@@ -9,7 +22,7 @@ from landauer.compress import (
     XOR,
     raw_block_codec,
 )
-from landauer.errors import CodecNotInjective, CompressorOverflow, TooManyLines
+from landauer.errors import BadConstantLine, CodecNotInjective, CompressorOverflow, TooManyLines
 from landauer.irrev import (
     IrreversibleCircuit,
     LogicGate,
@@ -19,6 +32,8 @@ from landauer.irrev import (
 )
 from landauer.rng import substream
 from landauer.synth import (
+    CompiledReversible,
+    VerificationReport,
     bennett_compile,
     build_fig1_compressor,
     fig1_block_oracle,
@@ -107,11 +122,101 @@ def test_verify_detects_one_deleted_gate():
     broken = comp.circuit.__class__(
         comp.circuit.width, comp.circuit.gates[:-1], comp.circuit.line_roles
     )
-    from dataclasses import replace
-
     bad = replace(comp, circuit=broken)
     report = verify_compiled(bad, lambda x: evaluate(src, x))
     assert report.mismatches or report.ancilla_violations
+
+
+def verify_one_state_at_a_time(compiled, oracle, keep=16):
+    """Reference for verify_compiled: one scalar simulate per input."""
+    k = len(compiled.input_lines)
+    mismatches, violations, seen = [], [], set()
+    for x in range(1 << k):
+        data = BitString.from_int(x, k)
+        state = compiled.run(data)
+        got, want = compiled.result(state), oracle(data)
+        if got != want and len(mismatches) < keep:
+            mismatches.append((data, got, want))
+        for line in compiled.ancilla_lines:
+            if state[line] != 0 and len(violations) < keep:
+                violations.append((data, line, "ancilla not restored"))
+        for line in compiled.const_one_lines:
+            if state[line] != 1 and len(violations) < keep:
+                violations.append((data, line, "constant line flipped"))
+        if compiled.helper_lines:
+            if compiled.pick(state, compiled.helper_lines) != compiled.helper_value and len(violations) < keep:
+                violations.append((data, compiled.helper_lines[0], "helper changed"))
+        seen.add(str(state))
+    return VerificationReport(1 << k, tuple(mismatches), tuple(violations), len(seen) == 1 << k)
+
+
+def with_gates(compiled, extra, line_roles=None):
+    c = compiled.circuit
+    circuit = ReversibleCircuit(c.width, c.gates + tuple(extra), line_roles or c.line_roles)
+    return replace(compiled, circuit=circuit)
+
+
+def test_verify_wide_bennett_matches_scalar_reference():
+    # 6 inputs + 60 work lines + 4 outputs: wider than an int64 state
+    src = random_netlist(6, 60, substream(33, "wide"), num_outputs=4)
+    comp = bennett_compile(src)
+    assert comp.circuit.width == 70
+    oracle = lambda x: evaluate(src, x)
+    report = verify_compiled(comp, oracle)
+    assert report.ok and report.swept == 64
+    assert report == verify_one_state_at_a_time(comp, oracle)
+
+    last_ancilla = comp.ancilla_lines[-1]
+    dirty = with_gates(comp, [cnot(0, last_ancilla)])
+    report = verify_compiled(dirty, oracle)
+    assert report.ancilla_violations[0] == (BitString("100000"), last_ancilla, "ancilla not restored")
+    assert not report.mismatches and report.injective_on_domain
+    assert report == verify_one_state_at_a_time(dirty, oracle)
+
+    # cases interleave: input order first, then ancilla order within an input
+    wrong = with_gates(comp, [cnot(5, comp.output_lines[-1]), cnot(5, last_ancilla), cnot(4, comp.ancilla_lines[0])])
+    for keep in (1, 3, 16):
+        assert verify_compiled(wrong, oracle, keep=keep) == verify_one_state_at_a_time(wrong, oracle, keep)
+
+
+def test_verify_fig1_helper_and_constant_lines_match_scalar_reference():
+    helper = BitString("101")
+    comp = build_fig1_compressor(BOOKMARK8, 4, helper)
+    oracle = fig1_block_oracle(BOOKMARK8, 4, helper)
+    assert verify_compiled(comp, oracle) == verify_one_state_at_a_time(comp, oracle)
+    touched = with_gates(comp, [cnot(comp.input_lines[0], comp.helper_lines[1])])
+    report = verify_compiled(touched, oracle)
+    assert report.ancilla_violations[0][1:] == (comp.helper_lines[0], "helper changed")
+    assert report == verify_one_state_at_a_time(touched, oracle)
+
+    # line roles the assembled inputs break: a data line declared
+    # ANCILLA_ZERO (first broken by input 0001), a 0 helper bit declared CONST_ONE
+    for line, role in ((comp.input_lines[-1], ANCILLA_ZERO), (comp.helper_lines[1], CONST_ONE)):
+        roles = list(comp.circuit.line_roles)
+        roles[line] = role
+        broken = with_gates(comp, [], tuple(roles))
+        with pytest.raises(BadConstantLine) as scalar:
+            verify_one_state_at_a_time(broken, oracle)
+        with pytest.raises(BadConstantLine) as batched:
+            verify_compiled(broken, oracle)
+        assert str(batched.value) == str(scalar.value)
+
+
+def test_verify_flags_a_flipped_constant_line():
+    circuit = ReversibleCircuit(3, (cnot(1, 2), cnot(0, 1)), (INPUT, CONST_ONE, OUTPUT_ALIAS))
+    comp = CompiledReversible(circuit, input_lines=(0,), output_lines=(2,), const_one_lines=(1,))
+    report = verify_compiled(comp, lambda x: BitString("1"))
+    assert report.ancilla_violations == ((BitString("1"), 1, "constant line flipped"),)
+    assert report == verify_one_state_at_a_time(comp, lambda x: BitString("1"))
+
+
+def test_verify_counts_unequal_result_lengths_as_mismatches():
+    comp = bennett_compile(wire_through(3))
+    report = verify_compiled(comp, lambda x: x + BitString("0"), keep=2)
+    assert report.mismatches == (
+        (BitString("000"), BitString("000"), BitString("0000")),
+        (BitString("001"), BitString("001"), BitString("0010")),
+    )
 
 
 # --- reversible block compression -------------------------------------------------
