@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .bitstring import (
     BitString,
-    concat,
     decode_self_delimiting,
     decode_uint,
     encode_self_delimiting,
@@ -62,12 +61,7 @@ from .compress import (
     encode_with_escape,
     estimate_complexity,
     get_codec,
-    identity_codec,
-    lz78_compress,
-    lz78_decompress,
     raw_block_codec,
-    xor_helper_compress,
-    xor_helper_decompress,
 )
 from .demon import (
     ScenarioResult,

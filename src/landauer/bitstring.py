@@ -42,18 +42,18 @@ class BitString:
 
     @classmethod
     def zeros(cls, n: int) -> "BitString":
-        return cls("0" * n)
+        return _trusted("0" * n)
 
     @classmethod
     def ones(cls, n: int) -> "BitString":
-        return cls("1" * n)
+        return _trusted("1" * n)
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
         """Most-significant-first rendering of `value` in `width` bits."""
         if value < 0 or (width == 0 and value != 0) or value >= (1 << width):
             raise ValueError(f"{value} does not fit in {width} bits")
-        return cls(format(value, f"0{width}b") if width else "")
+        return _trusted(format(value, f"0{width}b") if width else "")
 
     def to_int(self) -> int:
         """Integer value of the MSB-first rendering (0 for the empty string)."""
@@ -69,7 +69,7 @@ class BitString:
         if not self._s:
             return self
         v = int(self._s, 2) ^ int(other._s, 2)
-        return BitString(format(v, f"0{len(self._s)}b"))
+        return _trusted(format(v, f"0{len(self._s)}b"))
 
     def __len__(self) -> int:
         return len(self._s)
@@ -87,20 +87,29 @@ class BitString:
         return hash(("BitString", self._s))
 
     def __add__(self, other: "BitString") -> "BitString":
-        return BitString(self._s + BitString(other)._s)
+        if not isinstance(other, BitString):
+            other = BitString(other)
+        return _trusted(self._s + other._s)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return BitString(self._s[item])
+            return _trusted(self._s[item])
         return 1 if self._s[item] == "1" else 0
 
     def __iter__(self) -> Iterator[int]:
         return (1 if c == "1" else 0 for c in self._s)
 
 
-def concat(a: BitString, b: BitString) -> BitString:
-    """Concatenation: result is the bits of `a` followed by the bits of `b`."""
-    return a + b
+def _trusted(s: str) -> BitString:
+    """BitString over `s` without validation.
+
+    Only for strings built from already-valid bits (slices, sums, xor,
+    integer renderings); text from outside the library goes through the
+    validating constructor.
+    """
+    b = object.__new__(BitString)
+    b._s = s
+    return b
 
 
 def _gamma(n: int) -> str:
@@ -113,7 +122,7 @@ def encode_uint(n: int) -> BitString:
     """Prefix-free encoding of a non-negative integer (Elias gamma of n+1)."""
     if n < 0:
         raise ValueError("encode_uint takes a non-negative integer")
-    return BitString(_gamma(n + 1))
+    return _trusted(_gamma(n + 1))
 
 
 def decode_uint(s: BitString, start: int = 0) -> tuple[int, int]:

@@ -29,14 +29,13 @@ from .demon import (
     run_extract_then_erase,
     run_xor_copy_extract,
 )
-from .errors import GeneratorMismatch, LandauerError
+from .errors import GeneratorMismatch, LandauerError, UnreadableInput
 from .irrev import load_netlist, rom_circuit
 from .prbox import generate_pr_quadruple, pr_report
 from .synth import bennett_compile, build_fig1_compressor
-from .thermo import erasure_cost_interval, wv_report
+from .thermo import DEFAULT_TEMPERATURE, erasure_cost_interval, wv_report
 
 DEFAULT_SEED = 0
-DEFAULT_TEMPERATURE = 300.0
 
 
 def _frac(value) -> str:
@@ -47,6 +46,14 @@ def _frac(value) -> str:
 def _read_bits(path: str) -> BitString:
     with open(path, "r", encoding="utf-8") as fh:
         return BitString("".join(fh.read().split()))
+
+
+def _load(loader, path: str):
+    """loader(path), with a file that cannot be read as a domain error."""
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(report: dict, args) -> None:
@@ -94,7 +101,7 @@ def _cmd_compile(args) -> dict:
         )
         mode = "fig1"
     else:
-        compiled = bennett_compile(load_netlist(args.netlist))
+        compiled = bennett_compile(_load(load_netlist, args.netlist))
         mode = "bennett"
     if args.out:
         save_circuit(compiled.circuit, args.out)
@@ -113,7 +120,7 @@ def _cmd_compile(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    circuit = load_circuit(args.circuit)
+    circuit = _load(load_circuit, args.circuit)
     bits = BitString(args.input)
     report = _base_report(args)
     if args.trajectory:
@@ -127,7 +134,7 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_compress(args) -> dict | None:
     codec = get_codec(args.codec)
-    helper = _read_bits(args.helper_file) if args.helper_file else BitString()
+    helper = _load(_read_bits, args.helper_file) if args.helper_file else BitString()
     data = BitString("".join(sys.stdin.read().split()))
     if args.decompress:
         print(codec.decompress(data, helper))
@@ -137,8 +144,8 @@ def _cmd_compress(args) -> dict | None:
 
 
 def _cmd_bounds(args) -> dict:
-    S = _read_bits(args.s_file)
-    X = _read_bits(args.x_file) if args.x_file else BitString()
+    S = _load(_read_bits, args.s_file)
+    X = _load(_read_bits, args.x_file) if args.x_file else BitString()
     codec = get_codec(args.codec)
     report = _base_report(args)
     report["len_s"] = len(S)
@@ -150,8 +157,8 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_demon(args) -> dict:
-    S = _read_bits(args.s_file)
-    X = _read_bits(args.x_file) if args.x_file else BitString()
+    S = _load(_read_bits, args.s_file)
+    X = _load(_read_bits, args.x_file) if args.x_file else BitString()
     codec = get_codec(args.codec)
     if args.scenario == "extract":
         result = run_extract(S, X, codec, args.temperature)
@@ -161,7 +168,7 @@ def _cmd_demon(args) -> dict:
         result = run_erase_then_extract(S, X, codec, args.temperature)
     else:  # xor-copy
         if args.generator:
-            generator = load_netlist(args.generator)
+            generator = _load(load_netlist, args.generator)
         elif len(X):
             generator = rom_circuit(S, len(X))
         else:

@@ -25,7 +25,10 @@ Token format (lz78): gamma header for the data length, then tokens of
 (index, next bit) with the index field exactly ceil(log2(D+1)) bits where
 D is the current dictionary size; a trailing index-only token encodes a
 final partial phrase.  The format is bit-exact and documented so other
-implementations can reproduce it.
+implementations can reproduce it.  A phrase's index is its node id in
+the phrase trie (0 is the empty phrase, ids in order of creation, helper
+phrases first), which is the same numbering as a phrase dictionary built
+in parse order, so the bitstream is unchanged by the trie kernel.
 """
 
 from __future__ import annotations
@@ -80,43 +83,49 @@ def _identity_decompress(code: str, helper: str) -> str:
 # --- LZ78 with dictionary warm-up ---------------------------------------------
 
 
-def _lz78_warmup(helper: str) -> dict[str, int]:
-    phrases: dict[str, int] = {}
-    cur = ""
-    for ch in helper:
-        cur += ch
-        if cur not in phrases:
-            phrases[cur] = len(phrases) + 1
-            cur = ""
-    return phrases
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _index_width(dict_size: int) -> int:
-    # indices run 0..dict_size; 0 is the empty phrase
-    return dict_size.bit_length()
+def _lz78_warmup(helper: str) -> tuple[list[int], int]:
+    """Phrase trie of the helper's parse: (child, dictionary size).
+
+    child[2*node + bit] is 2 * (id of that child phrase), 0 when absent:
+    node 0 is the empty phrase, ids run in parse order, and a child's
+    doubled id is where its own two child slots start.
+    """
+    child = [0, 0]
+    size = 0
+    slot = 0  # 2 * current node
+    for bit in helper.encode().translate(_BIT_VALUES):
+        k = slot + bit
+        slot = child[k]
+        if not slot:  # new phrase; the parse restarts at the empty phrase
+            size += 1
+            child[k] = 2 * size
+            child += (0, 0)
+    return child, size
 
 
 def _lz78_compress(data: str, helper: str) -> str:
-    phrases = _lz78_warmup(helper)
+    child, size = _lz78_warmup(helper)
     out = [str(encode_uint(len(data)))]
-    cur = ""
-    for ch in data:
-        cand = cur + ch
-        if cand in phrases:
-            cur = cand
+    slot = 0
+    for bit in data.encode().translate(_BIT_VALUES):
+        k = slot + bit
+        nxt = child[k]
+        if nxt:
+            slot = nxt
             continue
-        w = _index_width(len(phrases))
-        idx = phrases[cur] if cur else 0
-        if w:
-            out.append(format(idx, f"0{w}b"))
-        out.append(ch)
-        phrases[cand] = len(phrases) + 1
-        cur = ""
-    if cur:  # final partial phrase: index only, no next bit
-        w = _index_width(len(phrases))
-        idx = phrases[cur]
-        if w:
-            out.append(format(idx, f"0{w}b"))
+        # token: index field of size.bit_length() bits (indices run 0..size)
+        if size:
+            out.append(format(slot >> 1, f"0{size.bit_length()}b"))
+        out.append("01"[bit])
+        size += 1
+        child[k] = 2 * size
+        child += (0, 0)
+        slot = 0
+    if slot:  # final partial phrase: index only, no next bit
+        out.append(format(slot >> 1, f"0{size.bit_length()}b"))
     return "".join(out)
 
 
@@ -126,15 +135,16 @@ def _lz78_decompress(code: str, helper: str) -> str:
         n, pos = decode_uint(bits)
     except MalformedCode:
         raise MalformedCode("lz78: bad length header")
-    warm = _lz78_warmup(helper)
-    table = [""] * (len(warm) + 1)
-    for phrase, idx in warm.items():
-        table[idx] = phrase
+    child, size = _lz78_warmup(helper)
+    table = [""] * (size + 1)
+    for k, slot in enumerate(child):
+        if slot:  # a parent's id is below its child's, so its phrase is set
+            table[slot >> 1] = table[k >> 1] + "01"[k & 1]
     text = str(bits)
     produced: list[str] = []
     produced_len = 0
     while produced_len < n:
-        w = _index_width(len(table) - 1)
+        w = (len(table) - 1).bit_length()
         if pos + w > len(text):
             raise MalformedCode("lz78: truncated token index")
         idx = int(text[pos : pos + w], 2) if w else 0
@@ -151,11 +161,11 @@ def _lz78_decompress(code: str, helper: str) -> str:
             raise MalformedCode("lz78: phrase overruns declared length")
         if pos >= len(text):
             raise MalformedCode("lz78: truncated token symbol")
-        sym = text[pos]
+        phrase += text[pos]
         pos += 1
-        produced.append(phrase + sym)
-        produced_len += len(phrase) + 1
-        table.append(phrase + sym)
+        produced.append(phrase)
+        produced_len += len(phrase)
+        table.append(phrase)
     if pos != len(text):
         raise MalformedCode("lz78: trailing bits after token stream")
     return "".join(produced)
@@ -166,8 +176,10 @@ def _lz78_decompress(code: str, helper: str) -> str:
 
 def _xor_payload(data: str, helper: str) -> str:
     k = min(len(data), len(helper))
-    head = "".join("1" if a != b else "0" for a, b in zip(data[:k], helper[:k]))
-    return head + data[k:]
+    if not k:
+        return data
+    head = int(data[:k], 2) ^ int(helper[:k], 2)
+    return format(head, f"0{k}b") + data[k:]
 
 
 def _xor_compress(data: str, helper: str) -> str:
@@ -259,29 +271,6 @@ def raw_block_codec(width: int) -> CompressionCodec:
     return CompressionCodec(f"raw{width}", "01", comp, decomp, fixed_code_width=width)
 
 
-# --- public single-codec entry points ------------------------------------------
-
-
-def lz78_compress(data: BitString, helper: BitString = BitString()) -> BitString:
-    return LZ78.compress(data, helper)
-
-
-def lz78_decompress(code: BitString, helper: BitString = BitString()) -> BitString:
-    return LZ78.decompress(code, helper)
-
-
-def xor_helper_compress(data: BitString, helper: BitString = BitString()) -> BitString:
-    return XOR.compress(data, helper)
-
-
-def xor_helper_decompress(code: BitString, helper: BitString = BitString()) -> BitString:
-    return XOR.decompress(code, helper)
-
-
-def identity_codec(data: BitString, helper: BitString = BitString()) -> BitString:
-    return IDENTITY.compress(data, helper)
-
-
 # --- description-length estimator ----------------------------------------------
 
 
@@ -304,19 +293,36 @@ def estimate_complexity(
     helper: BitString = BitString(),
     family: Sequence[CompressionCodec] | None = None,
 ) -> ComplexityEstimate:
+    # identity is a required family member, so asking for its code is free
+    return estimate_with_code(data, helper, IDENTITY, family)[0]
+
+
+def estimate_with_code(
+    data: BitString,
+    helper: BitString,
+    codec: CompressionCodec,
+    family: Sequence[CompressionCodec] | None = None,
+) -> tuple[ComplexityEstimate, BitString]:
+    """One pass over the family: the estimate, and `codec`'s code for the
+    same (data, helper), reused when `codec` is a family member."""
     codecs = tuple(family) if family is not None else default_family()
     if not any(c.name == IDENTITY.name for c in codecs):
         raise ValueError("estimator family must include the identity codec")
     best_bits = None
     best_name = ""
-    for codec in codecs:
-        cost = len(encode_self_delimiting(BitString(codec.id_bits))) + len(
-            codec.compress(data, helper)
-        )
+    own = None
+    for c in codecs:
+        code = c.compress(data, helper)
+        if c == codec:
+            own = code
+        # the tag is charged self-delimited: gamma(len + 1) then the tag
+        cost = len(encode_uint(len(c.id_bits))) + len(c.id_bits) + len(code)
         if best_bits is None or cost < best_bits:
             best_bits = cost
-            best_name = codec.name
-    return ComplexityEstimate(best_bits, best_name)
+            best_name = c.name
+    if own is None:
+        own = codec.compress(data, helper)
+    return ComplexityEstimate(best_bits, best_name), own
 
 
 # --- block encoding with raw escape ---------------------------------------------

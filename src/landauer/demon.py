@@ -32,7 +32,7 @@ from typing import Union
 
 from .bitstring import BitString
 from .compress import CompressionCodec, decode_with_escape, encode_with_escape
-from .errors import GeneratorMismatch
+from .errors import GeneratorMismatch, InvariantViolated
 from .irrev import IrreversibleCircuit, evaluate
 from .synth import CompiledReversible, bennett_compile
 from .thermo import DEFAULT_TEMPERATURE, EnergyLedger
@@ -62,16 +62,21 @@ class BlockEncodeStep:
     raw_escape: bool = True
 
     def apply(self, tape: Tape) -> Tape:
+        return self.encode(tape)[0]
+
+    def encode(self, tape: Tape) -> tuple[Tape, int]:
+        """apply, plus the length of the block code it wrote."""
         n = len(tape.s_region)
         coded = encode_with_escape(
             self.codec, tape.s_region, tape.x_region, budget=n, raw_escape=self.raw_escape
         )
         padded = coded + BitString.zeros(n + 1 - len(coded))
-        return replace(
+        tape = replace(
             tape,
             s_region=padded[:n],
             zero_region=padded[n:] + tape.zero_region[1:],
         )
+        return tape, len(coded)
 
     def invert(self, tape: Tape) -> Tape:
         n = len(tape.s_region)
@@ -169,7 +174,14 @@ def _fresh_tape(S: BitString, X: BitString, history_bits: int = 0) -> Tape:
 
 def _check_catalyst(initial: Tape, final: Tape) -> None:
     if initial.x_region != final.x_region:
-        raise AssertionError("catalyst X changed during a scenario")
+        raise InvariantViolated("catalyst X changed during a scenario")
+
+
+def _check_clean(tape: Tape, *regions: str) -> None:
+    """The named tape regions must end all zero."""
+    for region in regions:
+        if getattr(tape, region).weight():
+            raise InvariantViolated(f"{region} not zero at the end of the scenario")
 
 
 def run_extract(
@@ -187,17 +199,12 @@ def run_extract(
     """
     tape0 = _fresh_tape(S, X)
     step = BlockEncodeStep(codec, raw_escape)
-    tape1 = step.apply(tape0)
-    code_len = _encoded_length(S, X, codec, raw_escape)
+    tape1, code_len = step.encode(tape0)
     wv = len(S) - code_len
     ledger = EnergyLedger(temperature=temperature)
     ledger.credit("extract:zeros", wv)
     _check_catalyst(tape0, tape1)
     return ScenarioResult("extract", ledger, tape0, tape1, wv, 0, (step,))
-
-
-def _encoded_length(S: BitString, X: BitString, codec: CompressionCodec, raw_escape: bool) -> int:
-    return len(encode_with_escape(codec, S, X, budget=len(S), raw_escape=raw_escape))
 
 
 def run_extract_then_erase(
@@ -213,8 +220,7 @@ def run_extract_then_erase(
     """
     tape0 = _fresh_tape(S, X)
     encode = BlockEncodeStep(codec, raw_escape)
-    tape1 = encode.apply(tape0)
-    code_len = _encoded_length(S, X, codec, raw_escape)
+    tape1, code_len = encode.encode(tape0)
     erase = EraseStep(erased_s=tape1.s_region, erased_spill=tape1.zero_region[:1] if code_len > len(S) else BitString())
     tape2 = erase.apply(tape1)
     wv = len(S) - code_len
@@ -222,7 +228,7 @@ def run_extract_then_erase(
     ledger.credit("extract:zeros", wv)
     ledger.debit("erase:code", code_len)
     _check_catalyst(tape0, tape2)
-    assert tape2.zero_region.weight() == 0 and tape2.s_region.weight() == 0
+    _check_clean(tape2, "zero_region", "s_region")
     return ScenarioResult(
         "extract-erase", ledger, tape0, tape2, wv, code_len, (encode, erase)
     )
@@ -242,7 +248,7 @@ def run_erase_then_extract(
     extract-then-erase with the ledger entries in swapped order.
     """
     tape0 = _fresh_tape(S, X)
-    code_len = _encoded_length(S, X, codec, raw_escape)
+    code_len = len(encode_with_escape(codec, S, X, budget=len(S), raw_escape=raw_escape))
     erase = EraseStep(erased_s=S, erased_spill=BitString())
     tape1 = erase.apply(tape0)
     wv = len(S) - code_len
@@ -250,7 +256,7 @@ def run_erase_then_extract(
     ledger.debit("erase:code", code_len)
     ledger.credit("extract:zeros", wv)
     _check_catalyst(tape0, tape1)
-    assert tape1.zero_region.weight() == 0 and tape1.s_region.weight() == 0
+    _check_clean(tape1, "zero_region", "s_region")
     return ScenarioResult(
         "erase-extract", ledger, tape0, tape1, wv, code_len, (erase,)
     )
@@ -285,8 +291,7 @@ def run_xor_copy_extract(
     ledger = EnergyLedger(temperature=temperature)
     ledger.credit("extract:xor_copy", len(S))
     _check_catalyst(tape0, tape3)
-    assert tape3.history_region.weight() == 0, "history not uncomputed"
-    assert tape3.s_region.weight() == 0, "S not zeroed by the xor"
+    _check_clean(tape3, "history_region", "s_region")
     return ScenarioResult(
         "xor-copy", ledger, tape0, tape3, len(S), 0, (forward, xor_in, backward)
     )

@@ -63,3 +63,11 @@ class NonPositiveTemperature(LandauerError):
 
 class StringTooShort(LandauerError):
     """A complexity rate was requested for a string below the minimum length."""
+
+
+class InvariantViolated(LandauerError):
+    """An internal invariant failed (catalyst changed, tape not left clean)."""
+
+
+class UnreadableInput(LandauerError):
+    """An input file cannot be opened or read."""

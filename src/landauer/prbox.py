@@ -45,15 +45,13 @@ def generate_pr_quadruple(n: int, seed: int) -> CorrelationQuadruple:
     a = random_bits(substream(seed, "a"), n)
     b = random_bits(substream(seed, "b"), n)
     x = random_bits(substream(seed, "x"), n)
-    y = BitString((ai & bi) ^ xi for ai, bi, xi in zip(a, b, x))
+    y = BitString.from_int((a.to_int() & b.to_int()) ^ x.to_int(), n)
     return CorrelationQuadruple(a, b, x, y)
 
 
 def check_pr_condition(q: CorrelationQuadruple) -> bool:
-    return all(
-        (xi ^ yi) == (ai & bi)
-        for ai, bi, xi, yi in zip(q.a, q.b, q.x, q.y)
-    )
+    # bitwise over equal-length strings (the quadruple enforces it)
+    return (q.x.to_int() ^ q.y.to_int()) == (q.a.to_int() & q.b.to_int())
 
 
 def complexity_rate(

@@ -96,6 +96,11 @@ class CompiledReversible:
         flat = [i for group in sets for i in group]
         if sorted(flat) != list(range(self.circuit.width)):
             raise ValueError("line sets must partition the circuit lines")
+        helper_bits = 0 if self.helper_value is None else len(self.helper_value)
+        if helper_bits != len(self.helper_lines):
+            raise WidthMismatch(
+                f"helper value has {helper_bits} bits for {len(self.helper_lines)} helper lines"
+            )
         if not self.result_lines:
             object.__setattr__(self, "result_lines", self.output_lines)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .bitstring import BitString, encode_self_delimiting
-from .compress import CompressionCodec, estimate_complexity
+from .bitstring import BitString, encode_uint
+from .compress import CompressionCodec, estimate_complexity, estimate_with_code
 from .errors import NonPositiveTemperature
 
 BOLTZMANN_K = 1.380649e-23  # J/K, exact by SI definition
@@ -63,7 +63,11 @@ class EnergyLedger:
 
 def coded_length(codec: CompressionCodec, data: BitString, helper: BitString) -> int:
     """Self-delimited length of the codec's output on (data, helper)."""
-    return len(encode_self_delimiting(codec.compress(data, helper)))
+    return _self_delimited_length(codec.compress(data, helper))
+
+
+def _self_delimited_length(code: BitString) -> int:
+    return len(encode_uint(len(code))) + len(code)
 
 
 def wv_lower_bound(S: BitString, X: BitString, codec: CompressionCodec) -> int:
@@ -141,8 +145,8 @@ def erasure_cost_interval(
     lower <= upper structurally; the estimated flag marks that the lower
     side may still exceed the true bound.
     """
-    upper = coded_length(codec, S, X)
-    est = estimate_complexity(S, X, family)
+    est, code = estimate_with_code(S, X, codec, family)
+    upper = _self_delimited_length(code)
     lower = min(est.bits, upper)
     return BoundReport(
         quantity="EC",
@@ -163,10 +167,10 @@ def wv_report(
     family: Sequence[CompressionCodec] | None = None,
 ) -> BoundReport:
     """Work-value interval: codec-achieved lower, estimator-based upper."""
-    est = estimate_complexity(S, X, family)
+    est, code = estimate_with_code(S, X, codec, family)
     return BoundReport(
         quantity="WV",
-        lower_bits=wv_lower_bound(S, X, codec),
+        lower_bits=len(S) - _self_delimited_length(code),
         upper_bits=len(S) - est.bits,
         lower_estimated=False,
         upper_estimated=True,

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from landauer.bitstring import (
     BitString,
-    concat,
     decode_self_delimiting,
     decode_uint,
     encode_self_delimiting,
@@ -16,9 +15,9 @@ bitstrings = st.text(alphabet="01", max_size=4096).map(BitString)
 
 
 def test_concat_examples():
-    assert concat(BitString(""), BitString("101")) == BitString("101")
-    assert concat(BitString("1"), BitString("0")) == BitString("10")
-    assert concat(BitString("000"), BitString("11")) == BitString("00011")
+    assert BitString("") + BitString("101") == BitString("101")
+    assert BitString("1") + BitString("0") == BitString("10")
+    assert BitString("000") + BitString("11") == BitString("00011")
 
 
 def test_basic_value_semantics():

@@ -196,6 +196,30 @@ def test_clausius_rejects_fewer_than_one_circuit(count):
     assert error["type"] == "ValueError" and "circuits" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--circuit", "{missing}", "--input", "0"],
+        ["compile", "--netlist", "{missing}"],
+        ["bounds", "--s-file", "{missing}"],
+        ["bounds", "--s-file", "{present}", "--x-file", "{missing}"],
+        ["demon", "--scenario", "xor-copy", "--s-file", "{present}", "--generator", "{missing}"],
+        ["compress", "--codec", "lz78", "--helper-file", "{missing}"],
+        ["simulate", "--circuit", "{directory}", "--input", "0"],
+    ],
+    ids=["circuit", "netlist", "s-file", "x-file", "generator", "helper-file", "directory"],
+)
+def test_unreadable_input_file_is_a_structured_error(tmp_path, argv):
+    present = tmp_path / "s.txt"
+    present.write_text("0101\n")
+    paths = {"missing": str(tmp_path / "nonexistent"), "present": str(present), "directory": str(tmp_path)}
+    code, text = run_cli([arg.format(**paths) for arg in argv])
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "UnreadableInput"
+    assert str(tmp_path) in error["message"]
+
+
 def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         run_cli(["bounds", "--no-such-flag"])

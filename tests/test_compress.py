@@ -19,16 +19,13 @@ from landauer.compress import (
     encode_with_escape,
     decode_with_escape,
     estimate_complexity,
-    lz78_compress,
-    lz78_decompress,
     raw_block_codec,
-    xor_helper_compress,
-    xor_helper_decompress,
 )
 from landauer.errors import CompressorOverflow, MalformedCode
 from landauer.rng import random_bits, substream
 
 bits_small = st.text(alphabet="01", max_size=256).map(BitString)
+EMPTY = BitString()
 
 
 # --- independent oracles -----------------------------------------------------
@@ -69,9 +66,9 @@ def lz78_oracle(data: str, helper: str = "") -> tuple[int, int]:
 
 
 def test_lz78_empty_input():
-    coded = lz78_compress(BitString())
+    coded = LZ78.compress(BitString(), EMPTY)
     assert coded == BitString("1")  # length header only, zero tokens
-    assert lz78_decompress(coded) == BitString()
+    assert LZ78.decompress(coded, EMPTY) == BitString()
 
 
 def test_lz78_zero_run_phrase_structure():
@@ -82,9 +79,9 @@ def test_lz78_zero_run_phrase_structure():
     oracle_bits, oracle_tokens = lz78_oracle("0" * 256)
     assert oracle_tokens == k + 1
     assert oracle_bits == 123  # frozen from the oracle
-    coded = lz78_compress(BitString.zeros(256))
+    coded = LZ78.compress(BitString.zeros(256), EMPTY)
     assert len(coded) == oracle_bits
-    assert lz78_decompress(coded) == BitString.zeros(256)
+    assert LZ78.decompress(coded, EMPTY) == BitString.zeros(256)
 
 
 def test_lz78_helper_shortens_code():
@@ -121,7 +118,7 @@ def test_lz78_bulk_roundtrip_long_strings():
     for _ in range(50):
         n = rng.randrange(1, 4097)
         s = random_bits(rng, n)
-        assert lz78_decompress(lz78_compress(s)) == s
+        assert LZ78.decompress(LZ78.compress(s, EMPTY), EMPTY) == s
 
 
 def test_lz78_mismatched_helper_never_silently_succeeds():
@@ -146,36 +143,36 @@ def test_lz78_mismatched_helper_never_silently_succeeds():
 
 def test_lz78_malformed_codes():
     with pytest.raises(MalformedCode):
-        lz78_decompress(BitString())  # no header
+        LZ78.decompress(BitString(), EMPTY)  # no header
     with pytest.raises(MalformedCode):
-        lz78_decompress(BitString("001"))  # truncated header
-    coded = lz78_compress(BitString("10110100"))
+        LZ78.decompress(BitString("001"), EMPTY)  # truncated header
+    coded = LZ78.compress(BitString("10110100"), EMPTY)
     with pytest.raises(MalformedCode):
-        lz78_decompress(coded[:-1])
+        LZ78.decompress(coded[:-1], EMPTY)
     with pytest.raises(MalformedCode):
-        lz78_decompress(coded + BitString("0"))
+        LZ78.decompress(coded + BitString("0"), EMPTY)
 
 
 # --- xor ------------------------------------------------------------------------
 
 
 def test_xor_forced_examples():
-    assert xor_helper_compress(BitString("1010"), BitString("1010")) == BitString("0") + BitString(
+    assert XOR.compress(BitString("1010"), BitString("1010")) == BitString("0") + BitString(
         "00101"
     )  # run-length record of length 4
     s = BitString("10110")
-    assert xor_helper_compress(s, BitString()) == BitString("1") + s
+    assert XOR.compress(s, BitString()) == BitString("1") + s
     # tail beyond the helper is carried untouched
-    coded = xor_helper_compress(BitString("110011"), BitString("10"))
+    coded = XOR.compress(BitString("110011"), BitString("10"))
     assert coded == BitString("1") + BitString("010011")
 
 
 def test_xor_run_length_pin_len_256():
     s = random_bits(substream(25, "xorpin"), 256)
-    coded = xor_helper_compress(s, s)
+    coded = XOR.compress(s, s)
     assert len(coded) == 18  # 1 mode bit + gamma(257); frozen oracle value
     assert len(coded) <= 2 * 256 .bit_length() + 2
-    assert xor_helper_decompress(coded, s) == s
+    assert XOR.decompress(coded, s) == s
 
 
 @given(bits_small, bits_small)
@@ -275,7 +272,7 @@ def test_helper_monotonicity_for_xor():
 
 def test_lz78_universality_smoke():
     data = BitString("01" * 1024)
-    coded = lz78_compress(data)
+    coded = LZ78.compress(data, EMPTY)
     assert len(coded) <= 0.35 * len(data)
     assert len(coded) == lz78_oracle(str(data))[0] == 615  # frozen after oracle run
 

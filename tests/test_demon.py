@@ -1,16 +1,22 @@
+from dataclasses import replace
+
 import pytest
 
 from landauer.bitstring import BitString, encode_self_delimiting
 from landauer.compress import IDENTITY, LZ78, XOR, default_family
 from landauer.demon import (
+    BlockEncodeStep,
+    CircuitStep,
+    EraseStep,
     Tape,
+    XorRegionStep,
     replay_backward,
     run_erase_then_extract,
     run_extract,
     run_extract_then_erase,
     run_xor_copy_extract,
 )
-from landauer.errors import GeneratorMismatch
+from landauer.errors import GeneratorMismatch, InvariantViolated
 from landauer.irrev import rom_circuit, wire_through
 from landauer.rng import random_bits, substream
 
@@ -179,3 +185,50 @@ def test_tape_digest_stability():
     tape = Tape(BitString("101"), BitString("01"), BitString.zeros(1), BitString())
     assert tape.digest() == Tape(BitString("101"), BitString("01"), BitString.zeros(1)).digest()
     assert tape.digest() != Tape(BitString("100"), BitString("01"), BitString.zeros(1)).digest()
+
+
+def _skip_erase(monkeypatch):
+    monkeypatch.setattr(EraseStep, "apply", lambda self, tape: tape)
+
+
+def _skip_xor(monkeypatch):
+    monkeypatch.setattr(XorRegionStep, "apply", lambda self, tape: tape)
+
+
+def _skip_uncompute(monkeypatch):
+    forward = CircuitStep.apply
+    monkeypatch.setattr(CircuitStep, "apply", lambda self, tape: tape if self.reverse else forward(self, tape))
+
+
+def _touch_catalyst(monkeypatch):
+    encode = BlockEncodeStep.encode
+
+    def flip_x(self, tape):
+        tape, code_len = encode(self, tape)
+        return replace(tape, x_region=tape.x_region.xor(BitString.ones(len(tape.x_region)))), code_len
+
+    monkeypatch.setattr(BlockEncodeStep, "encode", flip_x)
+
+
+S8, X4 = BitString("10110011"), BitString("0110")
+
+
+@pytest.mark.parametrize(
+    "break_step, scenario, message",
+    [
+        # the raw escape spills a bit, left in the zero region
+        (_skip_erase, lambda: run_extract_then_erase(S8, X4, LZ78), "zero_region"),
+        (_skip_erase, lambda: run_erase_then_extract(S8, X4, LZ78), "s_region"),
+        (_skip_xor, lambda: run_xor_copy_extract(S8, X4, rom_circuit(S8, 4)), "s_region"),
+        (_skip_uncompute, lambda: run_xor_copy_extract(S8, X4, rom_circuit(S8, 4)), "history_region"),
+        (_touch_catalyst, lambda: run_extract(S8, X4, LZ78), "catalyst"),
+        (_touch_catalyst, lambda: run_extract_then_erase(S8, X4, LZ78), "catalyst"),
+    ],
+    ids=["extract-erase-dirty", "erase-extract-dirty", "xor-copy-s", "xor-copy-history",
+         "extract-catalyst", "extract-erase-catalyst"],
+)
+def test_broken_invariants_raise_invariant_violated(monkeypatch, break_step, scenario, message):
+    # explicit checks, so they also hold under python -O
+    break_step(monkeypatch)
+    with pytest.raises(InvariantViolated, match=message):
+        scenario()

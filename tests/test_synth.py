@@ -22,7 +22,13 @@ from landauer.compress import (
     XOR,
     raw_block_codec,
 )
-from landauer.errors import BadConstantLine, CodecNotInjective, CompressorOverflow, TooManyLines
+from landauer.errors import (
+    BadConstantLine,
+    CodecNotInjective,
+    CompressorOverflow,
+    TooManyLines,
+    WidthMismatch,
+)
 from landauer.irrev import (
     IrreversibleCircuit,
     LogicGate,
@@ -217,6 +223,14 @@ def test_verify_counts_unequal_result_lengths_as_mismatches():
         (BitString("000"), BitString("000"), BitString("0000")),
         (BitString("001"), BitString("001"), BitString("0010")),
     )
+
+
+def test_helper_value_length_must_match_helper_lines():
+    compiled = build_fig1_compressor(XOR, 4, BitString("10"))
+    assert len(compiled.helper_lines) == 2
+    for value in (BitString("1"), BitString("101"), None):
+        with pytest.raises(WidthMismatch):
+            replace(compiled, helper_value=value)
 
 
 # --- reversible block compression -------------------------------------------------
