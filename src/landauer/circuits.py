@@ -12,7 +12,17 @@ lines, so the "reversible gates only, no AND/OR" discipline is checkable.
 
 Exhaustive sweeps run as one batch through `run_states`, one packed bit
 plane per line, at any width.  A sweep is refused up front if it exceeds
-2**LANDAUER_MAX_WIDTH swept states (default 2**20, roughly 10^6).
+2**LANDAUER_MAX_WIDTH swept states (default 2**20, roughly 10^6).  The
+full cube's planes come in closed form from `cube_planes`: in state order
+0, 1, 2, ..., line i >= 3 is runs of 2^(i-3) bytes 0x00 then 0xFF, and
+lines 0-2 repeat the bytes 0x55, 0x33, 0x0F.  `permutation_table` packs
+the image planes back into state integers one byte lane (8 lines) at a
+time.  `check_injective_bruteforce` on a circuit marks every image in a
+2^n bit array: a map of the 2^n states into themselves is injective iff
+it is onto, so every entry set proves injectivity in O(2^n).
+
+A state as an int has bit i = line i, which is the bit string read
+backwards; `_to_mask` and `_from_mask` are that one string reversal.
 """
 
 from __future__ import annotations
@@ -24,12 +34,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bitstring import BitString
+from .bitstring import BitString, _trusted
 from .errors import (
     BadConstantLine,
     BadWiring,
     DomainTooLarge,
+    MalformedInput,
     WidthMismatch,
+    json_field,
 )
 
 TOFFOLI = "toffoli"
@@ -153,16 +165,14 @@ class ReversibleCircuit:
 
 
 def _to_mask(bits: BitString) -> int:
-    # line i <-> bit (1 << i)
-    mask = 0
-    for i, b in enumerate(bits):
-        if b:
-            mask |= 1 << i
-    return mask
+    """The state as an int, line i <-> bit (1 << i): the bit string read
+    backwards."""
+    return int(str(bits)[::-1] or "0", 2)
 
 
 def _from_mask(mask: int, width: int) -> BitString:
-    return BitString("".join("1" if mask >> i & 1 else "0" for i in range(width)))
+    # the sentinel bit above line width-1 keeps exactly `width` digits, even for 0
+    return _trusted(format(mask | 1 << width, "b")[:0:-1])
 
 
 def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
@@ -289,6 +299,25 @@ def pack_states(states: np.ndarray, width: int) -> np.ndarray:
     return np.array(planes, dtype=np.uint8).reshape(width, (len(states) + 7) // 8)
 
 
+def cube_planes(width: int) -> np.ndarray:
+    """Bit planes of every state 0 .. 2^width - 1 in order, equal to
+    pack_states(np.arange(2**width), width), built from their periodic bytes.
+
+    Lines 0-2 repeat one byte (0x55, 0x33, 0x0F); line i >= 3 alternates
+    runs of 2^(i-3) bytes 0x00 and 0xFF.  Below width 3 the one byte keeps
+    only its first 2^width bits, as np.packbits pads.
+    """
+    planes = np.empty((width, (2**width + 7) // 8), dtype=np.uint8)
+    keep = 0xFF if width >= 3 else 0xFF00 >> (1 << width) & 0xFF
+    for i, byte in zip(range(width), (0x55, 0x33, 0x0F)):
+        planes[i] = byte & keep
+    for i in range(3, width):
+        runs = planes[i].reshape(-1, 2, 1 << (i - 3))
+        runs[:, 0] = 0x00
+        runs[:, 1] = 0xFF
+    return planes
+
+
 def permutation_table(c: ReversibleCircuit) -> np.ndarray:
     """The full map of a circuit as an array t with t[x] = image of state x.
 
@@ -298,8 +327,16 @@ def permutation_table(c: ReversibleCircuit) -> np.ndarray:
     if c.width > max_sweep_width():
         raise DomainTooLarge(f"width {c.width} exceeds ceiling {max_sweep_width()}")
     count = 1 << c.width
-    image = np.unpackbits(run_states(c, pack_states(np.arange(count), c.width)), axis=1, count=count)
-    return sum((line.astype(np.int64) << i for i, line in enumerate(image)), np.zeros(count, dtype=np.int64))
+    image = np.unpackbits(run_states(c, cube_planes(c.width)), axis=1, count=count)
+    # byte k of each state's little-endian int64 holds lines 8k .. 8k+7
+    lanes = np.zeros((count, 8), dtype=np.uint8)
+    for k in range(0, c.width, 8):
+        acc = np.zeros(count, dtype=np.uint8)
+        for line in reversed(image[k : k + 8]):
+            acc <<= 1
+            acc |= line
+        lanes[:, k >> 3] = acc
+    return lanes.view("<i8").ravel().astype(np.int64, copy=False)
 
 
 def check_injective_bruteforce(
@@ -317,8 +354,9 @@ def check_injective_bruteforce(
         if f.width != n:
             raise WidthMismatch(f"circuit width {f.width}, asked to sweep {n} bits")
         # a map of the 2^n states into themselves is injective iff onto
-        table = permutation_table(f)
-        return bool(np.array_equal(np.sort(table), np.arange(len(table))))
+        hit = np.zeros(1 << n, dtype=bool)
+        hit[permutation_table(f)] = True
+        return bool(hit.all())
     seen = bytearray(1 << n)
     for x in range(1 << n):
         y = f(BitString.from_int(x, n)).to_int()
@@ -434,17 +472,23 @@ def complexity_drift_report(
 FORMAT_VERSION = 1
 
 
+# gate kind -> (controls field, targets field); a plural field holds a list
+_GATE_FIELDS = {
+    TOFFOLI: ("controls", "target"),
+    CNOT: ("control", "target"),
+    NOT: (None, "target"),
+    FREDKIN: ("control", "targets"),
+}
+
+
 def circuit_to_json(c: ReversibleCircuit) -> dict:
     gates = []
     for g in c.gates:
-        if g.kind == TOFFOLI:
-            gates.append({"kind": TOFFOLI, "controls": list(g.controls), "target": g.targets[0]})
-        elif g.kind == CNOT:
-            gates.append({"kind": CNOT, "control": g.controls[0], "target": g.targets[0]})
-        elif g.kind == NOT:
-            gates.append({"kind": NOT, "target": g.targets[0]})
-        else:
-            gates.append({"kind": FREDKIN, "control": g.controls[0], "targets": list(g.targets)})
+        entry = {"kind": g.kind}
+        for key, lines in zip(_GATE_FIELDS[g.kind], (g.controls, g.targets)):
+            if key:
+                entry[key] = list(lines) if key.endswith("s") else lines[0]
+        gates.append(entry)
     return {
         "version": FORMAT_VERSION,
         "width": c.width,
@@ -454,22 +498,31 @@ def circuit_to_json(c: ReversibleCircuit) -> dict:
 
 
 def circuit_from_json(doc: dict) -> ReversibleCircuit:
+    """Inverse of circuit_to_json; a missing or ill-typed field raises
+    MalformedInput."""
+    if not isinstance(doc, dict):
+        raise MalformedInput("circuit is not a JSON object")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported circuit format version {doc.get('version')!r}")
     gates = []
-    for g in doc["gates"]:
-        kind = g["kind"]
-        if kind == TOFFOLI:
-            gates.append(toffoli(g["controls"][0], g["controls"][1], g["target"]))
-        elif kind == CNOT:
-            gates.append(cnot(g["control"], g["target"]))
-        elif kind == NOT:
-            gates.append(not_gate(g["target"]))
-        elif kind == FREDKIN:
-            gates.append(fredkin(g["control"], g["targets"][0], g["targets"][1]))
-        else:
+    for n, g in enumerate(json_field(doc, "gates", list, "circuit")):
+        where = f"circuit gate {n}"
+        kind = json_field(g, "kind", str, where)
+        if kind not in _GATE_FIELDS:
             raise ValueError(f"unknown gate kind {kind!r}")
-    return ReversibleCircuit(doc["width"], tuple(gates), tuple(doc["line_roles"]))
+        control_key, target_key = _GATE_FIELDS[kind]
+        controls = _json_lines(g, control_key, where) if control_key else ()
+        gates.append(Gate(kind, controls, _json_lines(g, target_key, where)))
+    width = json_field(doc, "width", int, "circuit")
+    roles = json_field(doc, "line_roles", list, "circuit", str)
+    return ReversibleCircuit(width, tuple(gates), tuple(roles))
+
+
+def _json_lines(gate: dict, key: str, where: str) -> tuple[int, ...]:
+    """The line indices in one gate field; a plural field holds a list."""
+    if key.endswith("s"):
+        return tuple(json_field(gate, key, list, where, int))
+    return (json_field(gate, key, int, where),)
 
 
 def save_circuit(c: ReversibleCircuit, path: str) -> None:

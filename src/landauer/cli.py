@@ -29,11 +29,11 @@ from .demon import (
     run_extract_then_erase,
     run_xor_copy_extract,
 )
-from .errors import GeneratorMismatch, LandauerError, UnreadableInput
+from .errors import GeneratorMismatch, LandauerError, UnreadableInput, UnwritableOutput
 from .irrev import load_netlist, rom_circuit
 from .prbox import generate_pr_quadruple, pr_report
 from .synth import bennett_compile, build_fig1_compressor
-from .thermo import DEFAULT_TEMPERATURE, erasure_cost_interval, wv_report
+from .thermo import DEFAULT_TEMPERATURE, _bound_reports
 
 DEFAULT_SEED = 0
 
@@ -54,6 +54,14 @@ def _load(loader, path: str):
         return loader(path)
     except OSError as exc:
         raise UnreadableInput(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+
+
+def _save(saver, value, path: str) -> None:
+    """saver(value, path), with a file that cannot be written as a domain error."""
+    try:
+        saver(value, path)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(report: dict, args) -> None:
@@ -104,7 +112,7 @@ def _cmd_compile(args) -> dict:
         compiled = bennett_compile(_load(load_netlist, args.netlist))
         mode = "bennett"
     if args.out:
-        save_circuit(compiled.circuit, args.out)
+        _save(save_circuit, compiled.circuit, args.out)
     report = _base_report(args)
     report.update(
         mode=mode,
@@ -149,10 +157,7 @@ def _cmd_bounds(args) -> dict:
     codec = get_codec(args.codec)
     report = _base_report(args)
     report["len_s"] = len(S)
-    report["quantities"] = [
-        wv_report(S, X, codec).to_dict(args.temperature),
-        erasure_cost_interval(S, X, codec).to_dict(args.temperature),
-    ]
+    report["quantities"] = [r.to_dict(args.temperature) for r in _bound_reports(S, X, codec)]
     return report
 
 

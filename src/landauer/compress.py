@@ -328,6 +328,10 @@ def estimate_with_code(
 # --- block encoding with raw escape ---------------------------------------------
 
 
+_MODE_CODED = BitString("0")
+_MODE_RAW = BitString("1")
+
+
 def encode_with_escape(
     codec: CompressionCodec,
     data: BitString,
@@ -347,9 +351,19 @@ def encode_with_escape(
     The branch structure keeps data -> code injective for every codec
     that satisfies the round-trip contract.
     """
+    return _escape(codec, data, codec.compress(data, helper), budget, raw_escape)
+
+
+def _escape(
+    codec: CompressionCodec,
+    data: BitString,
+    code: BitString,
+    budget: int | None,
+    raw_escape: bool,
+) -> BitString:
+    """encode_with_escape given `code`, the codec's output on `data`."""
     n = len(data) if budget is None else budget
     if codec.fixed_code_width is not None:
-        code = codec.compress(data, helper)
         if len(code) != codec.fixed_code_width:
             raise CompressorOverflow(
                 f"{codec.name} emitted {len(code)} bits, declared {codec.fixed_code_width}"
@@ -357,14 +371,14 @@ def encode_with_escape(
         if len(code) > n:
             raise CompressorOverflow(f"{codec.name} code exceeds budget {n}")
         return code
-    wrapped = encode_self_delimiting(codec.compress(data, helper))
+    wrapped = encode_self_delimiting(code)
     if len(wrapped) <= n:
-        return BitString("0") + wrapped
+        return _MODE_CODED + wrapped
     if not raw_escape:
         raise CompressorOverflow(
             f"{codec.name} code needs {len(wrapped)} bits, budget {n}, raw escape off"
         )
-    return BitString("1") + data
+    return _MODE_RAW + data
 
 
 def decode_with_escape(

@@ -2,7 +2,11 @@
 
 Every domain error raised by the library derives from LandauerError so the
 CLI can map the whole family onto exit code 1 with a structured report.
+json_field reads one field of a circuit or netlist document, so a missing
+or ill-typed field is a MalformedInput rather than a KeyError.
 """
+
+from __future__ import annotations
 
 
 class LandauerError(Exception):
@@ -71,3 +75,31 @@ class InvariantViolated(LandauerError):
 
 class UnreadableInput(LandauerError):
     """An input file cannot be opened or read."""
+
+
+class MalformedInput(LandauerError):
+    """A circuit or netlist document lacks a field or has one of the wrong type."""
+
+
+class UnwritableOutput(LandauerError):
+    """An output file cannot be created or written."""
+
+
+def json_field(doc, key: str, kind: type, where: str, items: type | None = None):
+    """doc[key] when it is a `kind` (a list of `items` when given).
+
+    Raises MalformedInput when doc is not an object, lacks the key, or the
+    value has another type; a bool never passes for an int.
+    """
+    if not isinstance(doc, dict):
+        raise MalformedInput(f"{where} is not a JSON object")
+    if key not in doc:
+        raise MalformedInput(f"{where} has no {key!r}")
+    value = doc[key]
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if ok and items is not None:
+        ok = all(isinstance(v, items) and not isinstance(v, bool) for v in value)
+    if not ok:
+        want = f"a list of {items.__name__}" if items is not None else kind.__name__
+        raise MalformedInput(f"{where}: {key!r} must be {want}")
+    return value

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .bitstring import BitString
-from .errors import WidthMismatch
+from .errors import WidthMismatch, json_field
 
 AND = "and"
 OR = "or"
@@ -151,8 +151,15 @@ def netlist_to_json(c: IrreversibleCircuit) -> dict:
 
 
 def netlist_from_json(doc: dict) -> IrreversibleCircuit:
-    gates = tuple(LogicGate(g["id"], g["op"], tuple(g["args"])) for g in doc["gates"])
-    return IrreversibleCircuit(tuple(doc["inputs"]), gates, tuple(doc["outputs"]))
+    """Inverse of netlist_to_json; a missing or ill-typed field raises
+    MalformedInput."""
+    gates = []
+    for n, g in enumerate(json_field(doc, "gates", list, "netlist")):
+        where = f"netlist gate {n}"
+        args = json_field(g, "args", list, where, str)
+        gates.append(LogicGate(json_field(g, "id", str, where), json_field(g, "op", str, where), tuple(args)))
+    inputs, outputs = (tuple(json_field(doc, key, list, "netlist", str)) for key in ("inputs", "outputs"))
+    return IrreversibleCircuit(inputs, tuple(gates), outputs)
 
 
 def save_netlist(c: IrreversibleCircuit, path: str) -> None:

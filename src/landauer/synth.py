@@ -48,14 +48,14 @@ from .circuits import (
     _check_constant_lines,
     _to_mask,
     cnot,
+    cube_planes,
     max_sweep_width,
     not_gate,
-    pack_states,
     run_states,
     simulate,
     toffoli,
 )
-from .compress import CompressionCodec, encode_with_escape
+from .compress import CompressionCodec, _escape, encode_with_escape
 from .errors import (
     CodecNotInjective,
     DomainTooLarge,
@@ -285,20 +285,17 @@ def build_fig1_compressor(
 
     table: dict[int, int] = {}
     used: set[int] = set()
-    codes: dict[int, BitString] = {}
     for s_val in range(1 << block):
         data = BitString.from_int(s_val, block)
-        if codec.decompress(codec.compress(data, helper), helper) != data:
+        code = codec.compress(data, helper)
+        if codec.decompress(code, helper) != data:
             raise CodecNotInjective(f"{codec.name} fails round-trip on {data}")
-        coded = encode_with_escape(codec, data, helper, budget=block, raw_escape=raw_escape)
-        padded = coded + BitString.zeros(reg_width - len(coded))
-        u = sum(bit << line for bit, line in zip(data, input_lines))
-        e = _to_mask(padded)
+        # trailing zero padding adds no bits to the mask
+        e = _to_mask(_escape(codec, data, code, block, raw_escape))
         if e in used:
             raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
-        table[u] = e
+        table[_to_mask(data) << input_lines[0]] = e
         used.add(e)
-        codes[u] = padded
 
     base_mask = 0 if fixed else 1  # the final flip of line 0 absorbs the raw branch
     # Extend to a permutation: leftover points prefer their base-flipped
@@ -409,7 +406,7 @@ def verify_compiled(
     # Input x is BitString.from_int(x, k): data line j carries bit k-1-j of x.
     planes = np.zeros((c.width, (count + 7) // 8), dtype=np.uint8)
     planes[[i for i, bit in enumerate(compiled.assemble_input(BitString.zeros(k))) if bit]] = 0xFF
-    planes[list(reversed(compiled.input_lines))] = pack_states(np.arange(count), k)
+    planes[list(reversed(compiled.input_lines))] = cube_planes(k)
     out = run_states(c, planes)
 
     results = np.unpackbits(out[list(compiled.result_lines)], axis=1, count=count).T + ord("0")

@@ -145,19 +145,7 @@ def erasure_cost_interval(
     lower <= upper structurally; the estimated flag marks that the lower
     side may still exceed the true bound.
     """
-    est, code = estimate_with_code(S, X, codec, family)
-    upper = _self_delimited_length(code)
-    lower = min(est.bits, upper)
-    return BoundReport(
-        quantity="EC",
-        lower_bits=lower,
-        upper_bits=upper,
-        lower_estimated=True,
-        upper_estimated=False,
-        lower_codec=est.codec_name if est.bits <= upper else codec.name,
-        upper_codec=codec.name,
-        note="estimated lower bound (may exceed the true bound)",
-    )
+    return _bound_reports(S, X, codec, family)[1]
 
 
 def wv_report(
@@ -167,10 +155,21 @@ def wv_report(
     family: Sequence[CompressionCodec] | None = None,
 ) -> BoundReport:
     """Work-value interval: codec-achieved lower, estimator-based upper."""
+    return _bound_reports(S, X, codec, family)[0]
+
+
+def _bound_reports(
+    S: BitString,
+    X: BitString,
+    codec: CompressionCodec,
+    family: Sequence[CompressionCodec] | None = None,
+) -> tuple[BoundReport, BoundReport]:
+    """(wv_report, erasure_cost_interval) from one estimator pass over (S, X)."""
     est, code = estimate_with_code(S, X, codec, family)
-    return BoundReport(
+    coded = _self_delimited_length(code)
+    wv = BoundReport(
         quantity="WV",
-        lower_bits=len(S) - _self_delimited_length(code),
+        lower_bits=len(S) - coded,
         upper_bits=len(S) - est.bits,
         lower_estimated=False,
         upper_estimated=True,
@@ -179,6 +178,17 @@ def wv_report(
         note="upper side estimated; negative lower means codec overhead "
         "(effective bound max(0, lower))",
     )
+    ec = BoundReport(
+        quantity="EC",
+        lower_bits=min(est.bits, coded),
+        upper_bits=coded,
+        lower_estimated=True,
+        upper_estimated=False,
+        lower_codec=est.codec_name if est.bits <= coded else codec.name,
+        upper_codec=codec.name,
+        note="estimated lower bound (may exceed the true bound)",
+    )
+    return wv, ec
 
 
 def wv_ec_identity_check(

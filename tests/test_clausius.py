@@ -121,6 +121,35 @@ def test_count_class_transitions_requires_conservative():
         count_class_transitions(bad, WeightCouple(4, 2, 2), WeightCouple(4, 3, 1))
 
 
+def test_count_class_transitions_on_a_wide_non_fredkin_circuit():
+    from landauer.circuits import ReversibleCircuit, cnot
+
+    # 24 lines: the 2^24 cube is past the ceiling, the 1-state class is not
+    swap = ReversibleCircuit(24, (cnot(0, 12), cnot(12, 0), cnot(0, 12)))
+    source = WeightCouple(12, 12, 0)
+    assert count_class_transitions(swap, source, WeightCouple(12, 11, 1)) == 1
+    assert count_class_transitions(swap, source, source) == 0
+
+
+def test_count_class_transitions_wide_circuit_must_keep_class_weights():
+    from landauer.circuits import ReversibleCircuit, not_gate, toffoli
+
+    with pytest.raises(NotConservative):
+        count_class_transitions(ReversibleCircuit(24, (not_gate(23),)), WeightCouple(12, 12, 0), WeightCouple(12, 12, 1))
+    # weight-changing only off the class: above the ceiling the class is all that is checked
+    off_class = ReversibleCircuit(24, (toffoli(12, 13, 0),))
+    assert count_class_transitions(off_class, WeightCouple(12, 12, 0), WeightCouple(12, 12, 0)) == 1
+
+
+def test_count_class_transitions_within_ceiling_proves_the_whole_cube():
+    from landauer.circuits import ReversibleCircuit, toffoli
+
+    # identity on the one state of class (2, 2, 0), but 0011 -> 1011 changes weight
+    off_class = ReversibleCircuit(4, (toffoli(2, 3, 0),))
+    with pytest.raises(NotConservative):
+        count_class_transitions(off_class, WeightCouple(2, 2, 0), WeightCouple(2, 2, 0))
+
+
 def test_sweep_ceiling_counts_class_states_not_lines(monkeypatch):
     monkeypatch.setenv("LANDAUER_MAX_WIDTH", "4")
     # 36 states > 2^4, although the circuit is only 8 lines wide

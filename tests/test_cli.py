@@ -260,3 +260,39 @@ def test_simulate_trajectory_flag(tmp_path):
     report = json.loads(text)
     assert report["trajectory"] == ["00", "10", "11"]
     assert report["output"] == "11"
+
+
+@pytest.mark.parametrize(
+    "doc, command, field",
+    [
+        ({"version": 1, "width": 1, "line_roles": ["input"]}, "simulate", "'gates'"),
+        ({"version": 1, "line_roles": ["input"], "gates": []}, "simulate", "'width'"),
+        ({"version": 1, "width": 2, "line_roles": ["input"] * 2, "gates": [{"kind": "cnot", "control": 0}]}, "simulate", "'target'"),
+        ({"version": 1, "width": "2", "line_roles": ["input"] * 2, "gates": []}, "simulate", "'width'"),
+        ([], "simulate", "JSON object"),
+        ({"inputs": ["a"], "gates": [{"id": "g", "op": "not"}], "outputs": ["g"]}, "compile", "'args'"),
+        ({"inputs": "a", "gates": [], "outputs": []}, "compile", "'inputs'"),
+    ],
+    ids=["no-gates", "no-width", "gate-without-target", "string-width", "not-an-object", "netlist-gate-without-args", "netlist-string-inputs"],
+)
+def test_malformed_document_is_a_structured_error(tmp_path, doc, command, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "simulate":
+        argv = ["simulate", "--circuit", str(path), "--input", "00"]
+    else:
+        argv = ["compile", "--netlist", str(path)]
+    code, text = run_cli(argv)
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "MalformedInput" and field in error["message"]
+
+
+def test_unwritable_output_file_is_a_structured_error(tmp_path):
+    target = tmp_path / "missing-dir" / "c.json"
+    code, text = run_cli(
+        ["compile", "--fig1", "--codec", "xor", "--block", "4", "--helper", "10", "--out", str(target)]
+    )
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "UnwritableOutput" and str(target) in error["message"]

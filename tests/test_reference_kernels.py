@@ -2,14 +2,31 @@
 
 The references below are the straightforward per-character versions of
 each kernel (dict-keyed lz78 parse, per-character xor, per-bit box
-condition).  Every kernel must return exactly the reference's output.
+condition, per-line state packing and table assembly, sort-based
+injectivity, per-bit mask conversions).  Every kernel must return exactly
+the reference's output.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from landauer import circuits
 from landauer.bitstring import BitString, encode_uint
+from landauer.circuits import (
+    ReversibleCircuit,
+    _from_mask,
+    _to_mask,
+    check_injective_bruteforce,
+    cnot,
+    cube_planes,
+    fredkin,
+    not_gate,
+    permutation_table,
+    run_states,
+    toffoli,
+)
 from landauer.compress import LZ78, XOR, default_family, estimate_complexity, estimate_with_code
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
 
@@ -63,6 +80,33 @@ def ref_pr_condition(q: CorrelationQuadruple) -> bool:
     return all((xi ^ yi) == (ai & bi) for ai, bi, xi, yi in zip(q.a, q.b, q.x, q.y))
 
 
+def ref_pack_states(states: np.ndarray, width: int) -> np.ndarray:
+    planes = [np.packbits((states >> i & 1).astype(np.uint8)) for i in range(width)]
+    return np.array(planes, dtype=np.uint8).reshape(width, (len(states) + 7) // 8)
+
+
+def ref_permutation_table(c: ReversibleCircuit) -> np.ndarray:
+    count = 1 << c.width
+    image = np.unpackbits(run_states(c, ref_pack_states(np.arange(count), c.width)), axis=1, count=count)
+    return sum((line.astype(np.int64) << i for i, line in enumerate(image)), np.zeros(count, dtype=np.int64))
+
+
+def ref_injective_table(table: np.ndarray) -> bool:
+    return bool(np.array_equal(np.sort(table), np.arange(len(table))))
+
+
+def ref_to_mask(bits: BitString) -> int:
+    mask = 0
+    for i, b in enumerate(bits):
+        if b:
+            mask |= 1 << i
+    return mask
+
+
+def ref_from_mask(mask: int, width: int) -> BitString:
+    return BitString("".join("1" if mask >> i & 1 else "0" for i in range(width)))
+
+
 # --- inputs ----------------------------------------------------------------------
 
 bits = st.text(alphabet="01", max_size=300)
@@ -84,6 +128,20 @@ def data_helper(draw):
     else:
         data, helper = draw(bits), draw(bits)
     return data, helper
+
+
+@st.composite
+def circuits_of_width(draw, widths=st.integers(1, 17)):
+    """A random circuit mixing every gate kind its width admits."""
+    w = draw(widths)
+    makers = [(not_gate, 1), (cnot, 2), (toffoli, 3), (fredkin, 3)]
+    makers = [(make, arity) for make, arity in makers if arity <= w]
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        make, arity = draw(st.sampled_from(makers))
+        lines = draw(st.lists(st.integers(0, w - 1), min_size=arity, max_size=arity, unique=True))
+        gates.append(make(*lines))
+    return ReversibleCircuit(w, tuple(gates))
 
 
 # --- kernels equal their references --------------------------------------------------
@@ -172,3 +230,71 @@ def test_validating_constructor_still_rejects_non_bits():
             BitString(text)
     with pytest.raises(ValueError):
         BitString("01") + "012"
+
+
+# --- circuit-sweep kernels equal their references ---------------------------------------
+
+
+def test_cube_planes_equal_packed_arange_at_every_width():
+    for w in range(0, 21):
+        planes = cube_planes(w)
+        expected = ref_pack_states(np.arange(2**w), w)
+        assert planes.dtype == np.uint8 and planes.shape == expected.shape
+        assert np.array_equal(planes, expected), w
+
+
+@given(circuits_of_width())
+@example(ReversibleCircuit(8, (cnot(7, 0), not_gate(3))))
+@example(ReversibleCircuit(9, (toffoli(8, 0, 4), fredkin(7, 8, 1))))
+@example(ReversibleCircuit(16, (cnot(15, 8), toffoli(7, 8, 0))))
+@example(ReversibleCircuit(17, (cnot(16, 0), fredkin(0, 16, 8), not_gate(15))))
+@settings(max_examples=60, deadline=None)
+def test_permutation_table_equals_shift_add_reference(c):
+    table = permutation_table(c)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, ref_permutation_table(c))
+    assert check_injective_bruteforce(c, c.width) is ref_injective_table(table) is True
+
+
+@st.composite
+def tables(draw):
+    """A map of the n-bit states into themselves: a permutation, or any map."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return np.array(draw(st.permutations(range(2**n))), dtype=np.int64)
+    return np.array(draw(st.lists(st.integers(0, 2**n - 1), min_size=2**n, max_size=2**n)), dtype=np.int64)
+
+
+@given(tables())
+@example(np.array([0, 0], dtype=np.int64))
+@example(np.array([1, 0, 3, 3], dtype=np.int64))
+@settings(max_examples=200)
+def test_onto_check_agrees_with_sort_reference(table):
+    n = len(table).bit_length() - 1
+    with pytest.MonkeyPatch.context() as mp:
+        # the circuit only fixes the width; its table is the drawn map
+        mp.setattr(circuits, "permutation_table", lambda c: table)
+        assert check_injective_bruteforce(ReversibleCircuit(n), n) is ref_injective_table(table)
+
+
+@given(bits)
+@example("")
+@example("0")
+@example("0001")
+@example("1000")
+def test_to_mask_equals_per_bit_reference(text):
+    b = BitString(text)
+    assert _to_mask(b) == ref_to_mask(b)
+    assert _from_mask(_to_mask(b), len(b)) == b
+
+
+@given(st.integers(0, 80).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, 2**w - 1))))
+@example((0, 0))
+@example((5, 0))
+@example((5, 1))
+@example((64, 2**63))
+def test_from_mask_equals_per_bit_reference(width_mask):
+    width, mask = width_mask
+    b = _from_mask(mask, width)
+    assert type(b) is BitString and b == ref_from_mask(mask, width) and len(b) == width
+    assert _to_mask(b) == mask

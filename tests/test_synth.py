@@ -322,6 +322,35 @@ def test_fig1_rejects_non_injective_codec():
         build_fig1_compressor(lossy, 4, BitString())
 
 
+def test_fig1_rejects_a_codec_whose_decompress_breaks_one_block():
+    from landauer.compress import CompressionCodec
+
+    # compress is injective and every block takes the raw branch, so only
+    # the round trip can find the one block that decompresses wrongly
+    def decompress(code, helper):
+        return "1001" if code == "0110" else code
+
+    broken = CompressionCodec("broken", "11", lambda d, h: d, decompress)
+    with pytest.raises(CodecNotInjective, match="0110"):
+        build_fig1_compressor(broken, 4, BitString())
+
+
+def test_fig1_build_compresses_each_block_once():
+    from landauer.compress import CompressionCodec
+
+    calls = []
+
+    def compress(data, helper):
+        calls.append(data)
+        return BOOKMARK8._compress(data, helper)
+
+    counted = CompressionCodec("counted", "00", compress, BOOKMARK8._decompress)
+    helper = BitString("10")
+    compiled = build_fig1_compressor(counted, 8, helper)
+    assert sorted(calls) == [format(v, "08b") for v in range(256)]
+    assert verify_compiled(compiled, fig1_block_oracle(BOOKMARK8, 8, helper)).ok
+
+
 def test_fig1_multiple_compressible_blocks():
     # four bookmark values with 1-2 bit codes: exercises multi-cycle residues
     from landauer.bitstring import decode_uint, encode_uint
