@@ -11,7 +11,12 @@ rewrites any circuit into Toffoli-only form over two appended CONST_ONE
 lines, so the "reversible gates only, no AND/OR" discipline is checkable.
 
 Exhaustive sweeps run as one batch through `run_states`, one packed bit
-plane per line, at any width.  A sweep is refused up front if it exceeds
+plane per line, at any width; it applies each gate to row views of the
+planes, which index faster than 2-D indexing.  Each circuit lowers itself
+at most once: its scalar program (`_program`) and its CONST_ONE and
+ANCILLA_ZERO line masks (`_constant_masks`) are cached on the object.
+`reverse_circuit` is cached too, and the reversed circuit inherits the
+reversed program and the masks.  A sweep is refused up front if it exceeds
 2**LANDAUER_MAX_WIDTH swept states (default 2**20, roughly 10^6).  The
 full cube's planes come in closed form from `cube_planes`: in state order
 0, 1, 2, ..., line i >= 3 is runs of 2^(i-3) bytes 0x00 then 0xFF, and
@@ -62,6 +67,9 @@ LINE_ROLES = (INPUT, HELPER, ANCILLA_ZERO, CONST_ONE, OUTPUT_ALIAS)
 
 DEFAULT_MAX_WIDTH = 20
 
+# gate kind -> (controls, targets) arity
+_ARITY = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}
+
 
 def max_sweep_width() -> int:
     """Exhaustive-sweep ceiling in lines; LANDAUER_MAX_WIDTH overrides."""
@@ -84,9 +92,9 @@ class Gate:
     targets: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        arity = _ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}[self.kind]
         if (len(self.controls), len(self.targets)) != arity:
             raise ValueError(
                 f"{self.kind} expects controls/targets {arity}, "
@@ -95,7 +103,7 @@ class Gate:
         lines = self.controls + self.targets
         if len(set(lines)) != len(lines):
             raise ValueError(f"gate lines must be distinct: {lines}")
-        if any(i < 0 for i in lines):
+        if min(lines) < 0:
             raise ValueError("line indices must be non-negative")
 
     @property
@@ -139,7 +147,7 @@ class ReversibleCircuit:
                 raise ValueError(f"unknown line role {r!r}")
         object.__setattr__(self, "line_roles", roles)
         for g in self.gates:
-            if max(g.lines, default=-1) >= self.width:
+            if max(g.controls + g.targets) >= self.width:
                 raise ValueError(f"gate {g} exceeds width {self.width}")
 
     # Gates pre-lowered to (opcode, masks) tuples; cached per circuit.
@@ -160,6 +168,19 @@ class ReversibleCircuit:
             self.__dict__["_prog"] = prog
         return prog
 
+    # (CONST_ONE lines, ANCILLA_ZERO lines) as masks; cached per circuit.
+    def _constant_masks(self) -> tuple[int, int]:
+        masks = self.__dict__.get("_const")
+        if masks is None:
+            one = zero = 0
+            for i, role in enumerate(self.line_roles):
+                if role == CONST_ONE:
+                    one |= 1 << i
+                elif role == ANCILLA_ZERO:
+                    zero |= 1 << i
+            masks = self.__dict__["_const"] = (one, zero)
+        return masks
+
     def gate_count(self) -> int:
         return len(self.gates)
 
@@ -176,12 +197,14 @@ def _from_mask(mask: int, width: int) -> BitString:
 
 
 def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
-    for i, role in enumerate(c.line_roles):
-        bit = mask >> i & 1
-        if role == CONST_ONE and bit != 1:
+    """Raise BadConstantLine for the lowest line whose role the state breaks."""
+    one, zero = c._constant_masks()
+    bad = (one & ~mask) | (zero & mask)
+    if bad:
+        i = (bad & -bad).bit_length() - 1
+        if one >> i & 1:
             raise BadConstantLine(f"line {i} is CONST_ONE but carries 0")
-        if role == ANCILLA_ZERO and bit != 0:
-            raise BadConstantLine(f"line {i} is ANCILLA_ZERO but carries 1")
+        raise BadConstantLine(f"line {i} is ANCILLA_ZERO but carries 1")
 
 
 def _run_mask(prog, mask: int) -> int:
@@ -233,8 +256,17 @@ def simulate_trajectory(c: ReversibleCircuit, input_bits: BitString) -> StateTra
 
 
 def reverse_circuit(c: ReversibleCircuit) -> ReversibleCircuit:
-    """Gates in reversed order; every gate kind is its own inverse."""
-    return ReversibleCircuit(c.width, tuple(reversed(c.gates)), c.line_roles)
+    """Gates in reversed order; every gate kind is its own inverse.
+
+    Built once per circuit and cached on it.  The reversed circuit inherits
+    the reversed program of `c` and its constant-line masks.
+    """
+    r = c.__dict__.get("_reversed")
+    if r is None:
+        r = ReversibleCircuit(c.width, c.gates[::-1], c.line_roles)
+        r.__dict__.update(_prog=c._program()[::-1], _const=c._constant_masks())
+        c.__dict__["_reversed"] = r
+    return r
 
 
 def _map_gate(g: Gate, table: Sequence[int]) -> Gate:
@@ -277,19 +309,20 @@ def run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
     if len(planes) != c.width:
         raise WidthMismatch(f"batch has {len(planes)} lines, circuit width {c.width}")
     p = np.array(planes, dtype=np.uint8)
+    rows = list(p)  # one view per line: cheaper to index than p[i]
     for g in c.gates:
         t = g.targets[0]
         if g.kind == TOFFOLI:
-            p[t] ^= p[g.controls[0]] & p[g.controls[1]]
+            rows[t] ^= rows[g.controls[0]] & rows[g.controls[1]]
         elif g.kind == CNOT:
-            p[t] ^= p[g.controls[0]]
+            rows[t] ^= rows[g.controls[0]]
         elif g.kind == NOT:
-            p[t] ^= 0xFF
+            rows[t] ^= 0xFF
         else:
             a, b = g.targets
-            swap = p[g.controls[0]] & (p[a] ^ p[b])
-            p[a] ^= swap
-            p[b] ^= swap
+            swap = rows[g.controls[0]] & (rows[a] ^ rows[b])
+            rows[a] ^= swap
+            rows[b] ^= swap
     return p
 
 

@@ -96,13 +96,19 @@ def imbalance_tail_exact(n: int, w, delta) -> Fraction:
 
 
 def random_conservative_circuit(width: int, gate_count: int, seed: int) -> ReversibleCircuit:
-    """Uniformly random Fredkin gates; deterministic under the seed."""
+    """Uniformly random Fredkin gates; deterministic under the seed.
+
+    Zero gates give the identity circuit; a negative count raises ValueError.
+    """
     if width < 3:
         raise WidthTooSmall(f"Fredkin gates need width >= 3, got {width}")
+    if gate_count < 0:
+        raise ValueError(f"gate count must be non-negative, got {gate_count}")
     rng = substream(seed, "fredkin-circuit")
+    lines = list(range(width))  # sample() checks a list fastest; the draws are the same
     gates = []
     for _ in range(gate_count):
-        control, a, b = rng.sample(range(width), 3)
+        control, a, b = rng.sample(lines, 3)
         gates.append(fredkin(control, a, b))
     return ReversibleCircuit(width, tuple(gates))
 

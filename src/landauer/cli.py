@@ -8,11 +8,16 @@ report echoes {tool_version, seed, config} for reproducibility.
 Exit codes: 0 success, 1 domain error (structured error report on stdout),
 2 usage error.  compress/decompress are plain bit-string filters:
 stdin -> stdout, no report wrapper.
+
+The parser is built once per process, on the first call to `main`, and
+reused: argparse keeps no state between parses, and it looks up
+sys.stdout/sys.stderr only when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -201,11 +206,18 @@ def _cmd_demon(args) -> dict:
     return report
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
+
+
 def _cmd_clausius(args) -> dict:
     report_data = clausius_experiment(
         n=args.n,
-        w=Fraction(args.w),
-        delta=Fraction(args.delta),
+        w=_fraction("--w", args.w),
+        delta=_fraction("--delta", args.delta),
         circuits=args.circuits,
         seed=args.seed,
         gate_count=args.gate_count,
@@ -258,6 +270,7 @@ def _cmd_prbox(args) -> dict:
 # --- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", choices=("json", "text"), default="json")

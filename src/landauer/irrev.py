@@ -5,6 +5,11 @@ A netlist is a list of named inputs, a topologically ordered list of
 of output references.  This is exactly the gate family the reversible
 target forbids, hence what the compiler must eliminate.
 
+`evaluate` runs a netlist's index program, lowered once per netlist and
+cached on it: one (opcode, argument index, argument index) triple per gate
+over a single value list that holds the inputs and then each gate's value,
+plus the output indices.
+
 JSON form:
     {"inputs": ["a", "b"],
      "gates": [{"id": "g0", "op": "and", "args": ["a", "b"]}],
@@ -17,7 +22,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .bitstring import BitString
+from .bitstring import BitString, _trusted
 from .errors import WidthMismatch, json_field
 
 AND = "and"
@@ -27,6 +32,7 @@ XOR = "xor"
 
 OPS = (AND, OR, NOT, XOR)
 _ARITY = {AND: 2, OR: 2, XOR: 2, NOT: 1}
+_OPCODE = {AND: 0, OR: 1, XOR: 2, NOT: 3}  # evaluate's dispatch order
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,20 @@ class IrreversibleCircuit:
             depth[g.gate_id] = 1 + max(depth[a] for a in g.args)
         return max((depth[o] for o in self.outputs), default=0)
 
+    # Gates lowered to (opcode, arg index, arg index) over one value list,
+    # inputs first and then one value per gate, plus the output indices;
+    # cached per netlist.
+    def _program(self):
+        prog = self.__dict__.get("_prog")
+        if prog is None:
+            index = {name: i for i, name in enumerate(self.inputs)}
+            steps = []
+            for g in self.gates:
+                steps.append((_OPCODE[g.op], index[g.args[0]], index[g.args[-1]]))
+                index[g.gate_id] = len(index)
+            prog = self.__dict__["_prog"] = (tuple(steps), tuple(index[o] for o in self.outputs))
+        return prog
+
 
 def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
     """Standard boolean semantics; returns the output bits in order."""
@@ -81,15 +101,18 @@ def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
         raise WidthMismatch(
             f"{len(c.inputs)} inputs expected, got {len(input_bits)} bits"
         )
-    value = dict(zip(c.inputs, input_bits))
-    for g in c.gates:
-        a = value[g.args[0]]
-        if g.op == NOT:
-            value[g.gate_id] = a ^ 1
+    steps, outputs = c._program()
+    value = [ch == "1" for ch in str(input_bits)]
+    for op, a, b in steps:
+        if op == 0:
+            value.append(value[a] & value[b])
+        elif op == 1:
+            value.append(value[a] | value[b])
+        elif op == 2:
+            value.append(value[a] ^ value[b])
         else:
-            b = value[g.args[1]]
-            value[g.gate_id] = a & b if g.op == AND else a | b if g.op == OR else a ^ b
-    return BitString(value[o] for o in c.outputs)
+            value.append(not value[a])
+    return _trusted("".join("1" if value[o] else "0" for o in outputs))
 
 
 # --- library macros -----------------------------------------------------------

@@ -265,11 +265,15 @@ def build_fig1_compressor(
 
     Raises CodecNotInjective when the codec fails the round trip on the
     block domain, and CompressorOverflow when a block cannot be encoded
-    under the given escape policy.
+    under the given escape policy.  The build enumerates the register cube,
+    so a register of block+1 lines above the sweep ceiling raises
+    DomainTooLarge before any codec call.
     """
     if block < 1:
         raise ValueError("block must be at least 1")
     reg_width = block + 1
+    if reg_width > max_sweep_width():
+        raise DomainTooLarge(f"block register of {reg_width} lines exceeds ceiling {max_sweep_width()}")
 
     fixed = codec.fixed_code_width is not None
     # Register layout: the encoded block always starts at line 0.  For

@@ -103,6 +103,21 @@ def test_random_conservative_circuit_contracts():
         random_conservative_circuit(2, 5, seed=0)
 
 
+@pytest.mark.parametrize("count", [-1, -3])
+def test_negative_gate_count_is_rejected(count):
+    with pytest.raises(ValueError, match="gate count"):
+        random_conservative_circuit(8, count, seed=1)
+    with pytest.raises(ValueError, match="gate count"):
+        clausius_experiment(4, Fraction(1, 2), Fraction(1, 4), circuits=2, seed=0, gate_count=count)
+
+
+def test_zero_gates_is_the_identity_experiment():
+    r = clausius_experiment(4, Fraction(1, 2), Fraction(1, 4), circuits=3, seed=0, gate_count=0)
+    assert r.gate_count == 0
+    assert r.max_point_fraction == 0 and r.max_tail_fraction == 0
+    assert r.within_ceiling
+
+
 def test_count_class_transitions_identity():
     from landauer.circuits import ReversibleCircuit
 

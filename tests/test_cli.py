@@ -1,12 +1,16 @@
 import io
 import json
 import os
+import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from landauer import cli
 from landauer.bitstring import BitString
 from landauer.circuits import load_circuit, simulate
 from landauer.cli import main
@@ -296,3 +300,190 @@ def test_unwritable_output_file_is_a_structured_error(tmp_path):
     assert code == 1
     error = json.loads(text)["error"]
     assert error["type"] == "UnwritableOutput" and str(target) in error["message"]
+
+
+def test_fig1_block_beyond_ceiling_is_refused_up_front():
+    # 2^40 blocks, then a 2^41-state register cube
+    start = time.perf_counter()
+    code, text = run_cli(["compile", "--fig1", "--codec", "xor", "--block", "40", "--helper", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "DomainTooLarge"
+
+
+def test_fig1_block_ceiling_follows_landauer_max_width(monkeypatch):
+    argv = ["compile", "--fig1", "--codec", "xor", "--block", "5", "--helper", "1"]
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "5")
+    code, text = run_cli(argv)
+    assert code == 1 and json.loads(text)["error"]["type"] == "DomainTooLarge"
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "6")
+    code, text = run_cli(argv)
+    assert code == 0 and json.loads(text)["mode"] == "fig1"
+
+
+def test_clausius_rejects_a_negative_gate_count():
+    code, text = run_cli(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "-3"])
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "ValueError" and "gate count" in error["message"]
+
+
+def test_clausius_with_zero_gates_is_the_identity_experiment():
+    code, text = run_cli(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "0"])
+    assert code == 0
+    report = json.loads(text)
+    # the identity keeps every state in the source class
+    assert report["gate_count"] == 0 and report["max_fraction"] == "0/1"
+    assert report["within_ceiling"] is True
+
+
+@pytest.mark.parametrize("flag", ["--w", "--delta"])
+def test_clausius_zero_denominator_is_a_domain_error(flag):
+    argv = ["clausius", "--n", "4", "--delta", "1/4", flag, "1/0"]
+    code, text = run_cli(argv)
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "ValueError" and flag in error["message"]
+
+
+# --- one parser per process ---------------------------------------------------------
+
+
+def test_usage_error_then_valid_command_on_the_shared_parser():
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["clausius", "--n", "4"])  # --delta is required
+    assert exc.value.code == 2
+    code, text = run_cli(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "10", "--seed", "42"])
+    assert code == 0
+    assert json.loads(text) == json.loads((GOLDEN / "clausius_n4.json").read_text())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--version"])
+    assert exc.value.code == 0
+    code, text = run_cli(["prbox", "--n", "512", "--seed", "5"])
+    assert code == 0 and json.loads(text)["config"] == {
+        "command": "prbox", "n": 512, "report": "json", "seed": 5, "temperature": 300.0,
+    }
+
+
+# argv drawn from the CLI's own vocabulary, with values bounded so that no
+# draw starts a long run: --n <= 6, --circuits <= 3, --block 1-6 or 21-64
+BITS = st.text(alphabet="01", max_size=10)
+FILE = st.sampled_from(["{s}", "{x}", "{net}", "{circ}", "{missing}", "{dir}"])
+CODEC = st.sampled_from(["lz78", "xor", "bookmark8", "identity", "gzip"])
+FRACTION = st.sampled_from(["1/2", "3/4", "1/4", "1/6", "0", "1", "-1/2", "1/0", "x"])
+SMALL = st.integers(-2, 6).map(str)
+COMMON = [
+    ("--report", st.sampled_from(["json", "text", "xml"])),
+    ("--seed", st.integers(-2, 9).map(str)),
+    ("--temperature", st.sampled_from(["300", "0.5", "0", "-1", "hot"])),
+]
+VOCABULARY = {
+    "compile": [
+        ("--netlist", FILE),
+        ("--fig1", None),
+        ("--codec", CODEC),
+        ("--block", st.one_of(st.integers(1, 6), st.integers(21, 64)).map(str)),
+        ("--helper", BITS),
+        ("--no-raw-escape", None),
+        ("--out", st.sampled_from(["{out}", "{missing}/c.json"])),
+    ],
+    "simulate": [("--circuit", FILE), ("--input", BITS), ("--trajectory", None)],
+    "compress": [("--codec", CODEC), ("--helper-file", FILE)],
+    "decompress": [("--codec", CODEC), ("--helper-file", FILE)],
+    "bounds": [("--s-file", FILE), ("--x-file", FILE), ("--codec", CODEC)],
+    "demon": [
+        ("--scenario", st.sampled_from(["extract", "xor-copy", "extract-erase", "erase-extract", "bogus"])),
+        ("--s-file", FILE),
+        ("--x-file", FILE),
+        ("--codec", CODEC),
+        ("--generator", FILE),
+    ],
+    "clausius": [
+        ("--n", SMALL),
+        ("--w", FRACTION),
+        ("--delta", FRACTION),
+        ("--circuits", st.integers(-1, 3).map(str)),
+        ("--gate-count", st.integers(-3, 12).map(str)),
+    ],
+    "prbox": [("--n", SMALL)],
+}
+# the flags a command needs; compile needs one of the two
+REQUIRED = {
+    "compile": st.sampled_from([["--netlist"], ["--fig1"]]),
+    "simulate": st.just(["--circuit", "--input"]),
+    "compress": st.just(["--codec"]),
+    "decompress": st.just(["--codec"]),
+    "bounds": st.just(["--s-file"]),
+    "demon": st.just(["--scenario", "--s-file"]),
+    "clausius": st.just(["--n", "--delta"]),
+    "prbox": st.just([]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """(argv with {file} placeholders, stdin text)."""
+    command = draw(st.sampled_from([*VOCABULARY, "unknown-subcommand", "--version", "--help"]))
+    flags = dict(VOCABULARY.get(command, []) + COMMON * (command in VOCABULARY))
+    chosen = []
+    if command in REQUIRED and draw(st.integers(0, 3)):  # mostly a complete command
+        chosen += draw(REQUIRED[command])
+    if flags:
+        # any further subset in any order; required flags may still be missing
+        chosen += draw(st.lists(st.sampled_from(sorted(flags)), max_size=4))
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        if flags[flag] is not None and draw(st.integers(0, 19)):  # now and then a value is missing
+            argv.append(draw(flags[flag]))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--n"])))
+    return argv, draw(st.sampled_from(["", "0110\n", "10" * 8, "012", "1" * 30]))
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "s").write_text("0110" * 8 + "\n")
+    (root / "x").write_text("0111\n")
+    save_netlist(
+        IrreversibleCircuit(("a", "b"), (LogicGate("g", "xor", ("a", "b")),), ("g", "a")),
+        str(root / "net"),
+    )
+    from landauer.circuits import ReversibleCircuit, cnot, fredkin, save_circuit
+
+    save_circuit(ReversibleCircuit(4, (cnot(0, 1), fredkin(1, 2, 3))), str(root / "circ"))
+    return {
+        "s": str(root / "s"), "x": str(root / "x"), "net": str(root / "net"), "circ": str(root / "circ"),
+        "missing": str(root / "missing"), "dir": str(root), "out": str(root / "out.json"),
+    }
+
+
+def run_cli_captured(argv, stdin_text):
+    """(exit code, stdout, stderr) of one call, a usage error included."""
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(cli_argv())
+@settings(max_examples=200, deadline=None)
+def test_any_argv_exits_0_1_or_2_and_the_shared_parser_keeps_no_state(cli_files, drawn):
+    argv, stdin_text = drawn
+    argv = [arg.format(**cli_files) for arg in argv]
+    shared = run_cli_captured(argv, stdin_text)
+    assert shared[0] in (0, 1, 2), (argv, shared)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
+        fresh = run_cli_captured(argv, stdin_text)
+    assert shared == fresh

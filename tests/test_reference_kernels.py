@@ -3,19 +3,29 @@
 The references below are the straightforward per-character versions of
 each kernel (dict-keyed lz78 parse, per-character xor, per-bit box
 condition, per-line state packing and table assembly, sort-based
-injectivity, per-bit mask conversions).  Every kernel must return exactly
-the reference's output.
+injectivity, per-bit mask conversions, 2-D-indexed gate sweep, per-role
+constant-line check, dict-walking netlist evaluation).  Every kernel must
+return exactly the reference's output.
 """
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landauer import circuits
+from landauer import circuits, irrev
 from landauer.bitstring import BitString, encode_uint
 from landauer.circuits import (
+    ANCILLA_ZERO,
+    CNOT,
+    CONST_ONE,
+    LINE_ROLES,
+    NOT,
+    TOFFOLI,
     ReversibleCircuit,
+    _check_constant_lines,
     _from_mask,
     _to_mask,
     check_injective_bruteforce,
@@ -24,10 +34,12 @@ from landauer.circuits import (
     fredkin,
     not_gate,
     permutation_table,
+    reverse_circuit,
     run_states,
     toffoli,
 )
 from landauer.compress import LZ78, XOR, default_family, estimate_complexity, estimate_with_code
+from landauer.errors import BadConstantLine
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
 
 # --- references ------------------------------------------------------------------
@@ -105,6 +117,45 @@ def ref_to_mask(bits: BitString) -> int:
 
 def ref_from_mask(mask: int, width: int) -> BitString:
     return BitString("".join("1" if mask >> i & 1 else "0" for i in range(width)))
+
+
+def ref_run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
+    p = np.array(planes, dtype=np.uint8)
+    for g in c.gates:
+        t = g.targets[0]
+        if g.kind == TOFFOLI:
+            p[t] ^= p[g.controls[0]] & p[g.controls[1]]
+        elif g.kind == CNOT:
+            p[t] ^= p[g.controls[0]]
+        elif g.kind == NOT:
+            p[t] ^= 0xFF
+        else:
+            a, b = g.targets
+            swap = p[g.controls[0]] & (p[a] ^ p[b])
+            p[a] ^= swap
+            p[b] ^= swap
+    return p
+
+
+def ref_check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
+    for i, role in enumerate(c.line_roles):
+        bit = mask >> i & 1
+        if role == CONST_ONE and bit != 1:
+            raise BadConstantLine(f"line {i} is CONST_ONE but carries 0")
+        if role == ANCILLA_ZERO and bit != 0:
+            raise BadConstantLine(f"line {i} is ANCILLA_ZERO but carries 1")
+
+
+def ref_evaluate(c: irrev.IrreversibleCircuit, input_bits: BitString) -> BitString:
+    value = dict(zip(c.inputs, input_bits))
+    for g in c.gates:
+        a = value[g.args[0]]
+        if g.op == irrev.NOT:
+            value[g.gate_id] = a ^ 1
+        else:
+            b = value[g.args[1]]
+            value[g.gate_id] = a & b if g.op == irrev.AND else a | b if g.op == irrev.OR else a ^ b
+    return BitString(value[o] for o in c.outputs)
 
 
 # --- inputs ----------------------------------------------------------------------
@@ -298,3 +349,98 @@ def test_from_mask_equals_per_bit_reference(width_mask):
     b = _from_mask(mask, width)
     assert type(b) is BitString and b == ref_from_mask(mask, width) and len(b) == width
     assert _to_mask(b) == mask
+
+
+# --- lowered forms equal their references ------------------------------------------
+
+
+@given(circuits_of_width(st.integers(1, 70)), st.integers(1, 40), st.randoms(use_true_random=False))
+@example(ReversibleCircuit(1, (not_gate(0),)), 1, random.Random(0))
+@example(ReversibleCircuit(70, (fredkin(69, 0, 35), toffoli(68, 1, 2), cnot(0, 69))), 3, random.Random(1))
+@settings(max_examples=150, deadline=None)
+def test_row_view_run_states_equals_indexed_reference(c, nbytes, rnd):
+    planes = np.random.default_rng(rnd.getrandbits(32)).integers(0, 256, (c.width, nbytes), dtype=np.uint8)
+    before = planes.copy()
+    out = run_states(c, planes)
+    assert out.dtype == np.uint8 and np.array_equal(out, ref_run_states(c, planes))
+    assert np.array_equal(planes, before)  # the input batch is not modified
+
+
+@st.composite
+def roles_and_state(draw):
+    width = draw(st.integers(0, 40))
+    roles = tuple(draw(st.lists(st.sampled_from(LINE_ROLES), min_size=width, max_size=width)))
+    return ReversibleCircuit(width, (), roles), draw(st.integers(0, 2**width - 1))
+
+
+def _outcome(check, c, mask):
+    try:
+        check(c, mask)
+    except BadConstantLine as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(roles_and_state())
+@example((ReversibleCircuit(2, (), (CONST_ONE, ANCILLA_ZERO)), 0b10))
+@example((ReversibleCircuit(2, (), (ANCILLA_ZERO, CONST_ONE)), 0b01))
+@example((ReversibleCircuit(3, (), (CONST_ONE, CONST_ONE, ANCILLA_ZERO)), 0b111))
+@settings(max_examples=300)
+def test_mask_constant_check_equals_per_role_loop(case):
+    c, mask = case
+    assert _outcome(_check_constant_lines, c, mask) == _outcome(ref_check_constant_lines, c, mask)
+    # a second check on the same circuit reads the cached masks
+    assert _outcome(_check_constant_lines, c, mask) == _outcome(ref_check_constant_lines, c, mask)
+
+
+@given(circuits_of_width(st.integers(1, 30)), st.data())
+@settings(max_examples=100)
+def test_reversed_program_equals_fresh_lowering(c, data):
+    roles = data.draw(st.lists(st.sampled_from(LINE_ROLES), min_size=c.width, max_size=c.width))
+    c = ReversibleCircuit(c.width, c.gates, tuple(roles))
+    r = reverse_circuit(c)
+    fresh = ReversibleCircuit(c.width, tuple(reversed(c.gates)), c.line_roles)
+    assert r == fresh
+    assert r._program() == fresh._program()
+    assert r._constant_masks() == fresh._constant_masks()
+    assert reverse_circuit(c) is r  # built once per circuit
+    back = reverse_circuit(r)
+    assert back == c and back._program() == c._program()
+
+
+@st.composite
+def netlists(draw):
+    """Random netlists: repeated arguments (xor(x, x)), not chains, outputs
+    naming inputs, and zero gates are all in range."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 8)))]
+    pool = list(names)
+    gates = []
+    for j in range(draw(st.integers(0, 20))):
+        op = draw(st.sampled_from(irrev.OPS))
+        args = tuple(draw(st.sampled_from(pool)) for _ in range(1 if op == irrev.NOT else 2))
+        gates.append(irrev.LogicGate(f"g{j}", op, args))
+        pool.append(f"g{j}")
+    outputs = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return irrev.IrreversibleCircuit(tuple(names), tuple(gates), tuple(outputs))
+
+
+NOT_CHAIN = irrev.IrreversibleCircuit(
+    ("a",),
+    tuple(irrev.LogicGate(f"n{j}", irrev.NOT, (f"n{j - 1}" if j else "a",)) for j in range(5)),
+    ("n4", "n3", "a"),
+)
+
+
+@given(netlists(), st.data())
+@example(irrev.rom_circuit(BitString("0110"), 2), None)
+@example(irrev.wire_through(3), None)
+@example(NOT_CHAIN, None)
+@example(irrev.IrreversibleCircuit(("a",), (), ()), None)
+@settings(max_examples=200)
+def test_lowered_evaluate_equals_dict_reference(net, data):
+    k = len(net.inputs)
+    xs = range(1 << k) if data is None else [data.draw(st.integers(0, 2**k - 1))]
+    for x in xs:
+        bits = BitString.from_int(x, k)
+        got = irrev.evaluate(net, bits)
+        assert type(got) is BitString and got == ref_evaluate(net, bits)

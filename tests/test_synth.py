@@ -26,6 +26,7 @@ from landauer.errors import (
     BadConstantLine,
     CodecNotInjective,
     CompressorOverflow,
+    DomainTooLarge,
     TooManyLines,
     WidthMismatch,
 )
@@ -349,6 +350,26 @@ def test_fig1_build_compresses_each_block_once():
     compiled = build_fig1_compressor(counted, 8, helper)
     assert sorted(calls) == [format(v, "08b") for v in range(256)]
     assert verify_compiled(compiled, fig1_block_oracle(BOOKMARK8, 8, helper)).ok
+
+
+def test_fig1_register_beyond_ceiling_is_refused_before_any_codec_call(monkeypatch):
+    from landauer.compress import CompressionCodec
+
+    calls = []
+
+    def compress(data, helper):
+        calls.append(data)
+        return XOR._compress(data, helper)
+
+    counted = CompressionCodec("counted", "01", compress, XOR._decompress)
+    with pytest.raises(DomainTooLarge, match="block register of 41 lines"):
+        build_fig1_compressor(counted, 40, BitString("1"))
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "4")
+    with pytest.raises(DomainTooLarge):
+        build_fig1_compressor(counted, 4, BitString("1"))
+    assert calls == []
+    build_fig1_compressor(counted, 3, BitString("1"))  # a 4-line register fits
+    assert len(calls) == 8
 
 
 def test_fig1_multiple_compressible_blocks():
