@@ -22,9 +22,13 @@ full cube's planes come in closed form from `cube_planes`: in state order
 0, 1, 2, ..., line i >= 3 is runs of 2^(i-3) bytes 0x00 then 0xFF, and
 lines 0-2 repeat the bytes 0x55, 0x33, 0x0F.  `permutation_table` packs
 the image planes back into state integers one byte lane (8 lines) at a
-time.  `check_injective_bruteforce` on a circuit marks every image in a
-2^n bit array: a map of the 2^n states into themselves is injective iff
-it is onto, so every entry set proves injectivity in O(2^n).
+time.  The table is cached on its circuit (`_table`) and is read-only, so
+`check_injective_bruteforce` and `check_conservative(exhaustive=True)`
+reuse it rather than sweep again; the ceiling is checked on every call,
+before the cache, so a table built under a looser ceiling is still refused.
+`check_injective_bruteforce` on a circuit marks every image in a 2^n bit
+array: a map of the 2^n states into themselves is injective iff it is
+onto, so every entry set proves injectivity in O(2^n).
 
 A state as an int has bit i = line i, which is the bit string read
 backwards; `_to_mask` and `_from_mask` are that one string reversal.
@@ -47,6 +51,7 @@ from .errors import (
     MalformedInput,
     WidthMismatch,
     json_field,
+    load_json,
 )
 
 TOFFOLI = "toffoli"
@@ -105,10 +110,6 @@ class Gate:
             raise ValueError(f"gate lines must be distinct: {lines}")
         if min(lines) < 0:
             raise ValueError("line indices must be non-negative")
-
-    @property
-    def lines(self) -> tuple[int, ...]:
-        return self.controls + self.targets
 
 
 def toffoli(c1: int, c2: int, target: int) -> Gate:
@@ -354,22 +355,28 @@ def cube_planes(width: int) -> np.ndarray:
 def permutation_table(c: ReversibleCircuit) -> np.ndarray:
     """The full map of a circuit as an array t with t[x] = image of state x.
 
-    One batched run over all 2^width states; refuses widths above the
-    sweep ceiling.  State integers use bit i = line i.
+    One batched run over all 2^width states, built once per circuit and
+    returned read-only thereafter; a width above the sweep ceiling is
+    refused on every call, cached or not.  State integers use bit i = line i.
     """
     if c.width > max_sweep_width():
         raise DomainTooLarge(f"width {c.width} exceeds ceiling {max_sweep_width()}")
-    count = 1 << c.width
-    image = np.unpackbits(run_states(c, cube_planes(c.width)), axis=1, count=count)
-    # byte k of each state's little-endian int64 holds lines 8k .. 8k+7
-    lanes = np.zeros((count, 8), dtype=np.uint8)
-    for k in range(0, c.width, 8):
-        acc = np.zeros(count, dtype=np.uint8)
-        for line in reversed(image[k : k + 8]):
-            acc <<= 1
-            acc |= line
-        lanes[:, k >> 3] = acc
-    return lanes.view("<i8").ravel().astype(np.int64, copy=False)
+    table = c.__dict__.get("_table")
+    if table is None:
+        count = 1 << c.width
+        image = np.unpackbits(run_states(c, cube_planes(c.width)), axis=1, count=count)
+        # byte k of each state's little-endian int64 holds lines 8k .. 8k+7
+        lanes = np.zeros((count, 8), dtype=np.uint8)
+        for k in range(0, c.width, 8):
+            acc = np.zeros(count, dtype=np.uint8)
+            for line in reversed(image[k : k + 8]):
+                acc <<= 1
+                acc |= line
+            lanes[:, k >> 3] = acc
+        table = lanes.view("<i8").ravel().astype(np.int64, copy=False)
+        table.setflags(write=False)
+        c.__dict__["_table"] = table
+    return table
 
 
 def check_injective_bruteforce(
@@ -419,7 +426,7 @@ def normalize_to_toffoli(c: ReversibleCircuit) -> ReversibleCircuit:
     The normalized circuit agrees with the original on every input once
     the constant lines are set to 1.
     """
-    if all(g.kind == TOFFOLI for g in c.gates):
+    if is_toffoli_only(c):
         return c
     one1, one2 = c.width, c.width + 1
     gates: list[Gate] = []
@@ -565,5 +572,4 @@ def save_circuit(c: ReversibleCircuit, path: str) -> None:
 
 
 def load_circuit(path: str) -> ReversibleCircuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return circuit_from_json(json.load(fh))
+    return circuit_from_json(load_json(path, "circuit"))

@@ -18,6 +18,7 @@ preserve Hamming weight by construction (no filtering needed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,16 +120,23 @@ def _check_class_sweep(source: WeightCouple) -> None:
         raise DomainTooLarge(f"{source.class_size()} class states exceeds 2^{max_sweep_width()} ceiling")
 
 
+@functools.lru_cache(maxsize=8)
 def _class_planes(couple: WeightCouple) -> np.ndarray:
     """Every state of a weight class as one run_states batch: each left half
-    (lines 0..n-1) paired with every right half."""
+    (lines 0..n-1) paired with every right half.
+
+    Built once per couple and cached (a few couples at a time); the planes
+    are read-only, as run_states copies its batch before applying gates.
+    """
     n = couple.n
     left, right = (np.zeros((math.comb(n, w), n), dtype=bool) for w in (couple.left_weight, couple.right_weight))
     for half, w in ((left, couple.left_weight), (right, couple.right_weight)):
         for r, ones in enumerate(combinations(range(n), w)):
             half[r, list(ones)] = True
     states = np.hstack([np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))])
-    return np.packbits(states.T, axis=1)
+    planes = np.packbits(states.T, axis=1)
+    planes.setflags(write=False)
+    return planes
 
 
 def count_class_transitions(
@@ -199,7 +207,9 @@ def clausius_experiment(
     The point numbers concern exactly the (w+delta) class, the tail
     numbers that class or any more extreme one; the ceiling inequality is
     a theorem, not a statistical claim.  The trend lists log2 of the point
-    ceiling over a grid of n (floats appear only in this rendering).
+    ceiling over a grid of n (floats appear only in this rendering).  Both
+    the source class and circuits x gate_count are capped at
+    2**max_sweep_width(), checked before any circuit is built.
     """
     w = Fraction(w)
     delta = Fraction(delta)
@@ -209,9 +219,11 @@ def clausius_experiment(
     source = WeightCouple(n, wn, n - wn)
     target = WeightCouple(n, wdn, n - wdn)
     _check_class_sweep(source)
+    gc = gate_count if gate_count is not None else 4 * 2 * n
+    if circuits * gc > 1 << max_sweep_width():
+        raise DomainTooLarge(f"{circuits} circuits x {gc} gates exceeds 2^{max_sweep_width()} ceiling")
     point_ceiling = imbalance_ratio_exact(n, w, delta)
     tail_ceiling = imbalance_tail_exact(n, w, delta)
-    gc = gate_count if gate_count is not None else 4 * 2 * n
 
     size = source.class_size()
     planes = _class_planes(source)

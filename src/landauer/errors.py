@@ -3,10 +3,14 @@
 Every domain error raised by the library derives from LandauerError so the
 CLI can map the whole family onto exit code 1 with a structured report.
 json_field reads one field of a circuit or netlist document, so a missing
-or ill-typed field is a MalformedInput rather than a KeyError.
+or ill-typed field is a MalformedInput rather than a KeyError; load_json
+reads the document itself, so one nested too deeply to parse is a
+MalformedInput rather than a RecursionError.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class LandauerError(Exception):
@@ -62,7 +66,7 @@ class TooManyLines(LandauerError):
 
 
 class NonPositiveTemperature(LandauerError):
-    """Joule conversion requires a temperature above 0 K."""
+    """Joule conversion requires a finite temperature above 0 K."""
 
 
 class StringTooShort(LandauerError):
@@ -103,3 +107,13 @@ def json_field(doc, key: str, kind: type, where: str, items: type | None = None)
         want = f"a list of {items.__name__}" if items is not None else kind.__name__
         raise MalformedInput(f"{where}: {key!r} must be {want}")
     return value
+
+
+def load_json(path: str, what: str):
+    """The JSON document in the file at path; nesting too deep for the
+    parser raises MalformedInput."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise MalformedInput(f"{what} JSON is nested too deeply to parse") from None

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .bitstring import BitString, _trusted
-from .errors import WidthMismatch, json_field
+from .errors import WidthMismatch, json_field, load_json
 
 AND = "and"
 OR = "or"
@@ -192,5 +192,4 @@ def save_netlist(c: IrreversibleCircuit, path: str) -> None:
 
 
 def load_netlist(path: str) -> IrreversibleCircuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return netlist_from_json(json.load(fh))
+    return netlist_from_json(load_json(path, "netlist"))

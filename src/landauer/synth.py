@@ -395,8 +395,9 @@ def verify_compiled(
     Sweeps the whole input register as one batch, checking result equality,
     ancilla restoration (ancilla lines back to 0, const lines still 1,
     helper lines untouched), and injectivity of the full-state map on the
-    swept domain.  `keep` caps how many offending cases are recorded, in
-    input order.
+    swept domain: the output states, one byte row each, are sorted and no
+    two adjacent rows may be equal.  `keep` caps how many offending cases
+    are recorded, in input order.
     """
     k = len(compiled.input_lines)
     if k > max_sweep_width():
@@ -432,5 +433,17 @@ def verify_compiled(
     violations = [(BitString.from_int(int(x), k), *checks[v][1:]) for x, v in zip(xs, rows[: max(keep, 0)])]
 
     states = np.packbits(np.unpackbits(out, axis=1, count=count), axis=0).T  # one byte row per state
-    injective = len(np.unique(states, axis=0)) == count
-    return VerificationReport(count, tuple(mismatches), tuple(violations), injective)
+    return VerificationReport(count, tuple(mismatches), tuple(violations), _rows_distinct(states))
+
+
+def _rows_distinct(rows: np.ndarray) -> bool:
+    """True when no two rows of a 2-D array are equal.
+
+    Sorting puts equal rows next to each other, so the rows are distinct
+    iff every adjacent pair of sorted rows differs in some column.  With
+    no columns every row is the empty row.
+    """
+    if rows.shape[1] == 0:
+        return len(rows) <= 1
+    ordered = rows[np.lexsort(rows.T)]
+    return bool(np.any(ordered[1:] != ordered[:-1], axis=1).all())

@@ -30,9 +30,13 @@ DEFAULT_TEMPERATURE = 300.0
 
 
 def to_joules(bits, temperature: float = DEFAULT_TEMPERATURE, boltzmann_k: float = BOLTZMANN_K) -> float:
-    """bits * k * T * ln 2; floats enter here and only here."""
-    if temperature <= 0:
-        raise NonPositiveTemperature(f"temperature must be > 0 K, got {temperature}")
+    """bits * k * T * ln 2; floats enter here and only here.
+
+    The temperature must be finite and above 0 K (NaN and infinities are
+    refused), so every joule figure is a finite number.
+    """
+    if not 0 < temperature < math.inf:
+        raise NonPositiveTemperature(f"temperature must be finite and > 0 K, got {temperature}")
     return float(bits) * boltzmann_k * temperature * LN2
 
 

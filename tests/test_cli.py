@@ -337,6 +337,61 @@ def test_clausius_with_zero_gates_is_the_identity_experiment():
     assert report["within_ceiling"] is True
 
 
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
+def test_non_finite_temperature_is_a_domain_error(tmp_path, monkeypatch, temperature):
+    (tmp_path / "s.bits").write_text("0" * 16)
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(["bounds", "--s-file", "s.bits", f"--temperature={temperature}"])
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "NonPositiveTemperature"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compile"])
+def test_deeply_nested_document_is_a_structured_error(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    if command == "simulate":
+        argv = ["simulate", "--circuit", str(path), "--input", "00"]
+    else:
+        argv = ["compile", "--netlist", str(path)]
+    code, text = run_cli(argv)
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "MalformedInput" and "nested too deeply" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prbox", "--n", "100000000000"],
+        ["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "100000000000"],
+    ],
+    ids=["prbox-n", "clausius-gate-count"],
+)
+def test_runaway_size_argument_is_refused_up_front(argv):
+    start = time.perf_counter()
+    code, text = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and json.loads(text)["error"]["type"] == "DomainTooLarge"
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["prbox", "--n", "{}"], 512),
+        (["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "{}"], 256),
+    ],
+    ids=["prbox-n", "clausius-gate-count"],
+)
+def test_size_ceilings_follow_landauer_max_width(monkeypatch, argv, limit):
+    # 2^9 = 512 prbox bits, or 2 circuits x 256 gates
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "9")
+    code, text = run_cli([arg.format(limit + 1) for arg in argv])
+    assert code == 1 and json.loads(text)["error"]["type"] == "DomainTooLarge"
+    code, text = run_cli([arg.format(limit) for arg in argv])
+    assert code == 0 and "error" not in json.loads(text)
+
+
 @pytest.mark.parametrize("flag", ["--w", "--delta"])
 def test_clausius_zero_denominator_is_a_domain_error(flag):
     argv = ["clausius", "--n", "4", "--delta", "1/4", flag, "1/0"]
@@ -376,7 +431,7 @@ SMALL = st.integers(-2, 6).map(str)
 COMMON = [
     ("--report", st.sampled_from(["json", "text", "xml"])),
     ("--seed", st.integers(-2, 9).map(str)),
-    ("--temperature", st.sampled_from(["300", "0.5", "0", "-1", "hot"])),
+    ("--temperature", st.sampled_from(["300", "0.5", "0", "-1", "hot", "nan", "inf"])),
 ]
 VOCABULARY = {
     "compile": [

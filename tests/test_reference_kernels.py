@@ -5,7 +5,9 @@ each kernel (dict-keyed lz78 parse, per-character xor, per-bit box
 condition, per-line state packing and table assembly, sort-based
 injectivity, per-bit mask conversions, 2-D-indexed gate sweep, per-role
 constant-line check, dict-walking netlist evaluation).  Every kernel must
-return exactly the reference's output.
+return exactly the reference's output.  A cached structure (a circuit's
+permutation table, a weight class's planes) must equal a fresh build, be
+the same object on a second call, and refuse writes.
 """
 
 import random
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landauer import circuits, irrev
+from landauer.clausius import WeightCouple, _class_planes
 from landauer.bitstring import BitString, encode_uint
 from landauer.circuits import (
     ANCILLA_ZERO,
@@ -30,6 +33,7 @@ from landauer.circuits import (
     _to_mask,
     check_injective_bruteforce,
     cnot,
+    check_conservative,
     cube_planes,
     fredkin,
     not_gate,
@@ -39,8 +43,9 @@ from landauer.circuits import (
     toffoli,
 )
 from landauer.compress import LZ78, XOR, default_family, estimate_complexity, estimate_with_code
-from landauer.errors import BadConstantLine
+from landauer.errors import BadConstantLine, DomainTooLarge
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
+from landauer.synth import _rows_distinct
 
 # --- references ------------------------------------------------------------------
 
@@ -305,6 +310,61 @@ def test_permutation_table_equals_shift_add_reference(c):
     assert table.dtype == np.int64
     assert np.array_equal(table, ref_permutation_table(c))
     assert check_injective_bruteforce(c, c.width) is ref_injective_table(table) is True
+    assert permutation_table(c) is table
+    with pytest.raises(ValueError):
+        table[0] = table[-1]
+
+
+def test_cached_table_is_refused_under_a_lower_ceiling(monkeypatch):
+    c = ReversibleCircuit(6, (fredkin(0, 1, 5), fredkin(2, 3, 4)))
+    assert check_conservative(c, exhaustive=True)  # caches the table at width 6
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "5")
+    sweeps = (permutation_table, lambda c: check_injective_bruteforce(c, 6), lambda c: check_conservative(c, True))
+    for sweep in sweeps:
+        with pytest.raises(DomainTooLarge):
+            sweep(c)
+
+
+couples = st.integers(0, 7).flatmap(
+    lambda n: st.builds(WeightCouple, st.just(n), st.integers(0, n), st.integers(0, n))
+)
+
+
+@given(couples)
+@example(WeightCouple(0, 0, 0))
+@example(WeightCouple(8, 4, 4))
+@settings(max_examples=100)
+def test_cached_class_planes_equal_a_fresh_build(couple):
+    planes = _class_planes(couple)
+    assert np.array_equal(planes, _class_planes.__wrapped__(couple))
+    assert _class_planes(couple) is planes
+    with pytest.raises(ValueError):
+        planes[...] = 0
+
+
+@st.composite
+def byte_rows(draw):
+    """A uint8 array of 0-40 rows and 0-4 columns over a small alphabet, so
+    that equal rows are common; now and then a drawn row is repeated."""
+    n, cols = draw(st.integers(0, 40)), draw(st.integers(0, 4))
+    values = draw(st.lists(st.integers(0, 3), min_size=n * cols, max_size=n * cols))
+    rows = np.array(values, dtype=np.uint8).reshape(n, cols)
+    if n and draw(st.booleans()):
+        rows = np.insert(rows, draw(st.integers(0, n)), rows[draw(st.integers(0, n - 1))], axis=0)
+    return rows
+
+
+@given(byte_rows())
+@example(np.zeros((0, 0), dtype=np.uint8))
+@example(np.zeros((1, 0), dtype=np.uint8))
+@example(np.zeros((2, 0), dtype=np.uint8))
+@example(np.zeros((0, 3), dtype=np.uint8))
+@example(np.array([[7, 1]], dtype=np.uint8))
+@example(np.array([[0, 1], [1, 0], [0, 1]], dtype=np.uint8))
+@example(np.arange(256, dtype=np.uint8).reshape(256, 1))
+@settings(max_examples=300)
+def test_sorted_row_distinctness_agrees_with_unique(rows):
+    assert _rows_distinct(rows) is (len(np.unique(rows, axis=0)) == len(rows))
 
 
 @st.composite

@@ -32,6 +32,9 @@ def test_to_joules_examples():
         to_joules(1, 0.0)
     with pytest.raises(NonPositiveTemperature):
         to_joules(1, -4.0)
+    for temperature in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveTemperature):
+            to_joules(1, temperature)
 
 
 def test_ledger_is_exact():
