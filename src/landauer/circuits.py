@@ -10,28 +10,27 @@ definitionally Toffoli gates with constant-1 controls: `normalize_to_toffoli`
 rewrites any circuit into Toffoli-only form over two appended CONST_ONE
 lines, so the "reversible gates only, no AND/OR" discipline is checkable.
 
-Exhaustive sweeps run as one batch through `run_states`, one packed bit
-plane per line, at any width; it applies each gate to row views of the
-planes, which index faster than 2-D indexing.  Each circuit lowers itself
-at most once: its scalar program (`_program`) and its CONST_ONE and
-ANCILLA_ZERO line masks (`_constant_masks`) are cached on the object.
-`reverse_circuit` is cached too, and the reversed circuit inherits the
-reversed program and the masks.  A sweep is refused up front if it exceeds
-2**LANDAUER_MAX_WIDTH swept states (default 2**20, roughly 10^6).  The
-full cube's planes come in closed form from `cube_planes`: in state order
-0, 1, 2, ..., line i >= 3 is runs of 2^(i-3) bytes 0x00 then 0xFF, and
-lines 0-2 repeat the bytes 0x55, 0x33, 0x0F.  `permutation_table` packs
-the image planes back into state integers one byte lane (8 lines) at a
-time.  The table is cached on its circuit (`_table`) and is read-only, so
-`check_injective_bruteforce` and `check_conservative(exhaustive=True)`
-reuse it rather than sweep again; the ceiling is checked on every call,
-before the cache, so a table built under a looser ceiling is still refused.
-`check_injective_bruteforce` on a circuit marks every image in a 2^n bit
-array: a map of the 2^n states into themselves is injective iff it is
-onto, so every entry set proves injectivity in O(2^n).
+One kernel, `_apply`, holds the gate semantics.  Each circuit lowers
+itself once to line-index steps (`_program`, cached on it with the
+CONST_ONE and ANCILLA_ZERO line masks of `_constant_masks`), which the
+kernel applies to a list of per-line rows.  For one state the rows are
+the ints 0/1 of the bit string, character i being line i; for a batch
+(`run_states`) they are views of uint8 bit planes, one per line, which
+the kernel updates in place.  `reverse_circuit` is cached, and the
+reversed circuit inherits the reversed program and the masks.
 
-A state as an int has bit i = line i, which is the bit string read
-backwards; `_to_mask` and `_from_mask` are that one string reversal.
+Exhaustive sweeps run as one batch at any width and are refused up front
+beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  The full
+cube's planes come in closed form from `cube_planes`; `permutation_table`
+packs the image planes back into state integers one byte lane (8 lines)
+at a time.  The table is cached on its circuit and is read-only, so
+`check_injective_bruteforce` and `check_conservative(exhaustive=True)`
+reuse it; the ceiling is checked on every call, before the cache.
+`check_injective_bruteforce` marks every image in a 2^n bit array: a map
+of the 2^n states into themselves is injective iff it is onto.
+
+A state as an int has bit i = line i, the bit string read backwards
+(`_to_mask`); the constant-line check and the Fig. 1 tables use it.
 """
 
 from __future__ import annotations
@@ -74,6 +73,13 @@ DEFAULT_MAX_WIDTH = 20
 
 # gate kind -> (controls, targets) arity
 _ARITY = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}
+
+# gate kind -> `_apply` opcode
+_OPCODE = {TOFFOLI: 0, CNOT: 1, NOT: 2, FREDKIN: 3}
+
+# a state's '0'/'1' characters <-> its per-line rows of ints 0/1
+_TO_ROWS = bytes.maketrans(b"01", b"\x00\x01")
+_FROM_ROWS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def max_sweep_width() -> int:
@@ -151,22 +157,14 @@ class ReversibleCircuit:
             if max(g.controls + g.targets) >= self.width:
                 raise ValueError(f"gate {g} exceeds width {self.width}")
 
-    # Gates pre-lowered to (opcode, masks) tuples; cached per circuit.
+    # Gates lowered to `_apply` steps (op, a, b, t): the opcode, then the
+    # gate's controls and targets right-aligned in three slots; cached per circuit.
     def _program(self):
         prog = self.__dict__.get("_prog")
         if prog is None:
-            prog = []
-            for g in self.gates:
-                if g.kind == TOFFOLI:
-                    prog.append((0, 1 << g.controls[0], 1 << g.controls[1], 1 << g.targets[0]))
-                elif g.kind == CNOT:
-                    prog.append((1, 1 << g.controls[0], 1 << g.targets[0], 0))
-                elif g.kind == NOT:
-                    prog.append((2, 1 << g.targets[0], 0, 0))
-                else:
-                    prog.append((3, 1 << g.controls[0], 1 << g.targets[0], 1 << g.targets[1]))
-            prog = tuple(prog)
-            self.__dict__["_prog"] = prog
+            prog = self.__dict__["_prog"] = tuple(
+                (_OPCODE[g.kind],) + ((0,) * 3 + g.controls + g.targets)[-3:] for g in self.gates
+            )
         return prog
 
     # (CONST_ONE lines, ANCILLA_ZERO lines) as masks; cached per circuit.
@@ -192,11 +190,6 @@ def _to_mask(bits: BitString) -> int:
     return int(str(bits)[::-1] or "0", 2)
 
 
-def _from_mask(mask: int, width: int) -> BitString:
-    # the sentinel bit above line width-1 keeps exactly `width` digits, even for 0
-    return _trusted(format(mask | 1 << width, "b")[:0:-1])
-
-
 def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
     """Raise BadConstantLine for the lowest line whose role the state breaks."""
     one, zero = c._constant_masks()
@@ -208,30 +201,39 @@ def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
         raise BadConstantLine(f"line {i} is ANCILLA_ZERO but carries 1")
 
 
-def _run_mask(prog, mask: int) -> int:
-    """The scalar step: apply lowered gates to one state held as an int."""
-    for op, a, b, d in prog:
+def _apply(prog, rows: list, ones):
+    """The one gate kernel: apply lowered steps to per-line rows; `ones` is
+    the all-ones row (1 for an int, 0xFF for a uint8 plane view).  A step
+    (op, a, b, t) ends in the last target t, with b the line before it."""
+    for op, a, b, t in prog:
         if op == 0:
-            if mask & a and mask & b:
-                mask ^= d
+            rows[t] ^= rows[a] & rows[b]
         elif op == 1:
-            if mask & a:
-                mask ^= b
+            rows[t] ^= rows[b]
         elif op == 2:
-            mask ^= a
+            rows[t] ^= ones
         else:
-            if mask & a and bool(mask & b) != bool(mask & d):
-                mask ^= b | d
-    return mask
+            swap = rows[a] & (rows[b] ^ rows[t])
+            rows[b] ^= swap
+            rows[t] ^= swap
+    return rows
+
+
+def _rows(c: ReversibleCircuit, input_bits: BitString) -> list[int]:
+    """One checked input state as per-line rows; string index i is line i."""
+    if len(input_bits) != c.width:
+        raise WidthMismatch(f"input has {len(input_bits)} bits, circuit width {c.width}")
+    _check_constant_lines(c, _to_mask(input_bits))
+    return list(str(input_bits).encode().translate(_TO_ROWS))
+
+
+def _state(rows: list[int]) -> BitString:
+    return _trusted(bytes(rows).translate(_FROM_ROWS).decode())
 
 
 def simulate(c: ReversibleCircuit, input_bits: BitString) -> BitString:
     """Apply the gates in list order to a full-width input state."""
-    if len(input_bits) != c.width:
-        raise WidthMismatch(f"input has {len(input_bits)} bits, circuit width {c.width}")
-    mask = _to_mask(input_bits)
-    _check_constant_lines(c, mask)
-    return _from_mask(_run_mask(c._program(), mask), c.width)
+    return _state(_apply(c._program(), _rows(c, input_bits), 1))
 
 
 @dataclass(frozen=True)
@@ -245,14 +247,10 @@ class StateTrajectory:
 
 
 def simulate_trajectory(c: ReversibleCircuit, input_bits: BitString) -> StateTrajectory:
-    if len(input_bits) != c.width:
-        raise WidthMismatch(f"input has {len(input_bits)} bits, circuit width {c.width}")
-    mask = _to_mask(input_bits)
-    _check_constant_lines(c, mask)
-    states = [_from_mask(mask, c.width)]
+    rows = _rows(c, input_bits)
+    states = [_state(rows)]
     for step in c._program():
-        mask = _run_mask((step,), mask)
-        states.append(_from_mask(mask, c.width))
+        states.append(_state(_apply((step,), rows, 1)))
     return StateTrajectory(tuple(states))
 
 
@@ -310,32 +308,13 @@ def run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
     if len(planes) != c.width:
         raise WidthMismatch(f"batch has {len(planes)} lines, circuit width {c.width}")
     p = np.array(planes, dtype=np.uint8)
-    rows = list(p)  # one view per line: cheaper to index than p[i]
-    for g in c.gates:
-        t = g.targets[0]
-        if g.kind == TOFFOLI:
-            rows[t] ^= rows[g.controls[0]] & rows[g.controls[1]]
-        elif g.kind == CNOT:
-            rows[t] ^= rows[g.controls[0]]
-        elif g.kind == NOT:
-            rows[t] ^= 0xFF
-        else:
-            a, b = g.targets
-            swap = rows[g.controls[0]] & (rows[a] ^ rows[b])
-            rows[a] ^= swap
-            rows[b] ^= swap
+    _apply(c._program(), list(p), 0xFF)  # one view per line: cheaper to index than p[i]
     return p
 
 
-def pack_states(states: np.ndarray, width: int) -> np.ndarray:
-    """Bit planes of integer states (bit i = line i), as run_states takes them."""
-    planes = [np.packbits((states >> i & 1).astype(np.uint8)) for i in range(width)]
-    return np.array(planes, dtype=np.uint8).reshape(width, (len(states) + 7) // 8)
-
-
 def cube_planes(width: int) -> np.ndarray:
-    """Bit planes of every state 0 .. 2^width - 1 in order, equal to
-    pack_states(np.arange(2**width), width), built from their periodic bytes.
+    """Bit planes of every state 0 .. 2^width - 1 in order, built from their
+    periodic bytes: plane i is np.packbits(np.arange(2**width) >> i & 1).
 
     Lines 0-2 repeat one byte (0x55, 0x33, 0x0F); line i >= 3 alternates
     runs of 2^(i-3) bytes 0x00 and 0xFF.  Below width 3 the one byte keeps
@@ -555,6 +534,8 @@ def circuit_from_json(doc: dict) -> ReversibleCircuit:
         gates.append(Gate(kind, controls, _json_lines(g, target_key, where)))
     width = json_field(doc, "width", int, "circuit")
     roles = json_field(doc, "line_roles", list, "circuit", str)
+    if len(roles) != width:  # the file names every role; no default fills a huge width
+        raise MalformedInput(f"circuit: 'line_roles' has {len(roles)} roles for width {width}")
     return ReversibleCircuit(width, tuple(gates), tuple(roles))
 
 

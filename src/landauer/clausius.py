@@ -216,6 +216,10 @@ def clausius_experiment(
     wn, wdn = _grid(n, w, delta)
     if circuits < 1:
         raise ValueError(f"circuits must be at least 1, got {circuits}")
+    # on the grid 0 < wn < n, so the class holds at least n^2 states: a huge
+    # n is refused before its binomials are computed
+    if n * n > 1 << max_sweep_width():
+        raise DomainTooLarge(f"n = {n} gives over 2^{max_sweep_width()} class states")
     source = WeightCouple(n, wn, n - wn)
     target = WeightCouple(n, wdn, n - wdn)
     _check_class_sweep(source)

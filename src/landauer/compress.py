@@ -33,6 +33,7 @@ in parse order, so the bitstream is unchanged by the trie kernel.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -197,6 +198,8 @@ def _xor_decompress(code: str, helper: str) -> str:
         n, used = decode_uint(BitString(code), 1)
         if 1 + used != len(code):
             raise MalformedCode("xor: trailing bits after run-length record")
+        if n > sys.maxsize:  # no bit string is that long, so no xor code says so
+            raise MalformedCode(f"xor: run length {n} exceeds any bit string")
         payload = "0" * n
     else:
         payload = code[1:]

@@ -7,14 +7,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landauer import cli
-from landauer.bitstring import BitString
-from landauer.circuits import load_circuit, simulate
+from landauer.bitstring import BitString, encode_uint
+from landauer.circuits import GATE_KINDS, LINE_ROLES, ReversibleCircuit, circuit_from_json, load_circuit, simulate
 from landauer.cli import main
-from landauer.irrev import IrreversibleCircuit, LogicGate, save_netlist
+from landauer.errors import LandauerError
+from landauer.irrev import OPS, IrreversibleCircuit, LogicGate, netlist_from_json, save_netlist
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -224,6 +225,16 @@ def test_unreadable_input_file_is_a_structured_error(tmp_path, argv):
     assert str(tmp_path) in error["message"]
 
 
+# an xor run-length record longer than any bit string: 142 bits of input
+XOR_HUGE_RUN = "0" + str(encode_uint(2**70))
+
+
+def test_xor_run_length_beyond_any_string_is_malformed():
+    code, text = run_cli(["decompress", "--codec", "xor"], stdin_text=XOR_HUGE_RUN)
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "MalformedCode"
+
+
 def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         run_cli(["bounds", "--no-such-flag"])
@@ -365,8 +376,9 @@ def test_deeply_nested_document_is_a_structured_error(tmp_path, command):
     [
         ["prbox", "--n", "100000000000"],
         ["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "100000000000"],
+        ["clausius", "--n", "2000000", "--delta", "1/4", "--circuits", "1", "--gate-count", "1"],
     ],
-    ids=["prbox-n", "clausius-gate-count"],
+    ids=["prbox-n", "clausius-gate-count", "clausius-n"],
 )
 def test_runaway_size_argument_is_refused_up_front(argv):
     start = time.perf_counter()
@@ -421,13 +433,16 @@ def test_usage_error_then_valid_command_on_the_shared_parser():
     }
 
 
-# argv drawn from the CLI's own vocabulary, with values bounded so that no
-# draw starts a long run: --n <= 6, --circuits <= 3, --block 1-6 or 21-64
+# argv drawn from the CLI's own vocabulary.  The property runs under
+# LANDAUER_MAX_WIDTH=8, and --n, --gate-count and --block reach past the
+# ceilings that follow from it (prbox 256 bits, 256 class states, 3 circuits
+# x 85 gates, a 7-bit block); --circuits <= 3, so no draw starts a long run
 BITS = st.text(alphabet="01", max_size=10)
 FILE = st.sampled_from(["{s}", "{x}", "{net}", "{circ}", "{missing}", "{dir}"])
 CODEC = st.sampled_from(["lz78", "xor", "bookmark8", "identity", "gzip"])
 FRACTION = st.sampled_from(["1/2", "3/4", "1/4", "1/6", "0", "1", "-1/2", "1/0", "x"])
 SMALL = st.integers(-2, 6).map(str)
+HUGE = st.just("100000000000")
 COMMON = [
     ("--report", st.sampled_from(["json", "text", "xml"])),
     ("--seed", st.integers(-2, 9).map(str)),
@@ -438,7 +453,7 @@ VOCABULARY = {
         ("--netlist", FILE),
         ("--fig1", None),
         ("--codec", CODEC),
-        ("--block", st.one_of(st.integers(1, 6), st.integers(21, 64)).map(str)),
+        ("--block", st.one_of(st.integers(1, 9), st.integers(21, 64)).map(str)),
         ("--helper", BITS),
         ("--no-raw-escape", None),
         ("--out", st.sampled_from(["{out}", "{missing}/c.json"])),
@@ -455,13 +470,13 @@ VOCABULARY = {
         ("--generator", FILE),
     ],
     "clausius": [
-        ("--n", SMALL),
+        ("--n", st.one_of(SMALL, st.integers(7, 40).map(str), st.just("2000000"))),
         ("--w", FRACTION),
         ("--delta", FRACTION),
         ("--circuits", st.integers(-1, 3).map(str)),
-        ("--gate-count", st.integers(-3, 12).map(str)),
+        ("--gate-count", st.one_of(st.integers(-3, 12), st.integers(80, 90)).map(str) | HUGE),
     ],
-    "prbox": [("--n", SMALL)],
+    "prbox": [("--n", st.one_of(SMALL, st.integers(250, 260).map(str), HUGE))],
 }
 # the flags a command needs; compile needs one of the two
 REQUIRED = {
@@ -494,7 +509,7 @@ def cli_argv(draw):
             argv.append(draw(flags[flag]))
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--n"])))
-    return argv, draw(st.sampled_from(["", "0110\n", "10" * 8, "012", "1" * 30]))
+    return argv, draw(st.sampled_from(["", "0110\n", "10" * 8, "012", "1" * 30, XOR_HUGE_RUN]))
 
 
 @pytest.fixture(scope="module")
@@ -536,9 +551,57 @@ def run_cli_captured(argv, stdin_text):
 def test_any_argv_exits_0_1_or_2_and_the_shared_parser_keeps_no_state(cli_files, drawn):
     argv, stdin_text = drawn
     argv = [arg.format(**cli_files) for arg in argv]
-    shared = run_cli_captured(argv, stdin_text)
-    assert shared[0] in (0, 1, 2), (argv, shared)
     with pytest.MonkeyPatch.context() as m:
+        m.setenv("LANDAUER_MAX_WIDTH", "8")
+        shared = run_cli_captured(argv, stdin_text)
+        assert shared[0] in (0, 1, 2), (argv, shared)
         m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
         fresh = run_cli_captured(argv, stdin_text)
     assert shared == fresh
+
+
+# --- any JSON document loads or raises an error the CLI reports ----------------------
+
+# the circuit and netlist formats' own keys and words, so that drawn
+# documents often get past the first field checks
+FORMAT_WORDS = sorted(
+    {"version", "width", "line_roles", "gates", "kind", "controls", "control", "target", "targets"}
+    | {"inputs", "outputs", "id", "op", "args", "a", "b", "g"}
+    | set(GATE_KINDS) | set(LINE_ROLES) | set(OPS)
+)
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.integers() | st.floats() | st.sampled_from(FORMAT_WORDS),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(FORMAT_WORDS), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+def assert_loads_or_reports(load, doc):
+    try:
+        loaded = load(doc)
+    except (LandauerError, ValueError):
+        return
+    assert isinstance(loaded, (ReversibleCircuit, IrreversibleCircuit))
+
+
+LOADERS = pytest.mark.parametrize("load", [circuit_from_json, netlist_from_json])
+
+
+@LOADERS
+@given(json_documents)
+@example({"version": 1, "width": 2, "line_roles": ["input", "const_one"], "gates": [{"kind": "cnot", "control": 1, "target": 0}]})
+@example({"inputs": ["a", "b"], "outputs": ["g"], "gates": [{"id": "g", "op": "xor", "args": ["a", "b"]}]})
+@example({"version": 1, "width": 10**30, "line_roles": [], "gates": []})
+@settings(max_examples=150, deadline=None)
+def test_any_json_document_loads_or_raises_an_error_the_cli_reports(load, doc):
+    assert_loads_or_reports(load, doc)
+
+
+@LOADERS
+def test_a_deeply_nested_document_loads_or_raises_an_error_the_cli_reports(load):
+    # far deeper than the recursion limit; hypothesis would recurse to print it
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    for doc in (deep, {"version": 1, "width": 1, "line_roles": deep, "gates": [deep], "inputs": deep, "outputs": [deep]}):
+        assert_loads_or_reports(load, doc)

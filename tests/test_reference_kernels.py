@@ -3,8 +3,9 @@
 The references below are the straightforward per-character versions of
 each kernel (dict-keyed lz78 parse, per-character xor, per-bit box
 condition, per-line state packing and table assembly, sort-based
-injectivity, per-bit mask conversions, 2-D-indexed gate sweep, per-role
-constant-line check, dict-walking netlist evaluation).  Every kernel must
+injectivity, per-bit mask conversions, a scalar gate interpreter over
+bit masks, 2-D-indexed gate sweep, per-role constant-line check,
+dict-walking netlist evaluation).  Every kernel must
 return exactly the reference's output.  A cached structure (a circuit's
 permutation table, a weight class's planes) must equal a fresh build, be
 the same object on a second call, and refuse writes.
@@ -29,7 +30,6 @@ from landauer.circuits import (
     TOFFOLI,
     ReversibleCircuit,
     _check_constant_lines,
-    _from_mask,
     _to_mask,
     check_injective_bruteforce,
     cnot,
@@ -40,6 +40,8 @@ from landauer.circuits import (
     permutation_table,
     reverse_circuit,
     run_states,
+    simulate,
+    simulate_trajectory,
     toffoli,
 )
 from landauer.compress import LZ78, XOR, default_family, estimate_complexity, estimate_with_code
@@ -122,6 +124,35 @@ def ref_to_mask(bits: BitString) -> int:
 
 def ref_from_mask(mask: int, width: int) -> BitString:
     return BitString("".join("1" if mask >> i & 1 else "0" for i in range(width)))
+
+
+def ref_simulate(c: ReversibleCircuit, input_bits: BitString) -> BitString:
+    """A scalar interpreter that shares nothing with the gate kernel: the
+    state is one int (bit i = line i) and each gate is lowered to bit masks."""
+    prog = []
+    for g in c.gates:
+        if g.kind == TOFFOLI:
+            prog.append((0, 1 << g.controls[0], 1 << g.controls[1], 1 << g.targets[0]))
+        elif g.kind == CNOT:
+            prog.append((1, 1 << g.controls[0], 1 << g.targets[0], 0))
+        elif g.kind == NOT:
+            prog.append((2, 1 << g.targets[0], 0, 0))
+        else:
+            prog.append((3, 1 << g.controls[0], 1 << g.targets[0], 1 << g.targets[1]))
+    mask = ref_to_mask(input_bits)
+    for op, a, b, d in prog:
+        if op == 0:
+            if mask & a and mask & b:
+                mask ^= d
+        elif op == 1:
+            if mask & a:
+                mask ^= b
+        elif op == 2:
+            mask ^= a
+        else:
+            if mask & a and bool(mask & b) != bool(mask & d):
+                mask ^= b | d
+    return ref_from_mask(mask, c.width)
 
 
 def ref_run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
@@ -396,19 +427,6 @@ def test_onto_check_agrees_with_sort_reference(table):
 def test_to_mask_equals_per_bit_reference(text):
     b = BitString(text)
     assert _to_mask(b) == ref_to_mask(b)
-    assert _from_mask(_to_mask(b), len(b)) == b
-
-
-@given(st.integers(0, 80).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, 2**w - 1))))
-@example((0, 0))
-@example((5, 0))
-@example((5, 1))
-@example((64, 2**63))
-def test_from_mask_equals_per_bit_reference(width_mask):
-    width, mask = width_mask
-    b = _from_mask(mask, width)
-    assert type(b) is BitString and b == ref_from_mask(mask, width) and len(b) == width
-    assert _to_mask(b) == mask
 
 
 # --- lowered forms equal their references ------------------------------------------
@@ -424,6 +442,26 @@ def test_row_view_run_states_equals_indexed_reference(c, nbytes, rnd):
     out = run_states(c, planes)
     assert out.dtype == np.uint8 and np.array_equal(out, ref_run_states(c, planes))
     assert np.array_equal(planes, before)  # the input batch is not modified
+
+
+@given(
+    circuits_of_width(st.integers(1, 70)).flatmap(
+        lambda c: st.tuples(st.just(c), st.integers(0, 2**c.width - 1).map(lambda x: BitString.from_int(x, c.width)))
+    )
+)
+@example((ReversibleCircuit(1), BitString("1")))
+@example((ReversibleCircuit(3, (fredkin(0, 1, 2), fredkin(0, 2, 1))), BitString("110")))
+@example((ReversibleCircuit(70, (fredkin(69, 0, 35), toffoli(68, 1, 2), cnot(0, 69), not_gate(69))), BitString("1" * 70)))
+@settings(max_examples=150, deadline=None)
+def test_simulate_and_trajectory_equal_the_mask_reference(case):
+    c, x = case
+    out = simulate(c, x)
+    assert type(out) is BitString and out == ref_simulate(c, x)
+    states = simulate_trajectory(c, x).states
+    assert len(states) == c.gate_count() + 1
+    assert states[0] == x and states[-1] == out
+    for k, state in enumerate(states):
+        assert type(state) is BitString and state == ref_simulate(ReversibleCircuit(c.width, c.gates[:k]), x)
 
 
 @st.composite
