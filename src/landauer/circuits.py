@@ -435,7 +435,7 @@ def is_toffoli_only(c: ReversibleCircuit) -> bool:
 
 # --- complexity drift along a trajectory -------------------------------------
 
-DEFAULT_DRIFT_SLACK = 64  # bits; the additive constant is configuration, not a claim
+DEFAULT_DRIFT_SLACK = 64  # bits; the additive constant of the drift flag, not a claim
 
 
 @dataclass(frozen=True)
@@ -462,17 +462,15 @@ def _time_encoding(t: int) -> BitString:
 
 
 def complexity_drift_report(
-    trajectory: StateTrajectory,
-    estimator: Callable[[BitString], int],
-    slack_bits: int = DEFAULT_DRIFT_SLACK,
+    trajectory: StateTrajectory, estimator: Callable[[BitString], int]
 ) -> DriftReport:
     """Per-step description-length drift of a trajectory.
 
     For each time t the report lists the estimator value of the state, of
     the time encoding, and the drop relative to t=0.  A step is flagged
-    when drop > estimate(time) + slack.  Flags are informational: the
-    estimator upper-bounds true description length, so a flag never proves
-    a violation of the underlying monotonicity bound.
+    when drop > estimate(time) + DEFAULT_DRIFT_SLACK.  Flags are
+    informational: the estimator upper-bounds true description length, so
+    a flag never proves a violation of the underlying monotonicity bound.
     """
     if not trajectory.states:
         raise ValueError("trajectory must contain at least the initial state")
@@ -482,8 +480,8 @@ def complexity_drift_report(
         k_state = estimator(state)
         k_time = estimator(_time_encoding(t))
         drop = base - k_state
-        rows.append(DriftRow(t, k_state, k_time, drop, drop > k_time + slack_bits))
-    return DriftReport(tuple(rows), slack_bits)
+        rows.append(DriftRow(t, k_state, k_time, drop, drop > k_time + DEFAULT_DRIFT_SLACK))
+    return DriftReport(tuple(rows), DEFAULT_DRIFT_SLACK)
 
 
 # --- JSON circuit format ------------------------------------------------------

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -199,7 +198,6 @@ def clausius_experiment(
     circuits: int,
     seed: int,
     gate_count: int | None = None,
-    trend_ns: Sequence[int] | None = None,
 ) -> ClausiusReport:
     """Sample conservative circuits and compare measured transition
     fractions against the exact counting ceilings.
@@ -207,7 +205,7 @@ def clausius_experiment(
     The point numbers concern exactly the (w+delta) class, the tail
     numbers that class or any more extreme one; the ceiling inequality is
     a theorem, not a statistical claim.  The trend lists log2 of the point
-    ceiling over a grid of n (floats appear only in this rendering).  Both
+    ceiling at n, 2n, 3n and 4n (floats appear only in this rendering).  Both
     the source class and circuits x gate_count are capped at
     2**max_sweep_width(), checked before any circuit is built.
     """
@@ -241,10 +239,8 @@ def clausius_experiment(
         max_point = max(max_point, Fraction(point, size))
         max_tail = max(max_tail, Fraction(tail, size))
 
-    if trend_ns is None:
-        trend_ns = [m for m in range(n, 4 * n + 1, n) if (w * m).denominator == 1 and ((w + delta) * m).denominator == 1]
     trend = []
-    for m in trend_ns:
+    for m in range(n, 4 * n + 1, n):  # multiples of n are on the (w, delta) grid
         ratio = imbalance_ratio_exact(m, w, delta)
         trend.append((m, math.log2(ratio.numerator) - math.log2(ratio.denominator)))
 

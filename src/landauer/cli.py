@@ -5,9 +5,9 @@ clausius, prbox.  Reports are JSON (default) or text; exact rationals are
 serialized as "p/q" strings so golden files never see float drift.  Every
 report echoes {tool_version, seed, config} for reproducibility.
 
-Exit codes: 0 success, 1 domain error (structured error report on stdout),
-2 usage error.  compress/decompress are plain bit-string filters:
-stdin -> stdout, no report wrapper.
+Exit codes: 0 success, 1 domain error or a result too large for memory
+(structured error report on stdout), 2 usage error.  compress/decompress
+are plain bit-string filters: stdin -> stdout, no report wrapper.
 
 The parser is built once per process, on the first call to `main`, and
 reused: argparse keeps no state between parses, and it looks up
@@ -346,10 +346,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (LandauerError, ValueError) as exc:
+    except (LandauerError, ValueError, MemoryError) as exc:
         error = {
             "tool_version": __version__,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "error": {"type": type(exc).__name__, "message": str(exc) or type(exc).__doc__},
         }
         print(json.dumps(error, indent=2, sort_keys=True))
         return 1

@@ -5,7 +5,10 @@ Every codec is a pair (compress, decompress) over bit strings such that
 (data, helper) -> (compress(data, helper), helper) is injective, i.e.
 decompress(compress(data, helper), helper) == data for all inputs.  Any
 such codec yields a work-value lower bound; the estimator takes the best
-over a family and is always an upper bound on true description length.
+over the four registered codecs (default_family) and is always an upper
+bound on true description length.  encode_with_escape always keeps the
+raw escape, which the tape scenarios need for wv + ec = len(S); only the
+Fig. 1 build can turn it off.
 
 Registered codecs:
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .bitstring import (
     BitString,
@@ -238,9 +241,13 @@ LZ78 = CompressionCodec("lz78", "0", _lz78_compress, _lz78_decompress)
 XOR = CompressionCodec("xor", "1", _xor_compress, _xor_decompress)
 BOOKMARK8 = CompressionCodec("bookmark8", "00", _bookmark_compress, _bookmark_decompress)
 
-REGISTRY: dict[str, CompressionCodec] = {
-    c.name: c for c in (IDENTITY, LZ78, XOR, BOOKMARK8)
-}
+
+def default_family() -> tuple[CompressionCodec, ...]:
+    """The registered codecs, identity first: the estimator's family."""
+    return (IDENTITY, LZ78, XOR, BOOKMARK8)
+
+
+REGISTRY: dict[str, CompressionCodec] = {c.name: c for c in default_family()}
 
 
 def get_codec(name: str) -> CompressionCodec:
@@ -248,10 +255,6 @@ def get_codec(name: str) -> CompressionCodec:
         return REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown codec {name!r}; registered: {sorted(REGISTRY)}")
-
-
-def default_family() -> tuple[CompressionCodec, ...]:
-    return (IDENTITY, LZ78, XOR, BOOKMARK8)
 
 
 def raw_block_codec(width: int) -> CompressionCodec:
@@ -291,30 +294,20 @@ class ComplexityEstimate:
     is_upper_bound: bool = True
 
 
-def estimate_complexity(
-    data: BitString,
-    helper: BitString = BitString(),
-    family: Sequence[CompressionCodec] | None = None,
-) -> ComplexityEstimate:
-    # identity is a required family member, so asking for its code is free
-    return estimate_with_code(data, helper, IDENTITY, family)[0]
+def estimate_complexity(data: BitString, helper: BitString = BitString()) -> ComplexityEstimate:
+    # identity is a family member, so asking for its code is free
+    return estimate_with_code(data, helper, IDENTITY)[0]
 
 
 def estimate_with_code(
-    data: BitString,
-    helper: BitString,
-    codec: CompressionCodec,
-    family: Sequence[CompressionCodec] | None = None,
+    data: BitString, helper: BitString, codec: CompressionCodec
 ) -> tuple[ComplexityEstimate, BitString]:
-    """One pass over the family: the estimate, and `codec`'s code for the
-    same (data, helper), reused when `codec` is a family member."""
-    codecs = tuple(family) if family is not None else default_family()
-    if not any(c.name == IDENTITY.name for c in codecs):
-        raise ValueError("estimator family must include the identity codec")
+    """One pass over default_family(): the estimate, and `codec`'s code for
+    the same (data, helper), reused when `codec` is a family member."""
     best_bits = None
     best_name = ""
     own = None
-    for c in codecs:
+    for c in default_family():
         code = c.compress(data, helper)
         if c == codec:
             own = code
@@ -335,37 +328,29 @@ _MODE_CODED = BitString("0")
 _MODE_RAW = BitString("1")
 
 
-def encode_with_escape(
-    codec: CompressionCodec,
-    data: BitString,
-    helper: BitString,
-    budget: int | None = None,
-    raw_escape: bool = True,
-) -> BitString:
-    """Encode `data` into at most budget+1 bits, mode bit first.
+def encode_with_escape(codec: CompressionCodec, data: BitString, helper: BitString) -> BitString:
+    """Encode `data` into at most len(data)+1 bits, mode bit first.
 
-    budget defaults to len(data).  The compressed branch is
-    "0" || self_delimited(codec output) and is taken when it fits the
-    budget after the mode bit; otherwise the raw branch "1" || data is
-    used (or CompressorOverflow is raised when the escape is disabled).
-    Fixed-width codecs are emitted bare: their length is known, so
-    neither mode bit nor wrapper is needed.
+    The compressed branch is "0" || self_delimited(codec output) and is
+    taken when it fits in len(data) bits after the mode bit; otherwise the
+    raw branch "1" || data is used.  Fixed-width codecs are emitted bare:
+    their length is known, so neither mode bit nor wrapper is needed.
 
     The branch structure keeps data -> code injective for every codec
     that satisfies the round-trip contract.
     """
-    return _escape(codec, data, codec.compress(data, helper), budget, raw_escape)
+    return _escape(codec, data, codec.compress(data, helper), True)
 
 
 def _escape(
-    codec: CompressionCodec,
-    data: BitString,
-    code: BitString,
-    budget: int | None,
-    raw_escape: bool,
+    codec: CompressionCodec, data: BitString, code: BitString, raw_escape: bool
 ) -> BitString:
-    """encode_with_escape given `code`, the codec's output on `data`."""
-    n = len(data) if budget is None else budget
+    """encode_with_escape given `code`, the codec's output on `data`.
+
+    With raw_escape off (only the Fig. 1 build asks for that), a block
+    whose compressed branch does not fit raises CompressorOverflow.
+    """
+    n = len(data)
     if codec.fixed_code_width is not None:
         if len(code) != codec.fixed_code_width:
             raise CompressorOverflow(

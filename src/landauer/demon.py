@@ -9,10 +9,10 @@ inefficiencies are modeled.  Ledger entries are per phase; scenarios never
 interleave work-producing moves into an erasure phase.
 
 Extraction rewrites S in place into its mode-bit block encoding (see
-compress.encode_with_escape).  Because 2^n strings cannot be packed
-injectively into n bits with room to spare, an incompressible S costs one
-bit of overhead: the encoding spills a single mode bit into the zero
-region and the scenario's work value is then -1.  The conservation law
+compress.encode_with_escape; the raw escape is always on).  Because 2^n
+strings cannot be packed injectively into n bits with room to spare, an
+incompressible S costs one bit of overhead: the encoding spills a single
+mode bit into the zero region and the scenario's work value is then -1.  The conservation law
 wv + ec = len(S) holds exactly in every case.  Full scenarios
 (extract-then-erase, erase-then-extract, xor-copy) end with the zero
 region entirely zero; a bare extraction documents its code footprint
@@ -59,7 +59,6 @@ class BlockEncodeStep:
     zero region when the encoding needs len(S)+1 bits)."""
 
     codec: CompressionCodec
-    raw_escape: bool = True
 
     def apply(self, tape: Tape) -> Tape:
         return self.encode(tape)[0]
@@ -67,9 +66,7 @@ class BlockEncodeStep:
     def encode(self, tape: Tape) -> tuple[Tape, int]:
         """apply, plus the length of the block code it wrote."""
         n = len(tape.s_region)
-        coded = encode_with_escape(
-            self.codec, tape.s_region, tape.x_region, budget=n, raw_escape=self.raw_escape
-        )
+        coded = encode_with_escape(self.codec, tape.s_region, tape.x_region)
         padded = coded + BitString.zeros(n + 1 - len(coded))
         tape = replace(
             tape,
@@ -189,7 +186,6 @@ def run_extract(
     X: BitString,
     codec: CompressionCodec,
     temperature: float = DEFAULT_TEMPERATURE,
-    raw_escape: bool = True,
 ) -> ScenarioResult:
     """Reversibly compress S in place, crediting the freed zeros.
 
@@ -198,7 +194,7 @@ def run_extract(
     spill bit, stays on the tape.
     """
     tape0 = _fresh_tape(S, X)
-    step = BlockEncodeStep(codec, raw_escape)
+    step = BlockEncodeStep(codec)
     tape1, code_len = step.encode(tape0)
     wv = len(S) - code_len
     ledger = EnergyLedger(temperature=temperature)
@@ -212,14 +208,13 @@ def run_extract_then_erase(
     X: BitString,
     codec: CompressionCodec,
     temperature: float = DEFAULT_TEMPERATURE,
-    raw_escape: bool = True,
 ) -> ScenarioResult:
     """Extract work from S, then erase the residual code at one bit per bit.
 
     wv_bits + ec_bits = len(S) exactly.
     """
     tape0 = _fresh_tape(S, X)
-    encode = BlockEncodeStep(codec, raw_escape)
+    encode = BlockEncodeStep(codec)
     tape1, code_len = encode.encode(tape0)
     erase = EraseStep(erased_s=tape1.s_region, erased_spill=tape1.zero_region[:1] if code_len > len(S) else BitString())
     tape2 = erase.apply(tape1)
@@ -239,7 +234,6 @@ def run_erase_then_extract(
     X: BitString,
     codec: CompressionCodec,
     temperature: float = DEFAULT_TEMPERATURE,
-    raw_escape: bool = True,
 ) -> ScenarioResult:
     """Erase S first (cost: its coded length), then use the zeros as fuel.
 
@@ -248,7 +242,7 @@ def run_erase_then_extract(
     extract-then-erase with the ledger entries in swapped order.
     """
     tape0 = _fresh_tape(S, X)
-    code_len = len(encode_with_escape(codec, S, X, budget=len(S), raw_escape=raw_escape))
+    code_len = len(encode_with_escape(codec, S, X))
     erase = EraseStep(erased_s=S, erased_spill=BitString())
     tape1 = erase.apply(tape0)
     wv = len(S) - code_len

@@ -62,7 +62,7 @@ class GeneratorMismatch(LandauerError):
 
 
 class TooManyLines(LandauerError):
-    """Compilation exceeded the configured ancilla budget."""
+    """A synthesis step needs more chain ancilla lines than the circuit has."""
 
 
 class NonPositiveTemperature(LandauerError):

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .bitstring import BitString, encode_self_delimiting
 from .circuits import max_sweep_width
-from .compress import CompressionCodec, estimate_complexity
+from .compress import estimate_complexity
 from .errors import DomainTooLarge, StringTooShort
 from .rng import random_bits, substream
 
@@ -60,16 +59,12 @@ def check_pr_condition(q: CorrelationQuadruple) -> bool:
     return (q.x.to_int() ^ q.y.to_int()) == (q.a.to_int() & q.b.to_int())
 
 
-def complexity_rate(
-    s: BitString,
-    helper: BitString = BitString(),
-    family: Sequence[CompressionCodec] | None = None,
-) -> Fraction:
+def complexity_rate(s: BitString, helper: BitString = BitString()) -> Fraction:
     """Estimated description length per bit; an upper-bound proxy for the
     complexity rate."""
     if len(s) < MIN_RATE_LENGTH:
         raise StringTooShort(f"rates need at least {MIN_RATE_LENGTH} bits, got {len(s)}")
-    return Fraction(estimate_complexity(s, helper, family).bits, len(s))
+    return Fraction(estimate_complexity(s, helper).bits, len(s))
 
 
 def pair_helper(first: BitString, second: BitString) -> BitString:
@@ -99,10 +94,7 @@ class PrBoxReport:
 MIN_REPORT_LENGTH = 256
 
 
-def pr_report(
-    q: CorrelationQuadruple,
-    family: Sequence[CompressionCodec] | None = None,
-) -> PrBoxReport:
+def pr_report(q: CorrelationQuadruple) -> PrBoxReport:
     """Rate proxies for the three box conditions.
 
     Incompressibility: per-string rates and the joint rate of a||b (to be
@@ -115,18 +107,18 @@ def pr_report(
     if q.n < MIN_REPORT_LENGTH:
         raise StringTooShort(f"reports need n >= {MIN_REPORT_LENGTH}, got {q.n}")
     empty = BitString()
-    rate_x_a = complexity_rate(q.x, q.a, family)
-    rate_x_ab = complexity_rate(q.x, pair_helper(q.a, q.b), family)
-    rate_y_b = complexity_rate(q.y, q.b, family)
-    rate_y_ab = complexity_rate(q.y, pair_helper(q.a, q.b), family)
+    rate_x_a = complexity_rate(q.x, q.a)
+    rate_x_ab = complexity_rate(q.x, pair_helper(q.a, q.b))
+    rate_y_b = complexity_rate(q.y, q.b)
+    rate_y_ab = complexity_rate(q.y, pair_helper(q.a, q.b))
     return PrBoxReport(
         n=q.n,
         pr_condition=check_pr_condition(q),
-        rate_a=complexity_rate(q.a, empty, family),
-        rate_b=complexity_rate(q.b, empty, family),
-        rate_x=complexity_rate(q.x, empty, family),
-        rate_y=complexity_rate(q.y, empty, family),
-        rate_ab_joint=complexity_rate(q.a + q.b, empty, family),
+        rate_a=complexity_rate(q.a, empty),
+        rate_b=complexity_rate(q.b, empty),
+        rate_x=complexity_rate(q.x, empty),
+        rate_y=complexity_rate(q.y, empty),
+        rate_ab_joint=complexity_rate(q.a + q.b, empty),
         no_signaling_gap_x=abs(rate_x_a - rate_x_ab),
         no_signaling_gap_y=abs(rate_y_b - rate_y_ab),
         rate_x_given_a=rate_x_a,

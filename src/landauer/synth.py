@@ -81,7 +81,6 @@ class CompiledReversible:
     helper_lines: tuple[int, ...] = ()
     ancilla_lines: tuple[int, ...] = ()
     const_one_lines: tuple[int, ...] = ()
-    junk_restored: bool = True
     result_lines: tuple[int, ...] = ()
     helper_value: BitString | None = None
 
@@ -137,21 +136,14 @@ class CompiledReversible:
 # --- Bennett compiler -----------------------------------------------------------
 
 
-def bennett_compile(
-    src: IrreversibleCircuit,
-    ancilla_budget: int | None = None,
-) -> CompiledReversible:
+def bennett_compile(src: IrreversibleCircuit) -> CompiledReversible:
     """Compile a netlist into an ancilla-clean reversible circuit.
 
     One zero work line per source gate; outputs are CNOT-copied to fresh
     zero lines; the forward stage is then replayed in reverse, restoring
-    every work line.  Raises TooManyLines past the ancilla budget
-    (default: 4x the source gate count).
+    every work line.  The circuit has inputs + gates + outputs lines.
     """
     k, g, m = len(src.inputs), len(src.gates), len(src.outputs)
-    budget = 4 * g if ancilla_budget is None else ancilla_budget
-    if g > budget:
-        raise TooManyLines(f"{g} work lines needed, budget {budget}")
 
     line_of: dict[str, int] = {name: i for i, name in enumerate(src.inputs)}
     forward: list[Gate] = []
@@ -295,7 +287,7 @@ def build_fig1_compressor(
         if codec.decompress(code, helper) != data:
             raise CodecNotInjective(f"{codec.name} fails round-trip on {data}")
         # trailing zero padding adds no bits to the mask
-        e = _to_mask(_escape(codec, data, code, block, raw_escape))
+        e = _to_mask(_escape(codec, data, code, raw_escape))
         if e in used:
             raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
         table[_to_mask(data) << input_lines[0]] = e
@@ -349,22 +341,23 @@ def build_fig1_compressor(
         output_lines=(spare,),
         helper_lines=helper_lines,
         ancilla_lines=chain,
-        junk_restored=True,
         result_lines=register,
         helper_value=helper,
     )
 
 
 def fig1_block_oracle(
-    codec: CompressionCodec,
-    block: int,
-    helper: BitString,
-    raw_escape: bool = True,
+    codec: CompressionCodec, block: int, helper: BitString
 ) -> Callable[[BitString], BitString]:
-    """Reference map the built circuit must equal on its data register."""
+    """Reference map the built circuit must equal on its data register.
+
+    It serves builds with the raw escape on or off: a build with it off
+    exists only when every block takes the compressed branch, and there
+    both encodings agree.
+    """
 
     def oracle(data: BitString) -> BitString:
-        coded = encode_with_escape(codec, data, helper, budget=block, raw_escape=raw_escape)
+        coded = encode_with_escape(codec, data, helper)
         return coded + BitString.zeros(block + 1 - len(coded))
 
     return oracle

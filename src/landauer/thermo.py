@@ -29,15 +29,16 @@ LN2 = math.log(2.0)
 DEFAULT_TEMPERATURE = 300.0
 
 
-def to_joules(bits, temperature: float = DEFAULT_TEMPERATURE, boltzmann_k: float = BOLTZMANN_K) -> float:
-    """bits * k * T * ln 2; floats enter here and only here.
+def to_joules(bits, temperature: float = DEFAULT_TEMPERATURE) -> float:
+    """bits * k * T * ln 2 with the SI Boltzmann constant k; floats enter
+    here and only here.
 
     The temperature must be finite and above 0 K (NaN and infinities are
     refused), so every joule figure is a finite number.
     """
     if not 0 < temperature < math.inf:
         raise NonPositiveTemperature(f"temperature must be finite and > 0 K, got {temperature}")
-    return float(bits) * boltzmann_k * temperature * LN2
+    return float(bits) * BOLTZMANN_K * temperature * LN2
 
 
 @dataclass
@@ -49,7 +50,6 @@ class EnergyLedger:
     """
 
     temperature: float = DEFAULT_TEMPERATURE
-    boltzmann_k: float = BOLTZMANN_K
     entries: list[tuple[str, Fraction]] = field(default_factory=list)
 
     def credit(self, label: str, bits) -> None:
@@ -62,7 +62,7 @@ class EnergyLedger:
         return sum((v for _, v in self.entries), Fraction(0))
 
     def total_joules(self) -> float:
-        return to_joules(self.total_bits(), self.temperature, self.boltzmann_k)
+        return to_joules(self.total_bits(), self.temperature)
 
 
 def coded_length(codec: CompressionCodec, data: BitString, helper: BitString) -> int:
@@ -84,11 +84,7 @@ def wv_lower_bound(S: BitString, X: BitString, codec: CompressionCodec) -> int:
     return len(S) - coded_length(codec, S, X)
 
 
-def wv_upper_bound(
-    S: BitString,
-    X: BitString,
-    family: Sequence[CompressionCodec] | None = None,
-) -> int:
+def wv_upper_bound(S: BitString, X: BitString) -> int:
     """len(S) - estimated description length of S given X (estimated).
 
     The estimator over-estimates true description length, so this value
@@ -96,7 +92,7 @@ def wv_upper_bound(
     comes up empty reflects estimator weakness, which callers report
     rather than treat as an error.
     """
-    return len(S) - estimate_complexity(S, X, family).bits
+    return len(S) - estimate_complexity(S, X).bits
 
 
 @dataclass(frozen=True)
@@ -135,12 +131,7 @@ class BoundReport:
         return self.lower_bits
 
 
-def erasure_cost_interval(
-    S: BitString,
-    X: BitString,
-    codec: CompressionCodec,
-    family: Sequence[CompressionCodec] | None = None,
-) -> BoundReport:
+def erasure_cost_interval(S: BitString, X: BitString, codec: CompressionCodec) -> BoundReport:
     """[estimated description length, coded length] for erasing S given X.
 
     The lower side uses the family estimator and is clamped to the upper
@@ -149,27 +140,19 @@ def erasure_cost_interval(
     lower <= upper structurally; the estimated flag marks that the lower
     side may still exceed the true bound.
     """
-    return _bound_reports(S, X, codec, family)[1]
+    return _bound_reports(S, X, codec)[1]
 
 
-def wv_report(
-    S: BitString,
-    X: BitString,
-    codec: CompressionCodec,
-    family: Sequence[CompressionCodec] | None = None,
-) -> BoundReport:
+def wv_report(S: BitString, X: BitString, codec: CompressionCodec) -> BoundReport:
     """Work-value interval: codec-achieved lower, estimator-based upper."""
-    return _bound_reports(S, X, codec, family)[0]
+    return _bound_reports(S, X, codec)[0]
 
 
 def _bound_reports(
-    S: BitString,
-    X: BitString,
-    codec: CompressionCodec,
-    family: Sequence[CompressionCodec] | None = None,
+    S: BitString, X: BitString, codec: CompressionCodec
 ) -> tuple[BoundReport, BoundReport]:
     """(wv_report, erasure_cost_interval) from one estimator pass over (S, X)."""
-    est, code = estimate_with_code(S, X, codec, family)
+    est, code = estimate_with_code(S, X, codec)
     coded = _self_delimited_length(code)
     wv = BoundReport(
         quantity="WV",
@@ -211,7 +194,6 @@ def computation_cost_lower_bound(
     intermediates: Sequence[BitString],
     X: BitString,
     codec: CompressionCodec,
-    family: Sequence[CompressionCodec] | None = None,
 ) -> int:
     """Estimated lower bound, in bits, on the cost of computing B from A
     given X through the listed intermediate states.
@@ -220,39 +202,31 @@ def computation_cost_lower_bound(
     with description lengths replaced by the family estimator; with no
     intermediates this reduces to K(A|X) - len(code(B|X)).
     """
-    total = estimate_complexity(A, X, family).bits
+    total = estimate_complexity(A, X).bits
     for C in intermediates:
-        total -= coded_length(codec, C, X) - estimate_complexity(C, X, family).bits
+        total -= coded_length(codec, C, X) - estimate_complexity(C, X).bits
     total -= coded_length(codec, B, X)
     return total
 
 
 def computation_value_lower_bound(
-    A: BitString,
-    B: BitString,
-    X: BitString,
-    codec: CompressionCodec,
-    family: Sequence[CompressionCodec] | None = None,
+    A: BitString, B: BitString, X: BitString, codec: CompressionCodec
 ) -> int:
     """Estimated lower bound on the work gained computing B from A given X:
     K(B|X) - len(code(A|X))."""
-    return estimate_complexity(B, X, family).bits - coded_length(codec, A, X)
+    return estimate_complexity(B, X).bits - coded_length(codec, A, X)
 
 
 def circular_combination_report(
-    A: BitString,
-    B: BitString,
-    X: BitString,
-    codec: CompressionCodec,
-    family: Sequence[CompressionCodec] | None = None,
+    A: BitString, B: BitString, X: BitString, codec: CompressionCodec
 ) -> dict:
     """Gain of A->B versus cost of B->A: the same expression both ways.
 
     The two bounds are one formula evaluated twice; anything else would
     allow a free-energy cycle.
     """
-    gain = computation_value_lower_bound(A, B, X, codec, family)
-    cost = computation_cost_lower_bound(B, A, (), X, codec, family)
+    gain = computation_value_lower_bound(A, B, X, codec)
+    cost = computation_cost_lower_bound(B, A, (), X, codec)
     return {
         "gain_forward_bits": gain,
         "cost_backward_bits": cost,

@@ -9,6 +9,7 @@ from landauer.bitstring import BitString
 from landauer.circuits import (
     ANCILLA_ZERO,
     CONST_ONE,
+    DEFAULT_DRIFT_SLACK,
     Gate,
     ReversibleCircuit,
     check_conservative,
@@ -282,6 +283,19 @@ def test_drift_report_random_toffoli_trajectory():
         assert row.drop == rep.rows[0].state_bits - row.state_bits
     # 16-bit states cannot drop below the 64-bit slack
     assert rep.flagged_steps == ()
+
+
+@pytest.mark.parametrize("initial_bits, flagged", [(67, (1, 2)), (66, ())])
+def test_drift_report_flags_a_drop_beyond_time_cost_plus_slack(initial_bits, flagged):
+    c = ReversibleCircuit(2, (not_gate(0), cnot(0, 1)))
+    traj = simulate_trajectory(c, BitString("00"))  # states 00, 10, 11
+    # 1 bit for every later state and every time encoding, so each later
+    # step drops initial_bits - 1 against 1 + 64, and only a strict excess flags
+    est = lambda s: initial_bits if s == BitString("00") else 1
+    rep = complexity_drift_report(traj, est)
+    assert [r.drop for r in rep.rows] == [0, initial_bits - 1, initial_bits - 1]
+    assert rep.flagged_steps == flagged
+    assert rep.slack_bits == DEFAULT_DRIFT_SLACK == 64
 
 
 def test_normalize_to_toffoli_preserves_semantics():

@@ -235,6 +235,16 @@ def test_xor_run_length_beyond_any_string_is_malformed():
     assert json.loads(text)["error"]["type"] == "MalformedCode"
 
 
+# a run length of 2^60 is a legal bit-string length that no host can hold: 122 bits of input
+XOR_OUT_OF_MEMORY_RUN = "0" + str(encode_uint(2**60))
+
+
+def test_xor_run_length_beyond_memory_is_a_structured_error():
+    code, text = run_cli(["decompress", "--codec", "xor"], stdin_text=XOR_OUT_OF_MEMORY_RUN)
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "MemoryError"
+
+
 def test_usage_error_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         run_cli(["bounds", "--no-such-flag"])
@@ -509,7 +519,8 @@ def cli_argv(draw):
             argv.append(draw(flags[flag]))
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-x", "--n"])))
-    return argv, draw(st.sampled_from(["", "0110\n", "10" * 8, "012", "1" * 30, XOR_HUGE_RUN]))
+    stdin = ["", "0110\n", "10" * 8, "012", "1" * 30, XOR_HUGE_RUN, XOR_OUT_OF_MEMORY_RUN]
+    return argv, draw(st.sampled_from(stdin))
 
 
 @pytest.fixture(scope="module")

@@ -44,7 +44,14 @@ from landauer.circuits import (
     simulate_trajectory,
     toffoli,
 )
-from landauer.compress import LZ78, XOR, default_family, estimate_complexity, estimate_with_code
+from landauer.compress import (
+    LZ78,
+    XOR,
+    CompressionCodec,
+    default_family,
+    estimate_complexity,
+    estimate_with_code,
+)
 from landauer.errors import BadConstantLine, DomainTooLarge
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
 from landauer.synth import _rows_distinct
@@ -279,8 +286,9 @@ def test_one_pass_estimate_matches_separate_calls(pair):
         assert est == estimate_complexity(data, helper)
         assert code == codec.compress(data, helper)
     # a codec outside the family is still compressed, once
-    est, code = estimate_with_code(data, helper, LZ78, family=default_family()[:1])
-    assert est == estimate_complexity(data, helper, default_family()[:1])
+    outside = CompressionCodec("outside", "11", LZ78._compress, LZ78._decompress)
+    est, code = estimate_with_code(data, helper, outside)
+    assert est == estimate_complexity(data, helper)
     assert code == LZ78.compress(data, helper)
 
 

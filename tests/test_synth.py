@@ -112,13 +112,6 @@ def test_compiler_soundness_random_netlists():
         assert report.ok, report
 
 
-def test_ancilla_budget():
-    src = random_netlist(3, 10, substream(32, "budget"))
-    with pytest.raises(TooManyLines):
-        bennett_compile(src, ancilla_budget=5)
-    assert bennett_compile(src, ancilla_budget=10).junk_restored
-
-
 def test_verify_detects_one_deleted_gate():
     src = IrreversibleCircuit(
         ("a", "b"),
@@ -474,6 +467,14 @@ def test_transposition_gadget_moves_exactly_two_states():
             expected = v if x == u else u if x == v else x
             assert got == expected, (u, v, x)
             assert state[reg_width:].weight() == 0  # chains restored
+
+
+def test_transposition_gadget_without_chain_ancillas_is_refused():
+    from landauer.synth import _transposition_gates
+
+    # five register lines leave four controls, which need two chain ancillas
+    with pytest.raises(TooManyLines):
+        _transposition_gates(0b00000, 0b10110, tuple(range(5)), ())
 
 
 def test_fig1_composed_with_reverse_restores_input():
