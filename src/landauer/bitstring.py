@@ -36,7 +36,8 @@ class BitString:
             s = bits
         else:
             s = "".join("1" if b else "0" for b in bits)
-        if s.strip("01"):
+        # one C pass; "replace" maps non-ASCII (lone surrogates too) to "?"
+        if s.encode("ascii", "replace").translate(None, b"01"):
             raise ValueError(f"bit string may contain only '0'/'1': {s!r}")
         self._s = s
 
@@ -146,7 +147,7 @@ def decode_uint(s: BitString, start: int = 0) -> tuple[int, int]:
 
 def encode_self_delimiting(payload: BitString) -> BitString:
     """Prefix-free wrapping: gamma length header followed by the payload."""
-    return encode_uint(len(payload)) + payload
+    return _trusted(_gamma(len(payload) + 1) + payload._s)
 
 
 def decode_self_delimiting(s: BitString, start: int = 0) -> tuple[BitString, int]:

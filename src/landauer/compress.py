@@ -10,6 +10,11 @@ bound on true description length.  encode_with_escape always keeps the
 raw escape, which the tape scenarios need for wv + ec = len(S); only the
 Fig. 1 build can turn it off.
 
+Kernels must be pure functions of (data, helper), so compress outputs
+are reused: CompressionCodec.compress keeps its last 16 distinct (kernel,
+data, helper) calls and their codes alive, and nothing else.  A raising
+kernel is called again every time; decompress is not cached.
+
 Registered codecs:
 
   identity   output = input.  Baseline; 1-bit family header.
@@ -36,12 +41,14 @@ in parse order, so the bitstream is unchanged by the trie kernel.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .bitstring import (
     BitString,
+    _trusted,
     decode_self_delimiting,
     decode_uint,
     encode_self_delimiting,
@@ -58,6 +65,10 @@ class CompressionCodec:
     estimate is the length of a genuine self-contained description.
     fixed_code_width, when set, marks a codec whose output length is a
     known constant (no self-delimiting wrapper is needed around it).
+
+    _compress and _decompress must be pure functions of (data, helper):
+    compress reuses the codes of its last 16 distinct (kernel, data,
+    helper) calls, and keeps those triples and their kernels alive.
     """
 
     name: str
@@ -67,10 +78,16 @@ class CompressionCodec:
     fixed_code_width: int | None = None
 
     def compress(self, data: BitString, helper: BitString) -> BitString:
-        return BitString(self._compress(str(data), str(helper)))
+        return _compressed(self._compress, str(data), str(helper))
 
     def decompress(self, code: BitString, helper: BitString) -> BitString:
         return BitString(self._decompress(str(code), str(helper)))
+
+
+@functools.lru_cache(maxsize=16)
+def _compressed(kernel: Callable[[str, str], str], data: str, helper: str) -> BitString:
+    # lru_cache stores no exception, so a failing kernel fails on every call
+    return BitString(kernel(data, helper))
 
 
 # --- identity -----------------------------------------------------------------
@@ -113,6 +130,8 @@ def _lz78_warmup(helper: str) -> tuple[list[int], int]:
 def _lz78_compress(data: str, helper: str) -> str:
     child, size = _lz78_warmup(helper)
     out = [str(encode_uint(len(data)))]
+    # token (index, bit) is k = 2*index + bit in size.bit_length() + 1 bits
+    token = f"0{size.bit_length() + 1}b"
     slot = 0
     for bit in data.encode().translate(_BIT_VALUES):
         k = slot + bit
@@ -120,11 +139,10 @@ def _lz78_compress(data: str, helper: str) -> str:
         if nxt:
             slot = nxt
             continue
-        # token: index field of size.bit_length() bits (indices run 0..size)
-        if size:
-            out.append(format(slot >> 1, f"0{size.bit_length()}b"))
-        out.append("01"[bit])
+        out.append(format(k, token))
         size += 1
+        if not size & size - 1:  # a power of two: the index field widens
+            token = f"0{size.bit_length() + 1}b"
         child[k] = 2 * size
         child += (0, 0)
         slot = 0
@@ -324,10 +342,6 @@ def estimate_with_code(
 # --- block encoding with raw escape ---------------------------------------------
 
 
-_MODE_CODED = BitString("0")
-_MODE_RAW = BitString("1")
-
-
 def encode_with_escape(codec: CompressionCodec, data: BitString, helper: BitString) -> BitString:
     """Encode `data` into at most len(data)+1 bits, mode bit first.
 
@@ -361,12 +375,12 @@ def _escape(
         return code
     wrapped = encode_self_delimiting(code)
     if len(wrapped) <= n:
-        return _MODE_CODED + wrapped
+        return _trusted("0" + str(wrapped))
     if not raw_escape:
         raise CompressorOverflow(
             f"{codec.name} code needs {len(wrapped)} bits, budget {n}, raw escape off"
         )
-    return _MODE_RAW + data
+    return _trusted("1" + str(data))
 
 
 def decode_with_escape(

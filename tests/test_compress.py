@@ -15,14 +15,17 @@ from landauer.compress import (
     IDENTITY,
     LZ78,
     XOR,
+    CompressionCodec,
     default_family,
     encode_with_escape,
     decode_with_escape,
     estimate_complexity,
     raw_block_codec,
 )
+from landauer.demon import run_erase_then_extract, run_extract_then_erase
 from landauer.errors import CompressorOverflow, MalformedCode
 from landauer.rng import random_bits, substream
+from landauer.thermo import erasure_cost_interval, wv_report
 
 bits_small = st.text(alphabet="01", max_size=256).map(BitString)
 EMPTY = BitString()
@@ -296,3 +299,35 @@ def test_encode_with_escape_injective_over_block():
         assert padded not in seen
         seen.add(padded)
         assert decode_with_escape(BOOKMARK8, BitString(padded), 8, helper) == s
+
+
+# --- the compress memo ---------------------------------------------------------------
+
+
+def test_one_compression_per_data_helper_pair():
+    calls = []
+
+    def counting(data: str, helper: str) -> str:
+        calls.append((data, helper))
+        return LZ78._compress(data, helper)
+
+    codec = CompressionCodec("counting", "11", counting, LZ78._decompress)
+    S = random_bits(substream(11, "memo"), 600)
+    X = S[:200]
+    estimate_complexity(S, X)
+    wv_report(S, X, codec)
+    erasure_cost_interval(S, X, codec)
+    run_extract_then_erase(S, X, codec)
+    run_erase_then_extract(S, X, codec)
+    assert calls == [(str(S), str(X))]
+
+
+def test_failing_kernels_fail_on_every_call():
+    rb = raw_block_codec(4)
+    for _ in range(2):
+        with pytest.raises(CompressorOverflow):
+            rb.compress(BitString("01101"), EMPTY)
+    bad = CompressionCodec("bad", "11", lambda data, helper: "012", LZ78._decompress)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="only '0'/'1'"):
+            bad.compress(BitString("01"), EMPTY)

@@ -47,6 +47,7 @@ from landauer.circuits import (
 from landauer.compress import (
     LZ78,
     XOR,
+    ComplexityEstimate,
     CompressionCodec,
     default_family,
     estimate_complexity,
@@ -238,6 +239,24 @@ def circuits_of_width(draw, widths=st.integers(1, 17)):
     return ReversibleCircuit(w, tuple(gates))
 
 
+def lz78_width_examples(test):
+    """Examples at every lz78 index-width change up to 7 bits.
+
+    The helper is the first D phrases in breadth-first order (each is a
+    known phrase plus one bit), so its warm-up dictionary has exactly D
+    entries, for D = 2^k - 1 and 2^k, k = 0..6.  The data then starts with
+    a fused (index, bit) token at width D.bit_length() and another at the
+    width of D + 1, or is one known phrase: a lone index-only token.
+    """
+    phrases = [format(v, "b")[1:] for v in range(2, 2**8)]
+    for D in sorted({d for k in range(7) for d in (2**k - 1, 2**k)}):
+        helper = "".join(phrases[:D])
+        test = example(("".join(phrases[D : D + 2]), helper))(test)
+        if D:
+            test = example((phrases[D - 1], helper))(test)
+    return test
+
+
 # --- kernels equal their references --------------------------------------------------
 
 
@@ -246,6 +265,7 @@ def circuits_of_width(draw, widths=st.integers(1, 17)):
 @example(("", "0110"))
 @example(("0110", ""))
 @example(("0" * 300, "0"))
+@lz78_width_examples
 @settings(max_examples=300)
 def test_lz78_trie_matches_dict_reference(pair):
     data, helper = pair
@@ -280,16 +300,26 @@ def test_pr_generation_and_check_match_per_bit_reference(n, seed):
 @given(data_helper())
 @settings(max_examples=100)
 def test_one_pass_estimate_matches_separate_calls(pair):
+    # expected values come from the kernels called directly: codec.compress
+    # would be served from the same cache entries as the one-pass estimate
+    codes = {c.name: BitString(c._compress(*pair)) for c in default_family()}
+    cost = {
+        c.name: len(encode_uint(len(c.id_bits))) + len(c.id_bits) + len(codes[c.name])
+        for c in default_family()
+    }
+    best = min(cost, key=cost.get)  # the first cheapest, in family order
+    expected = ComplexityEstimate(cost[best], best)
     data, helper = BitString(pair[0]), BitString(pair[1])
     for codec in default_family():
         est, code = estimate_with_code(data, helper, codec)
-        assert est == estimate_complexity(data, helper)
-        assert code == codec.compress(data, helper)
+        assert est == expected
+        assert code == codes[codec.name]
+    assert estimate_complexity(data, helper) == expected
     # a codec outside the family is still compressed, once
     outside = CompressionCodec("outside", "11", LZ78._compress, LZ78._decompress)
     est, code = estimate_with_code(data, helper, outside)
-    assert est == estimate_complexity(data, helper)
-    assert code == LZ78.compress(data, helper)
+    assert est == expected
+    assert code == codes["lz78"]
 
 
 # --- trusted constructions equal validated ones ----------------------------------------
@@ -320,11 +350,24 @@ def test_trusted_results_equal_validating_constructor(a_text, b_text, i, j):
 
 
 def test_validating_constructor_still_rejects_non_bits():
-    for text in ("012", "2", "01 ", "0b1"):
+    for text in ("012", "2", "01 ", "0b1", "é", "\ud800", "٠", "１", "0\x00", "0\n"):
         with pytest.raises(ValueError):
             BitString(text)
     with pytest.raises(ValueError):
         BitString("01") + "012"
+
+
+@given(st.text())
+@example("\ud800")
+@example("0\udfff1")
+@settings(max_examples=300)
+def test_validating_constructor_accepts_exactly_the_bit_strings(text):
+    if set(text) <= {"0", "1"}:
+        assert str(BitString(text)) == text
+    else:
+        with pytest.raises(ValueError) as info:
+            BitString(text)
+        assert str(info.value) == f"bit string may contain only '0'/'1': {text!r}"
 
 
 # --- circuit-sweep kernels equal their references ---------------------------------------
