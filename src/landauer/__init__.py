@@ -61,7 +61,6 @@ from .compress import (
     encode_with_escape,
     estimate_complexity,
     get_codec,
-    raw_block_codec,
 )
 from .demon import (
     ScenarioResult,

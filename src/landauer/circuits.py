@@ -376,12 +376,13 @@ def check_injective_bruteforce(
         hit = np.zeros(1 << n, dtype=bool)
         hit[permutation_table(f)] = True
         return bool(hit.all())
-    seen = bytearray(1 << n)
+    # outputs may be of any length, so they are kept whole, not by value
+    seen: set[BitString] = set()
     for x in range(1 << n):
-        y = f(BitString.from_int(x, n)).to_int()
-        if seen[y]:
+        y = f(BitString.from_int(x, n))
+        if y in seen:
             return False
-        seen[y] = 1
+        seen.add(y)
     return True
 
 

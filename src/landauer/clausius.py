@@ -151,9 +151,12 @@ def count_class_transitions(
     proved conservative over its whole 2^(2n) cube when that cube is within
     the sweep ceiling; above it, the check is that every image in the swept
     class keeps its source state's weight, which is the property the count
-    relies on.  Either failure raises NotConservative.
+    relies on.  Either failure raises NotConservative.  A target of another
+    n than the source's raises ValueError.
     """
     n = source.n
+    if target.n != n:
+        raise ValueError(f"target n = {target.n} does not match source n = {n}")
     if c.width != 2 * n:
         raise ValueError(f"circuit width {c.width} does not match 2n = {2 * n}")
     _check_class_sweep(source)

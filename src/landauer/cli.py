@@ -106,12 +106,7 @@ def _base_report(args) -> dict:
 
 def _cmd_compile(args) -> dict:
     if args.fig1:
-        compiled = build_fig1_compressor(
-            get_codec(args.codec),
-            args.block,
-            BitString(args.helper),
-            raw_escape=not args.no_raw_escape,
-        )
+        compiled = build_fig1_compressor(get_codec(args.codec), args.block, BitString(args.helper))
         mode = "fig1"
     else:
         compiled = bennett_compile(_load(load_netlist, args.netlist))
@@ -292,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codec", choices=sorted(REGISTRY), default="lz78")
     p.add_argument("--block", type=int, default=8)
     p.add_argument("--helper", default="", help="helper bits for --fig1")
-    p.add_argument("--no-raw-escape", action="store_true")
     p.add_argument("--out", help="write circuit JSON here")
     p.set_defaults(func=_cmd_compile)
 

@@ -7,8 +7,8 @@ decompress(compress(data, helper), helper) == data for all inputs.  Any
 such codec yields a work-value lower bound; the estimator takes the best
 over the four registered codecs (default_family) and is always an upper
 bound on true description length.  encode_with_escape always keeps the
-raw escape, which the tape scenarios need for wv + ec = len(S); only the
-Fig. 1 build can turn it off.
+raw escape, which the tape scenarios need for wv + ec = len(S) and the
+Fig. 1 build needs for a bijective block map.
 
 Kernels must be pure functions of (data, helper), so compress outputs
 are reused: CompressionCodec.compress keeps its last 16 distinct (kernel,
@@ -54,7 +54,7 @@ from .bitstring import (
     encode_self_delimiting,
     encode_uint,
 )
-from .errors import CompressorOverflow, MalformedCode
+from .errors import MalformedCode
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,6 @@ class CompressionCodec:
 
     id_bits is a short unique tag charged by the estimator so that every
     estimate is the length of a genuine self-contained description.
-    fixed_code_width, when set, marks a codec whose output length is a
-    known constant (no self-delimiting wrapper is needed around it).
 
     _compress and _decompress must be pure functions of (data, helper):
     compress reuses the codes of its last 16 distinct (kernel, data,
@@ -75,7 +73,6 @@ class CompressionCodec:
     id_bits: str
     _compress: Callable[[str, str], str]
     _decompress: Callable[[str, str], str]
-    fixed_code_width: int | None = None
 
     def compress(self, data: BitString, helper: BitString) -> BitString:
         return _compressed(self._compress, str(data), str(helper))
@@ -275,26 +272,6 @@ def get_codec(name: str) -> CompressionCodec:
         raise KeyError(f"unknown codec {name!r}; registered: {sorted(REGISTRY)}")
 
 
-def raw_block_codec(width: int) -> CompressionCodec:
-    """Fixed-width pass-through codec (not registered): output == input.
-
-    Useful as the degenerate block codec whose block encoding is the
-    identity; rejects inputs of any other length.
-    """
-
-    def comp(data: str, helper: str) -> str:
-        if len(data) != width:
-            raise CompressorOverflow(f"raw block codec expects exactly {width} bits")
-        return data
-
-    def decomp(code: str, helper: str) -> str:
-        if len(code) != width:
-            raise MalformedCode(f"raw block code must be {width} bits")
-        return code
-
-    return CompressionCodec(f"raw{width}", "01", comp, decomp, fixed_code_width=width)
-
-
 # --- description-length estimator ----------------------------------------------
 
 
@@ -347,39 +324,14 @@ def encode_with_escape(codec: CompressionCodec, data: BitString, helper: BitStri
 
     The compressed branch is "0" || self_delimited(codec output) and is
     taken when it fits in len(data) bits after the mode bit; otherwise the
-    raw branch "1" || data is used.  Fixed-width codecs are emitted bare:
-    their length is known, so neither mode bit nor wrapper is needed.
+    raw branch "1" || data is used.
 
     The branch structure keeps data -> code injective for every codec
     that satisfies the round-trip contract.
     """
-    return _escape(codec, data, codec.compress(data, helper), True)
-
-
-def _escape(
-    codec: CompressionCodec, data: BitString, code: BitString, raw_escape: bool
-) -> BitString:
-    """encode_with_escape given `code`, the codec's output on `data`.
-
-    With raw_escape off (only the Fig. 1 build asks for that), a block
-    whose compressed branch does not fit raises CompressorOverflow.
-    """
-    n = len(data)
-    if codec.fixed_code_width is not None:
-        if len(code) != codec.fixed_code_width:
-            raise CompressorOverflow(
-                f"{codec.name} emitted {len(code)} bits, declared {codec.fixed_code_width}"
-            )
-        if len(code) > n:
-            raise CompressorOverflow(f"{codec.name} code exceeds budget {n}")
-        return code
-    wrapped = encode_self_delimiting(code)
-    if len(wrapped) <= n:
+    wrapped = encode_self_delimiting(codec.compress(data, helper))
+    if len(wrapped) <= len(data):
         return _trusted("0" + str(wrapped))
-    if not raw_escape:
-        raise CompressorOverflow(
-            f"{codec.name} code needs {len(wrapped)} bits, budget {n}, raw escape off"
-        )
     return _trusted("1" + str(data))
 
 
@@ -390,8 +342,6 @@ def decode_with_escape(
     helper: BitString,
 ) -> BitString:
     """Invert encode_with_escape; `coded` may carry zero padding at the end."""
-    if codec.fixed_code_width is not None:
-        return codec.decompress(coded[: codec.fixed_code_width], helper)
     if len(coded) == 0:
         raise MalformedCode("empty block code")
     if coded[0] == 1:

@@ -37,10 +37,6 @@ class MalformedCode(LandauerError):
     """A self-delimiting header or codec bit stream cannot be parsed."""
 
 
-class CompressorOverflow(LandauerError):
-    """A coded block does not fit the available bit budget."""
-
-
 class CodecNotInjective(LandauerError):
     """A codec failed the round-trip (injectivity) contract on its domain."""
 

@@ -55,7 +55,7 @@ from .circuits import (
     simulate,
     toffoli,
 )
-from .compress import CompressionCodec, _escape, encode_with_escape
+from .compress import CompressionCodec, encode_with_escape
 from .errors import (
     CodecNotInjective,
     DomainTooLarge,
@@ -239,16 +239,13 @@ def _cycles(perm: dict[int, int]) -> list[list[int]]:
 
 
 def build_fig1_compressor(
-    codec: CompressionCodec,
-    block: int,
-    helper: BitString,
-    raw_escape: bool = True,
+    codec: CompressionCodec, block: int, helper: BitString
 ) -> CompiledReversible:
     """Reversible in-place block compression with helper.
 
     The returned circuit maps, on its block+1-line data register,
 
-        data(S) || spare-0   ->   code(S, helper) || zero padding,
+        spare-0 || data(S)   ->   code(S, helper) || zero padding,
 
     with the helper carried unchanged on inert lines and all chain
     ancillas restored to zero.  The map restricted to the register is a
@@ -256,10 +253,9 @@ def build_fig1_compressor(
     injective by construction and can be swept exhaustively.
 
     Raises CodecNotInjective when the codec fails the round trip on the
-    block domain, and CompressorOverflow when a block cannot be encoded
-    under the given escape policy.  The build enumerates the register cube,
-    so a register of block+1 lines above the sweep ceiling raises
-    DomainTooLarge before any codec call.
+    block domain.  The build enumerates the register cube, so a register
+    of block+1 lines above the sweep ceiling raises DomainTooLarge before
+    any codec call.
     """
     if block < 1:
         raise ValueError("block must be at least 1")
@@ -267,40 +263,28 @@ def build_fig1_compressor(
     if reg_width > max_sweep_width():
         raise DomainTooLarge(f"block register of {reg_width} lines exceeds ceiling {max_sweep_width()}")
 
-    fixed = codec.fixed_code_width is not None
-    # Register layout: the encoded block always starts at line 0.  For
-    # mode-bit codecs the input data sits on lines 1..block so that the raw
-    # branch is a bare flip of line 0; fixed-width codecs place data on
-    # lines 0..block-1 (their encoding carries no mode bit).
-    if fixed:
-        input_lines = tuple(range(block))
-        spare = block
-    else:
-        input_lines = tuple(range(1, block + 1))
-        spare = 0
-
+    # The data sits on lines 1..block and line 0 takes the mode bit, so the
+    # raw branch is a bare flip of line 0.
     table: dict[int, int] = {}
     used: set[int] = set()
     for s_val in range(1 << block):
         data = BitString.from_int(s_val, block)
-        code = codec.compress(data, helper)
-        if codec.decompress(code, helper) != data:
+        if codec.decompress(codec.compress(data, helper), helper) != data:
             raise CodecNotInjective(f"{codec.name} fails round-trip on {data}")
-        # trailing zero padding adds no bits to the mask
-        e = _to_mask(_escape(codec, data, code, raw_escape))
+        # trailing zero padding adds no bits to the mask; the code is a memo hit
+        e = _to_mask(encode_with_escape(codec, data, helper))
         if e in used:
             raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
-        table[_to_mask(data) << input_lines[0]] = e
+        table[_to_mask(data) << 1] = e
         used.add(e)
 
-    base_mask = 0 if fixed else 1  # the final flip of line 0 absorbs the raw branch
-    # Extend to a permutation: leftover points prefer their base-flipped
+    # Extend to a permutation: leftover points prefer their mode-flipped
     # partner, which makes the residue permutation sparse.
     deferred: list[int] = []
     for v in range(1 << reg_width):
         if v in table:
             continue
-        pref = v ^ base_mask
+        pref = v ^ 1
         if pref not in used:
             table[v] = pref
             used.add(pref)
@@ -310,7 +294,7 @@ def build_fig1_compressor(
     for v, img in zip(deferred, leftover_images):
         table[v] = img
 
-    sigma = {x: y ^ base_mask for x, y in table.items()}
+    sigma = {x: y ^ 1 for x, y in table.items()}  # the final flip of line 0 absorbs the raw branch
     moved = {x for x, y in sigma.items() if y != x}
 
     register = tuple(range(reg_width))
@@ -325,20 +309,16 @@ def build_fig1_compressor(
         anchor = cyc[0]
         for other in cyc[1:]:
             gates += _transposition_gates(anchor, other, register, chain)
-    if base_mask:
-        gates.append(not_gate(0))
+    gates.append(not_gate(0))
 
-    roles = [OUTPUT_ALIAS] * reg_width
-    for i in input_lines:
-        roles[i] = INPUT
-    roles += [ANCILLA_ZERO] * chain_count + [HELPER] * len(helper)
+    roles = [OUTPUT_ALIAS] + [INPUT] * block + [ANCILLA_ZERO] * chain_count + [HELPER] * len(helper)
     circuit = ReversibleCircuit(
         reg_width + chain_count + len(helper), tuple(gates), tuple(roles)
     )
     return CompiledReversible(
         circuit=circuit,
-        input_lines=input_lines,
-        output_lines=(spare,),
+        input_lines=register[1:],
+        output_lines=(0,),
         helper_lines=helper_lines,
         ancilla_lines=chain,
         result_lines=register,
@@ -349,12 +329,7 @@ def build_fig1_compressor(
 def fig1_block_oracle(
     codec: CompressionCodec, block: int, helper: BitString
 ) -> Callable[[BitString], BitString]:
-    """Reference map the built circuit must equal on its data register.
-
-    It serves builds with the raw escape on or off: a build with it off
-    exists only when every block takes the compressed branch, and there
-    both encodings agree.
-    """
+    """Reference map the built circuit must equal on its data register."""
 
     def oracle(data: BitString) -> BitString:
         coded = encode_with_escape(codec, data, helper)

@@ -223,6 +223,13 @@ def test_injective_bruteforce_on_circuit_and_blackbox():
     assert check_injective_bruteforce(lambda s: s, 6)
 
 
+def test_injective_bruteforce_blackbox_outputs_of_any_length():
+    # longer than n bits, and equal in integer value: "1", "01", "001", ...
+    assert check_injective_bruteforce(lambda s: s + s, 3)
+    assert check_injective_bruteforce(lambda s: BitString("0" * s.to_int() + "1"), 3)
+    assert not check_injective_bruteforce(lambda s: BitString("1" * 9), 2)
+
+
 def test_injective_bruteforce_domain_cap():
     with pytest.raises(DomainTooLarge):
         check_injective_bruteforce(lambda s: s, 24)

@@ -128,6 +128,15 @@ def test_count_class_transitions_identity():
     assert count_class_transitions(identity, balanced, other) == 0
 
 
+def test_count_class_transitions_rejects_a_target_of_another_n():
+    from landauer.circuits import ReversibleCircuit
+
+    identity = ReversibleCircuit(8)
+    for target in (WeightCouple(3, 3, 1), WeightCouple(6, 3, 1)):
+        with pytest.raises(ValueError, match="target n"):
+            count_class_transitions(identity, WeightCouple(4, 2, 2), target)
+
+
 def test_count_class_transitions_requires_conservative():
     from landauer.circuits import ReversibleCircuit, not_gate
 

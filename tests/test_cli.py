@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -465,7 +466,6 @@ VOCABULARY = {
         ("--codec", CODEC),
         ("--block", st.one_of(st.integers(1, 9), st.integers(21, 64)).map(str)),
         ("--helper", BITS),
-        ("--no-raw-escape", None),
         ("--out", st.sampled_from(["{out}", "{missing}/c.json"])),
     ],
     "simulate": [("--circuit", FILE), ("--input", BITS), ("--trajectory", None)],
@@ -499,6 +499,15 @@ REQUIRED = {
     "clausius": st.just(["--n", "--delta"]),
     "prbox": st.just([]),
 }
+
+
+def test_the_argv_vocabulary_names_every_option_of_each_subcommand():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(VOCABULARY)
+    for name, sub in commands.choices.items():
+        defined = {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        assert defined == {flag for flag, _ in VOCABULARY[name] + COMMON}, name
 
 
 @st.composite

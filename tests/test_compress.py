@@ -20,10 +20,9 @@ from landauer.compress import (
     encode_with_escape,
     decode_with_escape,
     estimate_complexity,
-    raw_block_codec,
 )
 from landauer.demon import run_erase_then_extract, run_extract_then_erase
-from landauer.errors import CompressorOverflow, MalformedCode
+from landauer.errors import MalformedCode
 from landauer.rng import random_bits, substream
 from landauer.thermo import erasure_cost_interval, wv_report
 
@@ -204,14 +203,6 @@ def test_bookmark8_compresses_the_tiled_helper():
     )
 
 
-def test_raw_block_codec():
-    rb = raw_block_codec(4)
-    assert rb.fixed_code_width == 4
-    assert rb.compress(BitString("0110"), BitString()) == BitString("0110")
-    with pytest.raises(CompressorOverflow):
-        rb.compress(BitString("01"), BitString())
-
-
 # --- registry-wide injectivity ----------------------------------------------------
 
 
@@ -301,6 +292,18 @@ def test_encode_with_escape_injective_over_block():
         assert decode_with_escape(BOOKMARK8, BitString(padded), 8, helper) == s
 
 
+@pytest.mark.parametrize("codec", default_family(), ids=lambda c: c.name)
+@given(block=st.integers(1, 8), helper=st.text(alphabet="01", max_size=16).map(BitString))
+@settings(max_examples=40, deadline=None)
+def test_every_block_domain_has_a_raw_block(codec, block, helper):
+    # 2^block distinct self-delimited codes are a prefix-free set, so by the
+    # Kraft inequality they fit in block bits only as all of {0,1}^block; but
+    # "1" 0^(block-1) is a self-delimited code only for block 1, and "0" never
+    # is.  Some block always escapes raw: without the escape no encoding exists
+    codes = [encode_with_escape(codec, BitString.from_int(v, block), helper) for v in range(1 << block)]
+    assert any(code[0] == 1 for code in codes)
+
+
 # --- the compress memo ---------------------------------------------------------------
 
 
@@ -323,10 +326,13 @@ def test_one_compression_per_data_helper_pair():
 
 
 def test_failing_kernels_fail_on_every_call():
-    rb = raw_block_codec(4)
+    def raising(data: str, helper: str) -> str:
+        raise MalformedCode("raising kernel")
+
+    fails = CompressionCodec("fails", "11", raising, LZ78._decompress)
     for _ in range(2):
-        with pytest.raises(CompressorOverflow):
-            rb.compress(BitString("01101"), EMPTY)
+        with pytest.raises(MalformedCode, match="raising kernel"):
+            fails.compress(BitString("01101"), EMPTY)
     bad = CompressionCodec("bad", "11", lambda data, helper: "012", LZ78._decompress)
     for _ in range(3):
         with pytest.raises(ValueError, match="only '0'/'1'"):

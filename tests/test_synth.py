@@ -20,12 +20,10 @@ from landauer.compress import (
     IDENTITY,
     LZ78,
     XOR,
-    raw_block_codec,
 )
 from landauer.errors import (
     BadConstantLine,
     CodecNotInjective,
-    CompressorOverflow,
     DomainTooLarge,
     TooManyLines,
     WidthMismatch,
@@ -48,19 +46,14 @@ from landauer.synth import (
 )
 
 
-def fig1_expected(codec, block, helper, data, raw_escape=True):
+def fig1_expected(codec, block, helper, data):
     """Hand-rolled expected register content, independent of the builder
     and of compress.encode_with_escape."""
-    if codec.fixed_code_width is not None:
-        code = codec.compress(data, helper)
-        return code + BitString.zeros(block + 1 - len(code))
     wrapped = encode_self_delimiting(codec.compress(data, helper))
     if len(wrapped) <= block:
         coded = BitString("0") + wrapped
-    elif raw_escape:
-        coded = BitString("1") + data
     else:
-        raise AssertionError("expected overflow")
+        coded = BitString("1") + data
     return coded + BitString.zeros(block + 1 - len(coded))
 
 
@@ -277,19 +270,6 @@ def test_fig1_xor_matches_its_oracle():
     comp = build_fig1_compressor(XOR, 8, helper)
     report = verify_compiled(comp, fig1_block_oracle(XOR, 8, helper))
     assert report.ok and report.swept == 256
-
-
-def test_fig1_raw_block_codec_is_identity_on_register():
-    comp = build_fig1_compressor(raw_block_codec(4), 4, BitString())
-    assert comp.circuit.gate_count() == 0
-    for v in range(16):
-        s = BitString.from_int(v, 4)
-        assert comp.run_result(s) == s + BitString("0")
-
-
-def test_fig1_identity_codec_overflows_without_escape():
-    with pytest.raises(CompressorOverflow):
-        build_fig1_compressor(IDENTITY, 4, BitString(), raw_escape=False)
 
 
 def test_fig1_identity_codec_with_escape_is_mode_flip():
