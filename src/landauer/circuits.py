@@ -349,7 +349,7 @@ def permutation_table(c: ReversibleCircuit) -> np.ndarray:
         for k in range(0, c.width, 8):
             acc = np.zeros(count, dtype=np.uint8)
             for line in reversed(image[k : k + 8]):
-                acc <<= 1
+                acc += acc  # doubling, not <<=: numpy adds uint8 arrays much faster than it shifts them
                 acc |= line
             lanes[:, k >> 3] = acc
         table = lanes.view("<i8").ravel().astype(np.int64, copy=False)

@@ -341,7 +341,10 @@ def decode_with_escape(
     data_len: int,
     helper: BitString,
 ) -> BitString:
-    """Invert encode_with_escape; `coded` may carry zero padding at the end."""
+    """Invert encode_with_escape; `coded` may carry zero padding at the end.
+
+    Raises MalformedCode unless the code decodes to exactly data_len bits.
+    """
     if len(coded) == 0:
         raise MalformedCode("empty block code")
     if coded[0] == 1:
@@ -349,4 +352,7 @@ def decode_with_escape(
             raise MalformedCode("raw block code cut short")
         return coded[1 : 1 + data_len]
     payload, _ = decode_self_delimiting(coded, 1)
-    return codec.decompress(payload, helper)
+    data = codec.decompress(payload, helper)
+    if len(data) != data_len:
+        raise MalformedCode(f"block code decodes to {len(data)} bits, expected {data_len}")
+    return data

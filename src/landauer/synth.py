@@ -28,16 +28,26 @@ reusable zero ancillas.  Gate count therefore scales with the number of
 compressible blocks, not with 2^block, and the whole line set stays small
 enough for exhaustive bijectivity sweeps.  The helper is baked into the
 encoding table and carried on inert HELPER lines, unchanged by every gate.
+
+The build and fig1_block_oracle read one checked block table: each of the
+2^block blocks is compressed, round-tripped and checked for a collision
+once.  Only the last table is cached: a build is verified right after it,
+and consecutive builds seldom share (codec, block, helper), so more entries
+would only keep dead tables alive.  Verifying against that table is still not circular: it is the
+codec's encoding, not the gate list, and the tests check the registers
+against an encoding rebuilt from the codec alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bitstring import BitString
+from .bitstring import BitString, _trusted
 from .circuits import (
     ANCILLA_ZERO,
     HELPER,
@@ -257,26 +267,11 @@ def build_fig1_compressor(
     of block+1 lines above the sweep ceiling raises DomainTooLarge before
     any codec call.
     """
-    if block < 1:
-        raise ValueError("block must be at least 1")
-    reg_width = block + 1
-    if reg_width > max_sweep_width():
-        raise DomainTooLarge(f"block register of {reg_width} lines exceeds ceiling {max_sweep_width()}")
-
     # The data sits on lines 1..block and line 0 takes the mode bit, so the
     # raw branch is a bare flip of line 0.
-    table: dict[int, int] = {}
-    used: set[int] = set()
-    for s_val in range(1 << block):
-        data = BitString.from_int(s_val, block)
-        if codec.decompress(codec.compress(data, helper), helper) != data:
-            raise CodecNotInjective(f"{codec.name} fails round-trip on {data}")
-        # trailing zero padding adds no bits to the mask; the code is a memo hit
-        e = _to_mask(encode_with_escape(codec, data, helper))
-        if e in used:
-            raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
-        table[_to_mask(data) << 1] = e
-        used.add(e)
+    table = _fig1_codes(codec, block, helper).copy()
+    used = set(table.values())
+    reg_width = block + 1
 
     # Extend to a permutation: leftover points prefer their mode-flipped
     # partner, which makes the residue permutation sparse.
@@ -329,13 +324,62 @@ def build_fig1_compressor(
 def fig1_block_oracle(
     codec: CompressionCodec, block: int, helper: BitString
 ) -> Callable[[BitString], BitString]:
-    """Reference map the built circuit must equal on its data register."""
+    """Reference map the built circuit must equal on its data register:
+    data -> code(data, helper) zero-padded to block+1 bits.
+
+    The codes come from the same checked block table as the build, fetched
+    once here, so a build and its verification run the codec over the
+    block domain once; the oracle is then a lookup.  Verification stays
+    independent of the builder all the same: the table is the codec's
+    encode_with_escape, not the synthesized gates, and the tests rebuild
+    the expected register without either.  Raises WidthMismatch for data
+    of any length but `block`, and what the build raises for the table.
+    """
+    width = block + 1
+    codes = [_trusted(format(e, f"0{width}b")[::-1]) for e in _fig1_codes(codec, block, helper).values()]
 
     def oracle(data: BitString) -> BitString:
-        coded = encode_with_escape(codec, data, helper)
-        return coded + BitString.zeros(block + 1 - len(coded))
+        if len(data) != block:
+            raise WidthMismatch(f"expected {block} data bits, got {len(data)}")
+        return codes[data.to_int()]
 
     return oracle
+
+
+def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> Mapping[int, int]:
+    """The checked block table of a Fig. 1 compressor, read-only.
+
+    It maps the register state of each data value (data on lines
+    1..block, line 0 clear), in value order, to the line mask of its
+    zero-padded code (padding adds no bits to a mask).  Too small a block,
+    or a register above the sweep ceiling, is refused on every call before
+    the cache and before any codec call.
+    """
+    if block < 1:
+        raise ValueError("block must be at least 1")
+    if block + 1 > max_sweep_width():
+        raise DomainTooLarge(f"block register of {block + 1} lines exceeds ceiling {max_sweep_width()}")
+    return _fig1_table(codec, block, helper)
+
+
+@functools.lru_cache(maxsize=1)
+def _fig1_table(codec: CompressionCodec, block: int, helper: BitString) -> Mapping[int, int]:
+    # One entry is the whole reuse: a build and then its oracle (see the
+    # module docstring).  lru_cache stores no exception, so a codec that
+    # fails the checks fails on every call.
+    table: dict[int, int] = {}
+    used: set[int] = set()
+    for s_val in range(1 << block):
+        data = BitString.from_int(s_val, block)
+        if codec.decompress(codec.compress(data, helper), helper) != data:
+            raise CodecNotInjective(f"{codec.name} fails round-trip on {data}")
+        # the code is a memo hit of the compress above
+        e = _to_mask(encode_with_escape(codec, data, helper))
+        if e in used:
+            raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
+        used.add(e)
+        table[_to_mask(data) << 1] = e
+    return MappingProxyType(table)
 
 
 # --- verification sweeps ----------------------------------------------------------

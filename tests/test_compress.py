@@ -280,6 +280,17 @@ def test_encode_with_escape_modes():
     assert decode_with_escape(BOOKMARK8, raw, 8, helper) == BitString("11110000")
 
 
+def test_decode_with_escape_refuses_a_code_of_another_length():
+    # the xor run-length record of 0^64 fits a 64-bit block in 22 bits
+    zeros = BitString.zeros(64)
+    coded = encode_with_escape(XOR, zeros, zeros)
+    assert len(coded) == 22 and coded[0] == 0
+    assert decode_with_escape(XOR, coded, 64, zeros) == zeros
+    for data_len in (8, 100):
+        with pytest.raises(MalformedCode, match="decodes to 64 bits"):
+            decode_with_escape(XOR, coded, data_len, zeros)
+
+
 def test_encode_with_escape_injective_over_block():
     helper = BitString("10")
     seen = set()

@@ -345,6 +345,88 @@ def test_fig1_register_beyond_ceiling_is_refused_before_any_codec_call(monkeypat
     assert len(calls) == 8
 
 
+def test_fig1_build_and_its_oracle_share_one_block_table():
+    from landauer.compress import CompressionCodec
+
+    compressed, decompressed = [], []
+
+    def compress(data, helper):
+        compressed.append(data)
+        return BOOKMARK8._compress(data, helper)
+
+    def decompress(code, helper):
+        decompressed.append(code)
+        return BOOKMARK8._decompress(code, helper)
+
+    counted = CompressionCodec("counted", "00", compress, decompress)
+    helper = BitString("01")
+    compiled = build_fig1_compressor(counted, 8, helper)
+    assert verify_compiled(compiled, fig1_block_oracle(counted, 8, helper)).ok
+    assert (len(compressed), len(decompressed)) == (256, 256)
+
+
+def test_fig1_oracle_rejects_a_non_injective_codec():
+    from landauer.compress import CompressionCodec
+
+    lossy = CompressionCodec("lossy", "11", lambda d, h: d[:-1] or "0", lambda c, h: c + "0")
+    with pytest.raises(CodecNotInjective):
+        fig1_block_oracle(lossy, 4, BitString())
+
+
+def test_fig1_oracle_beyond_ceiling_is_refused_before_any_codec_call(monkeypatch):
+    from landauer.compress import CompressionCodec
+
+    calls = []
+
+    def compress(data, helper):
+        calls.append(data)
+        return XOR._compress(data, helper)
+
+    counted = CompressionCodec("counted", "01", compress, XOR._decompress)
+    with pytest.raises(DomainTooLarge, match="block register of 41 lines"):
+        fig1_block_oracle(counted, 40, BitString("1"))
+    assert calls == []
+    build_fig1_compressor(counted, 4, BitString("1"))  # caches the 5-line table
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "4")
+    with pytest.raises(DomainTooLarge):
+        fig1_block_oracle(counted, 4, BitString("1"))
+
+
+def test_fig1_oracle_refuses_data_of_another_length():
+    oracle = fig1_block_oracle(XOR, 4, BitString("10"))
+    assert oracle(BitString("1010")) == fig1_expected(XOR, 4, BitString("10"), BitString("1010"))
+    for data in ("", "101", "10101"):
+        with pytest.raises(WidthMismatch):
+            oracle(BitString(data))
+
+
+def test_fig1_table_is_never_served_for_another_key():
+    # each key differs from the one before it in one of codec, block, helper;
+    # bookmark8 compresses a different block under each helper
+    keys = [
+        (BOOKMARK8, 8, BitString("10")),
+        (BOOKMARK8, 8, BitString("01")),
+        (XOR, 8, BitString("01")),
+        (BOOKMARK8, 4, BitString("01")),
+        (BOOKMARK8, 8, BitString("10")),
+    ]
+    oracles = []
+    for codec, block, helper in keys:
+        compiled = build_fig1_compressor(codec, block, helper)
+        oracle = fig1_block_oracle(codec, block, helper)
+        oracles.append(oracle)
+        for v in range(1 << block):
+            s = BitString.from_int(v, block)
+            want = fig1_expected(codec, block, helper, s)
+            assert compiled.run_result(s) == want
+            assert oracle(s) == want
+    # an oracle keeps its own table after later builds replaced the cached one
+    for (codec, block, helper), oracle in zip(keys, oracles):
+        for v in range(1 << block):
+            s = BitString.from_int(v, block)
+            assert oracle(s) == fig1_expected(codec, block, helper, s)
+
+
 def test_fig1_multiple_compressible_blocks():
     # four bookmark values with 1-2 bit codes: exercises multi-cycle residues
     from landauer.bitstring import decode_uint, encode_uint
