@@ -46,10 +46,6 @@ class BitString:
         return _trusted("0" * n)
 
     @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return _trusted("1" * n)
-
-    @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
         """Most-significant-first rendering of `value` in `width` bits."""
         if value < 0 or (width == 0 and value != 0) or value >= (1 << width):

@@ -38,14 +38,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .bitstring import BitString, _trusted
 from .errors import (
     BadConstantLine,
-    BadWiring,
     DomainTooLarge,
     MalformedInput,
     WidthMismatch,
@@ -57,8 +56,6 @@ TOFFOLI = "toffoli"
 CNOT = "cnot"
 NOT = "not"
 FREDKIN = "fredkin"
-
-GATE_KINDS = (TOFFOLI, CNOT, NOT, FREDKIN)
 
 # Line roles.
 INPUT = "input"
@@ -87,7 +84,13 @@ def max_sweep_width() -> int:
     raw = os.environ.get("LANDAUER_MAX_WIDTH")
     if raw is None:
         return DEFAULT_MAX_WIDTH
-    return int(raw)
+    try:
+        width = int(raw)
+    except ValueError:
+        width = -1
+    if width < 0:
+        raise ValueError(f"LANDAUER_MAX_WIDTH must be a non-negative integer, got {raw!r}")
+    return width
 
 
 @dataclass(frozen=True)
@@ -268,36 +271,6 @@ def reverse_circuit(c: ReversibleCircuit) -> ReversibleCircuit:
     return r
 
 
-def _map_gate(g: Gate, table: Sequence[int]) -> Gate:
-    return Gate(g.kind, tuple(table[i] for i in g.controls), tuple(table[i] for i in g.targets))
-
-
-def compose(
-    first: ReversibleCircuit,
-    second: ReversibleCircuit,
-    wiring: Sequence[int] | None = None,
-) -> ReversibleCircuit:
-    """Run `first`, feed line i of its output into line wiring[i] of `second`.
-
-    The composed circuit lives on `second`'s line numbering: the gates of
-    `first` are relabeled through the wiring and prepended.  With identity
-    wiring this is plain sequential composition,
-    simulate(composed, s) == simulate(second, simulate(first, s)).
-    """
-    if first.width != second.width:
-        raise BadWiring(f"widths differ: {first.width} vs {second.width}")
-    n = first.width
-    if wiring is None:
-        wiring = list(range(n))
-    if sorted(wiring) != list(range(n)):
-        raise BadWiring(f"wiring must be a bijection on 0..{n - 1}")
-    gates = tuple(_map_gate(g, wiring) for g in first.gates) + second.gates
-    roles = [INPUT] * n
-    for i, r in enumerate(first.line_roles):
-        roles[wiring[i]] = r
-    return ReversibleCircuit(n, gates, tuple(roles))
-
-
 def run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
     """Apply the gates to a batch of states held as bit planes, at any width.
 
@@ -452,10 +425,6 @@ class DriftRow:
 class DriftReport:
     rows: tuple[DriftRow, ...]
     slack_bits: int
-
-    @property
-    def flagged_steps(self) -> tuple[int, ...]:
-        return tuple(r.t for r in self.rows if r.flagged)
 
 
 def _time_encoding(t: int) -> BitString:

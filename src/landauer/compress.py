@@ -343,15 +343,23 @@ def decode_with_escape(
 ) -> BitString:
     """Invert encode_with_escape; `coded` may carry zero padding at the end.
 
-    Raises MalformedCode unless the code decodes to exactly data_len bits.
+    Raises MalformedCode unless the code decodes to exactly data_len bits
+    and every padding bit after it is 0.
     """
     if len(coded) == 0:
         raise MalformedCode("empty block code")
-    if coded[0] == 1:
-        if len(coded) < 1 + data_len:
+    raw = coded[0] == 1
+    if raw:
+        end = 1 + data_len
+        if len(coded) < end:
             raise MalformedCode("raw block code cut short")
-        return coded[1 : 1 + data_len]
-    payload, _ = decode_self_delimiting(coded, 1)
+    else:
+        payload, used = decode_self_delimiting(coded, 1)
+        end = 1 + used
+    if coded[end:].weight():
+        raise MalformedCode(f"block code padding after bit {end} is not all zero")
+    if raw:
+        return coded[1:end]
     data = codec.decompress(payload, helper)
     if len(data) != data_len:
         raise MalformedCode(f"block code decodes to {len(data)} bits, expected {data_len}")

@@ -25,10 +25,6 @@ class BadConstantLine(LandauerError):
     """A CONST_ONE line is not 1 or an ANCILLA_ZERO line is not 0."""
 
 
-class BadWiring(LandauerError):
-    """Composition wiring is not a bijection between compatible widths."""
-
-
 class DomainTooLarge(LandauerError):
     """An exhaustive sweep was requested beyond the width ceiling."""
 

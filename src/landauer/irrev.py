@@ -70,16 +70,6 @@ class IrreversibleCircuit:
             if o not in known:
                 raise ValueError(f"output references unknown node {o!r}")
 
-    def gate_count(self) -> int:
-        return len(self.gates)
-
-    def depth(self) -> int:
-        """Longest input-to-output path measured in gates."""
-        depth = {name: 0 for name in self.inputs}
-        for g in self.gates:
-            depth[g.gate_id] = 1 + max(depth[a] for a in g.args)
-        return max((depth[o] for o in self.outputs), default=0)
-
     # Gates lowered to (opcode, arg index, arg index) over one value list,
     # inputs first and then one value per gate, plus the output indices;
     # cached per netlist.
@@ -116,12 +106,6 @@ def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
 
 
 # --- library macros -----------------------------------------------------------
-
-
-def wire_through(n: int) -> IrreversibleCircuit:
-    """n-input circuit whose outputs are its inputs, no gates."""
-    names = tuple(f"x{i}" for i in range(n))
-    return IrreversibleCircuit(names, (), names)
 
 
 def rom_circuit(output_bits: BitString, num_inputs: int = 1) -> IrreversibleCircuit:

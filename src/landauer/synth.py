@@ -139,9 +139,6 @@ class CompiledReversible:
     def result(self, state: BitString) -> BitString:
         return self.pick(state, self.result_lines)
 
-    def run_result(self, data: BitString) -> BitString:
-        return self.result(self.run(data))
-
 
 # --- Bennett compiler -----------------------------------------------------------
 

@@ -178,16 +178,6 @@ def _bound_reports(
     return wv, ec
 
 
-def wv_ec_identity_check(
-    S: BitString,
-    X: BitString,
-    scenario_wv_bits: int,
-    scenario_ec_bits: int,
-) -> bool:
-    """Conservation: extracted work plus erasure cost equals len(S) exactly."""
-    return scenario_wv_bits + scenario_ec_bits == len(S)
-
-
 def computation_cost_lower_bound(
     A: BitString,
     B: BitString,

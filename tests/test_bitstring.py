@@ -33,7 +33,6 @@ def test_basic_value_semantics():
     assert BitString.from_int(5, 4) == BitString("0101")
     assert b.to_int() == 5
     assert BitString.zeros(3) == BitString("000")
-    assert BitString.ones(2) == BitString("11")
     assert b.xor(BitString("0011")) == BitString("0110")
 
 

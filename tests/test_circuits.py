@@ -18,7 +18,6 @@ from landauer.circuits import (
     circuit_to_json,
     cnot,
     complexity_drift_report,
-    compose,
     fredkin,
     is_toffoli_only,
     normalize_to_toffoli,
@@ -33,7 +32,6 @@ from landauer.circuits import (
 from landauer.compress import estimate_complexity
 from landauer.errors import (
     BadConstantLine,
-    BadWiring,
     DomainTooLarge,
     WidthMismatch,
 )
@@ -119,52 +117,6 @@ def test_reversal_soundness_bulk():
         for _ in range(20):
             s = random_bits(rng, width)
             assert simulate(r, simulate(c, s)) == s
-
-
-def test_compose_inverse_is_identity():
-    rng = substream(8, "compose")
-    c = random_circuit(rng, 6, 15)
-    comp = compose(c, reverse_circuit(c))
-    for _ in range(50):
-        s = random_bits(rng, 6)
-        assert simulate(comp, s) == s
-
-
-def test_compose_identity_wiring_matches_sequential():
-    rng = substream(9, "compose-seq")
-    a = random_circuit(rng, 5, 8)
-    b = random_circuit(rng, 5, 8)
-    comp = compose(a, b)
-    for _ in range(50):
-        s = random_bits(rng, 5)
-        assert simulate(comp, s) == simulate(b, simulate(a, s))
-
-
-def test_compose_with_permutation_wiring():
-    # first's output line i feeds second's line wiring[i]
-    rng = substream(10, "compose-perm")
-    a = random_circuit(rng, 4, 6)
-    b = random_circuit(rng, 4, 6)
-    wiring = [2, 0, 3, 1]
-
-    def permute(s):
-        out = ["0"] * 4
-        for i, bit in enumerate(s):
-            out[wiring[i]] = "1" if bit else "0"
-        return BitString("".join(out))
-
-    comp = compose(a, b, wiring)
-    for _ in range(50):
-        s = random_bits(rng, 4)
-        assert simulate(comp, permute(s)) == simulate(b, permute(simulate(a, s)))
-
-
-def test_compose_rejects_bad_wiring():
-    c = ReversibleCircuit(3)
-    with pytest.raises(BadWiring):
-        compose(c, ReversibleCircuit(4))
-    with pytest.raises(BadWiring):
-        compose(c, c, wiring=[0, 0, 1])
 
 
 def test_gate_locality():
@@ -270,7 +222,7 @@ def test_drift_report_constant_trajectory():
     traj = simulate_trajectory(c, BitString.zeros(8))
     rep = complexity_drift_report(traj, est)
     assert all(r.drop == 0 for r in rep.rows)
-    assert rep.flagged_steps == ()
+    assert tuple(r.t for r in rep.rows if r.flagged) == ()
 
 
 def test_drift_report_random_toffoli_trajectory():
@@ -289,7 +241,7 @@ def test_drift_report_random_toffoli_trajectory():
         assert row.state_bits == est(traj.states[t])
         assert row.drop == rep.rows[0].state_bits - row.state_bits
     # 16-bit states cannot drop below the 64-bit slack
-    assert rep.flagged_steps == ()
+    assert tuple(r.t for r in rep.rows if r.flagged) == ()
 
 
 @pytest.mark.parametrize("initial_bits, flagged", [(67, (1, 2)), (66, ())])
@@ -301,7 +253,7 @@ def test_drift_report_flags_a_drop_beyond_time_cost_plus_slack(initial_bits, fla
     est = lambda s: initial_bits if s == BitString("00") else 1
     rep = complexity_drift_report(traj, est)
     assert [r.drop for r in rep.rows] == [0, initial_bits - 1, initial_bits - 1]
-    assert rep.flagged_steps == flagged
+    assert tuple(r.t for r in rep.rows if r.flagged) == flagged
     assert rep.slack_bits == DEFAULT_DRIFT_SLACK == 64
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from landauer import cli
 from landauer.bitstring import BitString, encode_uint
-from landauer.circuits import GATE_KINDS, LINE_ROLES, ReversibleCircuit, circuit_from_json, load_circuit, simulate
+from landauer.circuits import LINE_ROLES, ReversibleCircuit, circuit_from_json, load_circuit, simulate
 from landauer.cli import main
 from landauer.errors import LandauerError
 from landauer.irrev import OPS, IrreversibleCircuit, LogicGate, netlist_from_json, save_netlist
@@ -343,6 +343,16 @@ def test_fig1_block_ceiling_follows_landauer_max_width(monkeypatch):
     assert code == 0 and json.loads(text)["mode"] == "fig1"
 
 
+@pytest.mark.parametrize("value", ["-3", "abc", ""])
+def test_a_bad_landauer_max_width_is_named_in_the_error(monkeypatch, value):
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", value)
+    code, text = run_cli(["clausius", "--n", "2", "--delta", "1/2", "--circuits", "1"])
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"LANDAUER_MAX_WIDTH must be a non-negative integer, got {value!r}"
+
+
 def test_clausius_rejects_a_negative_gate_count():
     code, text = run_cli(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "-3"])
     assert code == 1
@@ -587,7 +597,7 @@ def test_any_argv_exits_0_1_or_2_and_the_shared_parser_keeps_no_state(cli_files,
 FORMAT_WORDS = sorted(
     {"version", "width", "line_roles", "gates", "kind", "controls", "control", "target", "targets"}
     | {"inputs", "outputs", "id", "op", "args", "a", "b", "g"}
-    | set(GATE_KINDS) | set(LINE_ROLES) | set(OPS)
+    | {"toffoli", "cnot", "not", "fredkin"} | set(LINE_ROLES) | set(OPS)
 )
 json_documents = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.integers() | st.floats() | st.sampled_from(FORMAT_WORDS),

@@ -291,6 +291,18 @@ def test_decode_with_escape_refuses_a_code_of_another_length():
             decode_with_escape(XOR, coded, data_len, zeros)
 
 
+def test_decode_with_escape_refuses_a_one_in_the_padding():
+    zeros = BitString.zeros(64)
+    coded = encode_with_escape(XOR, zeros, zeros)
+    assert decode_with_escape(XOR, coded + BitString("0000"), 64, zeros) == zeros
+    with pytest.raises(MalformedCode, match="padding after bit 22"):
+        decode_with_escape(XOR, coded + BitString("1001"), 64, zeros)
+    raw = encode_with_escape(BOOKMARK8, BitString("11110000"), BitString("10"))
+    assert decode_with_escape(BOOKMARK8, raw + BitString("0"), 8, BitString("10")) == BitString("11110000")
+    with pytest.raises(MalformedCode, match="padding after bit 9"):
+        decode_with_escape(BOOKMARK8, raw + BitString("01"), 8, BitString("10"))
+
+
 def test_encode_with_escape_injective_over_block():
     helper = BitString("10")
     seen = set()

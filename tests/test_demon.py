@@ -16,9 +16,15 @@ from landauer.demon import (
     run_extract_then_erase,
     run_xor_copy_extract,
 )
-from landauer.errors import GeneratorMismatch, InvariantViolated
-from landauer.irrev import rom_circuit, wire_through
+from landauer.errors import GeneratorMismatch, InvariantViolated, MalformedCode
+from landauer.irrev import IrreversibleCircuit, rom_circuit
 from landauer.rng import random_bits, substream
+
+
+def wire_through(n):
+    """An n-input netlist whose outputs are its inputs, with no gates."""
+    names = tuple(f"x{i}" for i in range(n))
+    return IrreversibleCircuit(names, (), names)
 
 
 def test_extract_zero_run_lz78():
@@ -205,9 +211,24 @@ def _touch_catalyst(monkeypatch):
 
     def flip_x(self, tape):
         tape, code_len = encode(self, tape)
-        return replace(tape, x_region=tape.x_region.xor(BitString.ones(len(tape.x_region)))), code_len
+        return replace(tape, x_region=tape.x_region.xor(BitString("1" * len(tape.x_region)))), code_len
 
     monkeypatch.setattr(BlockEncodeStep, "encode", flip_x)
+
+
+def test_block_invert_accepts_only_the_genuine_tape():
+    # the 22-bit xor code of 0^64 leaves 42 padding bits in s_region and
+    # the spill bit in zero_region, all of which the forward step zeroes
+    zeros = BitString.zeros(64)
+    step = BlockEncodeStep(XOR)
+    initial = Tape(zeros, zeros, BitString.zeros(2))
+    genuine = step.apply(initial)
+    assert step.invert(genuine) == initial
+    spill_set = replace(genuine, zero_region=BitString("10"))
+    padding_set = replace(genuine, s_region=genuine.s_region[:63] + BitString("1"))
+    for tape in (spill_set, padding_set):
+        with pytest.raises(MalformedCode, match="padding"):
+            step.invert(tape)
 
 
 S8, X4 = BitString("10110011"), BitString("0110")

@@ -2,18 +2,36 @@
 
 Invariants must survive `python -O`, so library code raises an error where
 it would otherwise assert.  Every module-level import must be named by the
-module that makes it; __init__.py is exempt, because it imports names only
-to re-export them.  Every cache stays bounded: an lru_cache names its
-maxsize as an int literal, and functools.cache wraps only functions that
-take no parameters (one value per process).
+module that makes it, __init__.py included.  Every cache stays bounded: an
+lru_cache names its maxsize as an int literal, and functools.cache wraps
+only functions that take no parameters (one value per process).
+
+Every public top-level name, and every public method or property of a
+public class, has a caller beyond the unit tests: it is referenced outside
+its own definition in src/landauer, in bench/ or in the acceptance suite,
+or it is on the PAPER_FACING allow-list with its reason.  A top-level name
+counts as referenced when it is read as a name or an attribute, or
+imported; a method only when it is read as an attribute.  Methods are
+matched by attribute name alone, with no type inference, so a method that
+shares its name with a used method of another class passes unnoticed.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "landauer").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "landauer").glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+# Paper-facing reports kept although only unit tests call them.
+PAPER_FACING = {
+    "circuits.complexity_drift_report": "the second law as description-length drift along a trajectory",
+    "thermo.circular_combination_report": "a computation's gain equals its reverse cost: no free-energy cycle",
+    "circuits.normalize_to_toffoli": "the Toffoli-only discipline that the circuits docstring and README promise",
+}
 
 
 def assert_lines(tree: ast.Module) -> list[int]:
@@ -52,6 +70,44 @@ def unbounded_caches(tree: ast.Module) -> list[int]:
                 if a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg:
                     lines.append(dec.lineno)
     return lines
+
+
+def references(nodes) -> tuple[Counter, Counter]:
+    """How often each name is referenced in the nodes: (as a name, an
+    attribute or an import; as an attribute only)."""
+    names, attrs = Counter(), Counter()
+    for node in (n for root in nodes for n in ast.walk(root)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names[node.attr] += 1
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+    return names, attrs
+
+
+def uncalled(tree: ast.Module, names: Counter, attrs: Counter) -> list[str]:
+    """Public top-level names and public methods of public classes in the
+    module that nothing outside their own definition references, given the
+    reference counts of every caller (the module included)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        own_names, _ = references([node])
+        found += [n for n in defined if not n.startswith("_") and names[n] == own_names[n]]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for m in node.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.startswith("_"):
+                    if attrs[m.name] == references([m])[1][m.name]:
+                        found.append(f"{node.name}.{m.name}")
+    return found
 
 
 def parse(path: Path) -> ast.Module:
@@ -96,7 +152,28 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert on lines {lines}; raise an error instead"
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_module_level_import_is_named(path):
     unused = unused_imports(parse(path))
     assert not unused, f"{path.name}: imported but never named: {unused}"
+
+
+def test_the_caller_rule_flags_names_that_only_their_definition_reaches():
+    tree = ast.parse(
+        "LIMIT = 3\n"
+        "def used(): return LIMIT\n"
+        "def unused(n): return unused(n - 1) if n else used()\n"
+        "class Box:\n"
+        "    def size(self): return 1\n"
+        "    def spare(self): return self.spare()\n"
+        "    def _hidden(self): pass\n"
+    )
+    caller = ast.parse("from box import Box\nBox().size()\n")
+    assert uncalled(tree, *references([tree, caller])) == ["unused", "Box.spare"]
+
+
+def test_every_public_name_has_a_caller_beyond_the_unit_tests():
+    names, attrs = references(parse(p) for p in CALLERS)
+    found = {f"{p.stem}.{n}" for p in SOURCES for n in uncalled(parse(p), names, attrs)}
+    assert not found - PAPER_FACING.keys(), f"only unit tests reach: {sorted(found - PAPER_FACING.keys())}"
+    assert not PAPER_FACING.keys() - found, f"allow-listed but called: {sorted(PAPER_FACING.keys() - found)}"

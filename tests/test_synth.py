@@ -33,7 +33,6 @@ from landauer.irrev import (
     LogicGate,
     evaluate,
     random_netlist,
-    wire_through,
 )
 from landauer.rng import substream
 from landauer.synth import (
@@ -44,6 +43,12 @@ from landauer.synth import (
     fig1_block_oracle,
     verify_compiled,
 )
+
+
+def wire_through(n):
+    """An n-input netlist whose outputs are its inputs, with no gates."""
+    names = tuple(f"x{i}" for i in range(n))
+    return IrreversibleCircuit(names, (), names)
 
 
 def fig1_expected(codec, block, helper, data):
@@ -70,7 +75,7 @@ def test_single_and_gate_layout():
 def test_identity_source_compiles_to_copies_only():
     comp = bennett_compile(wire_through(3))
     assert all(g.kind == CNOT for g in comp.circuit.gates)
-    assert comp.run_result(BitString("101")) == BitString("101")
+    assert comp.result(comp.run(BitString("101"))) == BitString("101")
 
 
 def test_full_adder_exhaustive():
@@ -92,7 +97,7 @@ def test_full_adder_exhaustive():
     for v in range(8):
         a, b, cin = v >> 2 & 1, v >> 1 & 1, v & 1
         total = a + b + cin
-        got = comp.run_result(BitString.from_int(v, 3))
+        got = comp.result(comp.run(BitString.from_int(v, 3)))
         assert got == BitString([total & 1, total >> 1])
 
 
@@ -234,7 +239,7 @@ def test_fig1_bookmark_full_contract():
     for v in range(256):
         s = BitString.from_int(v, 8)
         want = fig1_expected(BOOKMARK8, 8, helper, s)
-        assert comp.run_result(s) == want
+        assert comp.result(comp.run(s)) == want
         branches.add(want[0])
     assert branches == {0, 1}  # compressed and raw both occur
     assert check_injective_bruteforce(comp.circuit, comp.circuit.width)
@@ -276,7 +281,7 @@ def test_fig1_identity_codec_with_escape_is_mode_flip():
     comp = build_fig1_compressor(IDENTITY, 4, BitString())
     for v in range(16):
         s = BitString.from_int(v, 4)
-        assert comp.run_result(s) == BitString("1") + s
+        assert comp.result(comp.run(s)) == BitString("1") + s
 
 
 def test_fig1_small_blocks():
@@ -418,7 +423,7 @@ def test_fig1_table_is_never_served_for_another_key():
         for v in range(1 << block):
             s = BitString.from_int(v, block)
             want = fig1_expected(codec, block, helper, s)
-            assert compiled.run_result(s) == want
+            assert compiled.result(compiled.run(s)) == want
             assert oracle(s) == want
     # an oracle keeps its own table after later builds replaced the cached one
     for (codec, block, helper), oracle in zip(keys, oracles):
@@ -450,7 +455,7 @@ def test_fig1_multiple_compressible_blocks():
     compiled = build_fig1_compressor(codec, 8, BitString("1"))
     report = verify_compiled(compiled, fig1_block_oracle(codec, 8, BitString("1")))
     assert report.ok and report.swept == 256
-    modes = {compiled.run_result(BitString(m))[0] for m in marks}
+    modes = {compiled.result(compiled.run(BitString(m)))[0] for m in marks}
     assert modes == {0}  # all four bookmarks take the compressed branch
     assert check_injective_bruteforce(compiled.circuit, compiled.circuit.width)
 

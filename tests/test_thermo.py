@@ -15,7 +15,6 @@ from landauer.thermo import (
     computation_value_lower_bound,
     erasure_cost_interval,
     to_joules,
-    wv_ec_identity_check,
     wv_lower_bound,
     wv_report,
     wv_upper_bound,
@@ -114,12 +113,6 @@ def test_sandwich_consistency_exhaustive_small():
                     + len(codec.compress(s, x))
                 )
                 assert lower <= upper_est
-
-
-def test_wv_ec_identity_check():
-    s = BitString.zeros(8)
-    assert wv_ec_identity_check(s, BitString(), 5, 3)
-    assert not wv_ec_identity_check(s, BitString(), 5, 4)
 
 
 def test_cost_and_value_general_computation():
