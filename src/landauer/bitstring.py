@@ -122,8 +122,9 @@ def encode_uint(n: int) -> BitString:
     return _trusted(_gamma(n + 1))
 
 
-def decode_uint(s: BitString, start: int = 0) -> tuple[int, int]:
-    """Inverse of encode_uint.
+def decode_uint(s: BitString | str, start: int = 0) -> tuple[int, int]:
+    """Inverse of encode_uint, read from str(s): a BitString or its
+    already-checked '0'/'1' text.
 
     Returns (value, bits consumed).  Raises MalformedCode on truncation.
     """

@@ -38,7 +38,7 @@ from .errors import GeneratorMismatch, LandauerError, UnreadableInput, Unwritabl
 from .irrev import load_netlist, rom_circuit
 from .prbox import generate_pr_quadruple, pr_report
 from .synth import bennett_compile, build_fig1_compressor
-from .thermo import DEFAULT_TEMPERATURE, _bound_reports
+from .thermo import DEFAULT_TEMPERATURE, erasure_cost_interval, wv_report
 
 DEFAULT_SEED = 0
 
@@ -157,7 +157,8 @@ def _cmd_bounds(args) -> dict:
     codec = get_codec(args.codec)
     report = _base_report(args)
     report["len_s"] = len(S)
-    report["quantities"] = [r.to_dict(args.temperature) for r in _bound_reports(S, X, codec)]
+    reports = (wv_report(S, X, codec), erasure_cost_interval(S, X, codec))
+    report["quantities"] = [r.to_dict(args.temperature) for r in reports]
     return report
 
 

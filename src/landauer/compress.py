@@ -12,8 +12,10 @@ Fig. 1 build needs for a bijective block map.
 
 Kernels must be pure functions of (data, helper), so compress outputs
 are reused: CompressionCodec.compress keeps its last 16 distinct (kernel,
-data, helper) calls and their codes alive, and nothing else.  A raising
-kernel is called again every time; decompress is not cached.
+data, helper) calls and their codes alive, and nothing else.  That memo
+is the only place codes are reused; callers ask compress again rather
+than pass a code along.  A raising kernel is called again every time;
+decompress is not cached.
 
 Registered codecs:
 
@@ -149,9 +151,8 @@ def _lz78_compress(data: str, helper: str) -> str:
 
 
 def _lz78_decompress(code: str, helper: str) -> str:
-    bits = BitString(code)
     try:
-        n, pos = decode_uint(bits)
+        n, pos = decode_uint(code)
     except MalformedCode:
         raise MalformedCode("lz78: bad length header")
     child, size = _lz78_warmup(helper)
@@ -159,14 +160,13 @@ def _lz78_decompress(code: str, helper: str) -> str:
     for k, slot in enumerate(child):
         if slot:  # a parent's id is below its child's, so its phrase is set
             table[slot >> 1] = table[k >> 1] + "01"[k & 1]
-    text = str(bits)
     produced: list[str] = []
     produced_len = 0
     while produced_len < n:
         w = (len(table) - 1).bit_length()
-        if pos + w > len(text):
+        if pos + w > len(code):
             raise MalformedCode("lz78: truncated token index")
-        idx = int(text[pos : pos + w], 2) if w else 0
+        idx = int(code[pos : pos + w], 2) if w else 0
         pos += w
         if idx >= len(table):
             raise MalformedCode(f"lz78: index {idx} out of range")
@@ -178,14 +178,14 @@ def _lz78_decompress(code: str, helper: str) -> str:
             break
         if len(phrase) > remaining:
             raise MalformedCode("lz78: phrase overruns declared length")
-        if pos >= len(text):
+        if pos >= len(code):
             raise MalformedCode("lz78: truncated token symbol")
-        phrase += text[pos]
+        phrase += code[pos]
         pos += 1
         produced.append(phrase)
         produced_len += len(phrase)
         table.append(phrase)
-    if pos != len(text):
+    if pos != len(code):
         raise MalformedCode("lz78: trailing bits after token stream")
     return "".join(produced)
 
@@ -213,7 +213,7 @@ def _xor_decompress(code: str, helper: str) -> str:
     if not code:
         raise MalformedCode("xor: empty code")
     if code[0] == "0":
-        n, used = decode_uint(BitString(code), 1)
+        n, used = decode_uint(code, 1)
         if 1 + used != len(code):
             raise MalformedCode("xor: trailing bits after run-length record")
         if n > sys.maxsize:  # no bit string is that long, so no xor code says so
@@ -290,30 +290,14 @@ class ComplexityEstimate:
 
 
 def estimate_complexity(data: BitString, helper: BitString = BitString()) -> ComplexityEstimate:
-    # identity is a family member, so asking for its code is free
-    return estimate_with_code(data, helper, IDENTITY)[0]
-
-
-def estimate_with_code(
-    data: BitString, helper: BitString, codec: CompressionCodec
-) -> tuple[ComplexityEstimate, BitString]:
-    """One pass over default_family(): the estimate, and `codec`'s code for
-    the same (data, helper), reused when `codec` is a family member."""
-    best_bits = None
-    best_name = ""
-    own = None
+    """The cheapest code over default_family(), the first one on a tie."""
+    best = None
     for c in default_family():
-        code = c.compress(data, helper)
-        if c == codec:
-            own = code
         # the tag is charged self-delimited: gamma(len + 1) then the tag
-        cost = len(encode_uint(len(c.id_bits))) + len(c.id_bits) + len(code)
-        if best_bits is None or cost < best_bits:
-            best_bits = cost
-            best_name = c.name
-    if own is None:
-        own = codec.compress(data, helper)
-    return ComplexityEstimate(best_bits, best_name), own
+        cost = len(encode_uint(len(c.id_bits))) + len(c.id_bits) + len(c.compress(data, helper))
+        if best is None or cost < best.bits:
+            best = ComplexityEstimate(cost, c.name)
+    return best
 
 
 # --- block encoding with raw escape ---------------------------------------------
@@ -343,8 +327,9 @@ def decode_with_escape(
 ) -> BitString:
     """Invert encode_with_escape; `coded` may carry zero padding at the end.
 
-    Raises MalformedCode unless the code decodes to exactly data_len bits
-    and every padding bit after it is 0.
+    Raises MalformedCode unless the code decodes to exactly data_len bits,
+    every padding bit after it is 0, and it is the code encode_with_escape
+    writes: a raw block must hold data the compressed branch does not fit.
     """
     if len(coded) == 0:
         raise MalformedCode("empty block code")
@@ -359,7 +344,10 @@ def decode_with_escape(
     if coded[end:].weight():
         raise MalformedCode(f"block code padding after bit {end} is not all zero")
     if raw:
-        return coded[1:end]
+        data = coded[1:end]
+        if len(encode_self_delimiting(codec.compress(data, helper))) <= data_len:
+            raise MalformedCode("raw block code holds data the compressed branch encodes")
+        return data
     data = codec.decompress(payload, helper)
     if len(data) != data_len:
         raise MalformedCode(f"block code decodes to {len(data)} bits, expected {data_len}")

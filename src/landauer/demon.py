@@ -61,19 +61,14 @@ class BlockEncodeStep:
     codec: CompressionCodec
 
     def apply(self, tape: Tape) -> Tape:
-        return self.encode(tape)[0]
-
-    def encode(self, tape: Tape) -> tuple[Tape, int]:
-        """apply, plus the length of the block code it wrote."""
         n = len(tape.s_region)
         coded = encode_with_escape(self.codec, tape.s_region, tape.x_region)
         padded = coded + BitString.zeros(n + 1 - len(coded))
-        tape = replace(
+        return replace(
             tape,
             s_region=padded[:n],
             zero_region=padded[n:] + tape.zero_region[1:],
         )
-        return tape, len(coded)
 
     def invert(self, tape: Tape) -> Tape:
         n = len(tape.s_region)
@@ -195,7 +190,8 @@ def run_extract(
     """
     tape0 = _fresh_tape(S, X)
     step = BlockEncodeStep(codec)
-    tape1, code_len = step.encode(tape0)
+    tape1 = step.apply(tape0)
+    code_len = len(encode_with_escape(codec, S, X))
     wv = len(S) - code_len
     ledger = EnergyLedger(temperature=temperature)
     ledger.credit("extract:zeros", wv)
@@ -215,7 +211,8 @@ def run_extract_then_erase(
     """
     tape0 = _fresh_tape(S, X)
     encode = BlockEncodeStep(codec)
-    tape1, code_len = encode.encode(tape0)
+    tape1 = encode.apply(tape0)
+    code_len = len(encode_with_escape(codec, S, X))
     erase = EraseStep(erased_s=tape1.s_region, erased_spill=tape1.zero_region[:1] if code_len > len(S) else BitString())
     tape2 = erase.apply(tape1)
     wv = len(S) - code_len

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bitstring import BitString, encode_uint
-from .compress import CompressionCodec, estimate_complexity, estimate_with_code
+from .compress import CompressionCodec, estimate_complexity
 from .errors import NonPositiveTemperature
 
 BOLTZMANN_K = 1.380649e-23  # J/K, exact by SI definition
@@ -67,10 +67,7 @@ class EnergyLedger:
 
 def coded_length(codec: CompressionCodec, data: BitString, helper: BitString) -> int:
     """Self-delimited length of the codec's output on (data, helper)."""
-    return _self_delimited_length(codec.compress(data, helper))
-
-
-def _self_delimited_length(code: BitString) -> int:
+    code = codec.compress(data, helper)
     return len(encode_uint(len(code))) + len(code)
 
 
@@ -140,32 +137,9 @@ def erasure_cost_interval(S: BitString, X: BitString, codec: CompressionCodec) -
     lower <= upper structurally; the estimated flag marks that the lower
     side may still exceed the true bound.
     """
-    return _bound_reports(S, X, codec)[1]
-
-
-def wv_report(S: BitString, X: BitString, codec: CompressionCodec) -> BoundReport:
-    """Work-value interval: codec-achieved lower, estimator-based upper."""
-    return _bound_reports(S, X, codec)[0]
-
-
-def _bound_reports(
-    S: BitString, X: BitString, codec: CompressionCodec
-) -> tuple[BoundReport, BoundReport]:
-    """(wv_report, erasure_cost_interval) from one estimator pass over (S, X)."""
-    est, code = estimate_with_code(S, X, codec)
-    coded = _self_delimited_length(code)
-    wv = BoundReport(
-        quantity="WV",
-        lower_bits=len(S) - coded,
-        upper_bits=len(S) - est.bits,
-        lower_estimated=False,
-        upper_estimated=True,
-        lower_codec=codec.name,
-        upper_codec=est.codec_name,
-        note="upper side estimated; negative lower means codec overhead "
-        "(effective bound max(0, lower))",
-    )
-    ec = BoundReport(
+    est = estimate_complexity(S, X)
+    coded = coded_length(codec, S, X)
+    return BoundReport(
         quantity="EC",
         lower_bits=min(est.bits, coded),
         upper_bits=coded,
@@ -175,7 +149,22 @@ def _bound_reports(
         upper_codec=codec.name,
         note="estimated lower bound (may exceed the true bound)",
     )
-    return wv, ec
+
+
+def wv_report(S: BitString, X: BitString, codec: CompressionCodec) -> BoundReport:
+    """Work-value interval: codec-achieved lower, estimator-based upper."""
+    est = estimate_complexity(S, X)
+    return BoundReport(
+        quantity="WV",
+        lower_bits=wv_lower_bound(S, X, codec),
+        upper_bits=len(S) - est.bits,
+        lower_estimated=False,
+        upper_estimated=True,
+        lower_codec=codec.name,
+        upper_codec=est.codec_name,
+        note="upper side estimated; negative lower means codec overhead "
+        "(effective bound max(0, lower))",
+    )
 
 
 def computation_cost_lower_bound(

@@ -303,6 +303,14 @@ def test_decode_with_escape_refuses_a_one_in_the_padding():
         decode_with_escape(BOOKMARK8, raw + BitString("01"), 8, BitString("10"))
 
 
+def test_decode_with_escape_refuses_a_raw_block_the_compressed_branch_encodes():
+    # 0^64 has a 22-bit xor code given 0^64, so its raw code is not the one
+    # encode_with_escape writes: accepting it would give 0^64 two codes
+    zeros = BitString.zeros(64)
+    with pytest.raises(MalformedCode, match="raw block code"):
+        decode_with_escape(XOR, BitString("1") + zeros, 64, zeros)
+
+
 def test_encode_with_escape_injective_over_block():
     helper = BitString("10")
     seen = set()

@@ -207,13 +207,13 @@ def _skip_uncompute(monkeypatch):
 
 
 def _touch_catalyst(monkeypatch):
-    encode = BlockEncodeStep.encode
+    apply = BlockEncodeStep.apply
 
     def flip_x(self, tape):
-        tape, code_len = encode(self, tape)
-        return replace(tape, x_region=tape.x_region.xor(BitString("1" * len(tape.x_region)))), code_len
+        tape = apply(self, tape)
+        return replace(tape, x_region=tape.x_region.xor(BitString("1" * len(tape.x_region))))
 
-    monkeypatch.setattr(BlockEncodeStep, "encode", flip_x)
+    monkeypatch.setattr(BlockEncodeStep, "apply", flip_x)
 
 
 def test_block_invert_accepts_only_the_genuine_tape():
@@ -229,6 +229,10 @@ def test_block_invert_accepts_only_the_genuine_tape():
     for tape in (spill_set, padding_set):
         with pytest.raises(MalformedCode, match="padding"):
             step.invert(tape)
+    # the raw code of 0^64, which the compressed branch encodes instead
+    raw_set = replace(genuine, s_region=BitString("1") + zeros[:63])
+    with pytest.raises(MalformedCode, match="raw block code"):
+        step.invert(raw_set)
 
 
 S8, X4 = BitString("10110011"), BitString("0110")

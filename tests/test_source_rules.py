@@ -14,6 +14,9 @@ counts as referenced when it is read as a name or an attribute, or
 imported; a method only when it is read as an attribute.  Methods are
 matched by attribute name alone, with no type inference, so a method that
 shares its name with a used method of another class passes unnoticed.
+
+A module imports a _-prefixed name from a sibling module only when the
+name is on the SHARED_PRIVATE allow-list with its reason.
 """
 
 import ast
@@ -31,6 +34,12 @@ PAPER_FACING = {
     "circuits.complexity_drift_report": "the second law as description-length drift along a trajectory",
     "thermo.circular_combination_report": "a computation's gain equals its reverse cost: no free-energy cycle",
     "circuits.normalize_to_toffoli": "the Toffoli-only discipline that the circuits docstring and README promise",
+}
+
+# Private names that sibling modules may import.
+SHARED_PRIVATE = {
+    "bitstring._trusted": "wraps text a kernel already built from '0'/'1' without checking it again",
+    "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check and the Fig. 1 tables",
 }
 
 
@@ -70,6 +79,18 @@ def unbounded_caches(tree: ast.Module) -> list[int]:
                 if a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg:
                     lines.append(dec.lineno)
     return lines
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """'module._name' for each _-prefixed name, dunders aside, imported from
+    a module of the package by a relative import or by its landauer. path."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("landauer.")):
+            module = (node.module or "").rpartition(".")[2]
+            names = [a.name for a in node.names]
+            found += [f"{module}.{n}" for n in names if n.startswith("_") and not n.endswith("__")]
+    return sorted(found)
 
 
 def references(nodes) -> tuple[Counter, Counter]:
@@ -177,3 +198,21 @@ def test_every_public_name_has_a_caller_beyond_the_unit_tests():
     found = {f"{p.stem}.{n}" for p in SOURCES for n in uncalled(parse(p), names, attrs)}
     assert not found - PAPER_FACING.keys(), f"only unit tests reach: {sorted(found - PAPER_FACING.keys())}"
     assert not PAPER_FACING.keys() - found, f"allow-listed but called: {sorted(PAPER_FACING.keys() - found)}"
+
+
+def test_the_private_import_rule_flags_private_names_from_the_package():
+    tree = ast.parse(
+        "from .bitstring import BitString, _trusted\n"
+        "from os import _exit\nimport _thread\n"
+        "def f():\n    from landauer.thermo import _bound_reports\n"
+        "from . import __version__\n"
+    )
+    assert private_imports(tree) == ["bitstring._trusted", "thermo._bound_reports"]
+
+
+def test_private_names_cross_modules_only_from_the_allow_list():
+    found = {(p.name, name) for p in SOURCES for name in private_imports(parse(p))}
+    stray = sorted(f"{module}: {name}" for module, name in found if name not in SHARED_PRIVATE)
+    assert not stray, f"private names imported from a sibling: {stray}"
+    unused = SHARED_PRIVATE.keys() - {name for _, name in found}
+    assert not unused, f"allow-listed but never imported: {sorted(unused)}"
