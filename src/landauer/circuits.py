@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -239,22 +239,10 @@ def simulate(c: ReversibleCircuit, input_bits: BitString) -> BitString:
     return _state(_apply(c._program(), _rows(c, input_bits), 1))
 
 
-@dataclass(frozen=True)
-class StateTrajectory:
-    """Initial state plus one state per applied gate."""
-
-    states: tuple[BitString, ...]
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
-def simulate_trajectory(c: ReversibleCircuit, input_bits: BitString) -> StateTrajectory:
+def simulate_trajectory(c: ReversibleCircuit, input_bits: BitString) -> tuple[BitString, ...]:
+    """The input state, then the state after each gate in list order."""
     rows = _rows(c, input_bits)
-    states = [_state(rows)]
-    for step in c._program():
-        states.append(_state(_apply((step,), rows, 1)))
-    return StateTrajectory(tuple(states))
+    return (_state(rows),) + tuple(_state(_apply((step,), rows, 1)) for step in c._program())
 
 
 def reverse_circuit(c: ReversibleCircuit) -> ReversibleCircuit:
@@ -331,32 +319,20 @@ def permutation_table(c: ReversibleCircuit) -> np.ndarray:
     return table
 
 
-def check_injective_bruteforce(
-    f: ReversibleCircuit | Callable[[BitString], BitString],
-    n: int,
-) -> bool:
-    """Exhaustively test a map on n-bit strings for collisions.
+def check_injective_bruteforce(c: ReversibleCircuit, n: int) -> bool:
+    """Exhaustively test a circuit's map on its n-bit states for collisions.
 
-    Accepts a ReversibleCircuit (vectorized sweep) or any black-box
-    callable on BitStrings.  n is capped at the sweep ceiling.
+    One vectorized sweep; n must equal the circuit width (WidthMismatch
+    otherwise) and is capped at the sweep ceiling.
     """
     if n > max_sweep_width():
         raise DomainTooLarge(f"{n} bits exceeds ceiling {max_sweep_width()}")
-    if isinstance(f, ReversibleCircuit):
-        if f.width != n:
-            raise WidthMismatch(f"circuit width {f.width}, asked to sweep {n} bits")
-        # a map of the 2^n states into themselves is injective iff onto
-        hit = np.zeros(1 << n, dtype=bool)
-        hit[permutation_table(f)] = True
-        return bool(hit.all())
-    # outputs may be of any length, so they are kept whole, not by value
-    seen: set[BitString] = set()
-    for x in range(1 << n):
-        y = f(BitString.from_int(x, n))
-        if y in seen:
-            return False
-        seen.add(y)
-    return True
+    if c.width != n:
+        raise WidthMismatch(f"circuit width {c.width}, asked to sweep {n} bits")
+    # a map of the 2^n states into themselves is injective iff onto
+    hit = np.zeros(1 << n, dtype=bool)
+    hit[permutation_table(c)] = True
+    return bool(hit.all())
 
 
 def check_conservative(c: ReversibleCircuit, exhaustive: bool = False) -> bool:
@@ -424,7 +400,7 @@ class DriftRow:
 @dataclass(frozen=True)
 class DriftReport:
     rows: tuple[DriftRow, ...]
-    slack_bits: int
+    slack_bits: ClassVar[int] = DEFAULT_DRIFT_SLACK
 
 
 def _time_encoding(t: int) -> BitString:
@@ -432,9 +408,10 @@ def _time_encoding(t: int) -> BitString:
 
 
 def complexity_drift_report(
-    trajectory: StateTrajectory, estimator: Callable[[BitString], int]
+    trajectory: tuple[BitString, ...], estimator: Callable[[BitString], int]
 ) -> DriftReport:
-    """Per-step description-length drift of a trajectory.
+    """Per-step description-length drift of a trajectory, the states that
+    simulate_trajectory returns.
 
     For each time t the report lists the estimator value of the state, of
     the time encoding, and the drop relative to t=0.  A step is flagged
@@ -442,16 +419,16 @@ def complexity_drift_report(
     informational: the estimator upper-bounds true description length, so
     a flag never proves a violation of the underlying monotonicity bound.
     """
-    if not trajectory.states:
+    if not trajectory:
         raise ValueError("trajectory must contain at least the initial state")
-    base = estimator(trajectory.states[0])
+    base = estimator(trajectory[0])
     rows = []
-    for t, state in enumerate(trajectory.states):
+    for t, state in enumerate(trajectory):
         k_state = estimator(state)
         k_time = estimator(_time_encoding(t))
         drop = base - k_state
         rows.append(DriftRow(t, k_state, k_time, drop, drop > k_time + DEFAULT_DRIFT_SLACK))
-    return DriftReport(tuple(rows), DEFAULT_DRIFT_SLACK)
+    return DriftReport(tuple(rows))
 
 
 # --- JSON circuit format ------------------------------------------------------

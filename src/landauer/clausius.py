@@ -177,8 +177,6 @@ class ClausiusReport:
     n: int
     w: Fraction
     delta: Fraction
-    circuits: int
-    seed: int
     gate_count: int
     point_ceiling: Fraction  # size ratio of the exact target class
     tail_ceiling: Fraction  # size ratio of target-or-more-extreme classes
@@ -251,8 +249,6 @@ def clausius_experiment(
         n=n,
         w=w,
         delta=delta,
-        circuits=circuits,
-        seed=seed,
         gate_count=gc,
         point_ceiling=point_ceiling,
         tail_ceiling=tail_ceiling,

@@ -26,7 +26,7 @@ from . import __version__
 from .bitstring import BitString
 from .circuits import load_circuit, save_circuit, simulate, simulate_trajectory
 from .clausius import clausius_experiment
-from .compress import REGISTRY, get_codec
+from .compress import REGISTRY
 from .demon import (
     replay_backward,
     run_erase_then_extract,
@@ -38,7 +38,7 @@ from .errors import GeneratorMismatch, LandauerError, UnreadableInput, Unwritabl
 from .irrev import load_netlist, rom_circuit
 from .prbox import generate_pr_quadruple, pr_report
 from .synth import bennett_compile, build_fig1_compressor
-from .thermo import DEFAULT_TEMPERATURE, erasure_cost_interval, wv_report
+from .thermo import DEFAULT_TEMPERATURE, erasure_cost_interval, to_joules, wv_report
 
 DEFAULT_SEED = 0
 
@@ -106,7 +106,7 @@ def _base_report(args) -> dict:
 
 def _cmd_compile(args) -> dict:
     if args.fig1:
-        compiled = build_fig1_compressor(get_codec(args.codec), args.block, BitString(args.helper))
+        compiled = build_fig1_compressor(REGISTRY[args.codec], args.block, BitString(args.helper))
         mode = "fig1"
     else:
         compiled = bennett_compile(_load(load_netlist, args.netlist))
@@ -133,15 +133,15 @@ def _cmd_simulate(args) -> dict:
     report = _base_report(args)
     if args.trajectory:
         traj = simulate_trajectory(circuit, bits)
-        report["trajectory"] = [str(s) for s in traj.states]
-        report["output"] = str(traj.states[-1])
+        report["trajectory"] = [str(s) for s in traj]
+        report["output"] = str(traj[-1])
     else:
         report["output"] = str(simulate(circuit, bits))
     return report
 
 
 def _cmd_compress(args) -> dict | None:
-    codec = get_codec(args.codec)
+    codec = REGISTRY[args.codec]
     helper = _load(_read_bits, args.helper_file) if args.helper_file else BitString()
     data = BitString("".join(sys.stdin.read().split()))
     if args.decompress:
@@ -154,7 +154,7 @@ def _cmd_compress(args) -> dict | None:
 def _cmd_bounds(args) -> dict:
     S = _load(_read_bits, args.s_file)
     X = _load(_read_bits, args.x_file) if args.x_file else BitString()
-    codec = get_codec(args.codec)
+    codec = REGISTRY[args.codec]
     report = _base_report(args)
     report["len_s"] = len(S)
     reports = (wv_report(S, X, codec), erasure_cost_interval(S, X, codec))
@@ -165,13 +165,13 @@ def _cmd_bounds(args) -> dict:
 def _cmd_demon(args) -> dict:
     S = _load(_read_bits, args.s_file)
     X = _load(_read_bits, args.x_file) if args.x_file else BitString()
-    codec = get_codec(args.codec)
+    codec = REGISTRY[args.codec]
     if args.scenario == "extract":
-        result = run_extract(S, X, codec, args.temperature)
+        result = run_extract(S, X, codec)
     elif args.scenario == "extract-erase":
-        result = run_extract_then_erase(S, X, codec, args.temperature)
+        result = run_extract_then_erase(S, X, codec)
     elif args.scenario == "erase-extract":
-        result = run_erase_then_extract(S, X, codec, args.temperature)
+        result = run_erase_then_extract(S, X, codec)
     else:  # xor-copy
         if args.generator:
             generator = _load(load_netlist, args.generator)
@@ -179,7 +179,7 @@ def _cmd_demon(args) -> dict:
             generator = rom_circuit(S, len(X))
         else:
             raise GeneratorMismatch("xor-copy needs --generator or a non-empty X")
-        result = run_xor_copy_extract(S, X, generator, args.temperature)
+        result = run_xor_copy_extract(S, X, generator)
     report = _base_report(args)
     report.update(
         scenario=result.scenario,
@@ -188,7 +188,7 @@ def _cmd_demon(args) -> dict:
         ec_bits=result.ec_bits,
         ledger=[{"label": label, "bits": _frac(bits)} for label, bits in result.ledger.entries],
         ledger_total_bits=_frac(result.ledger.total_bits()),
-        ledger_total_joules=result.ledger.total_joules(),
+        ledger_total_joules=to_joules(result.ledger.total_bits(), args.temperature),
         final_tape_digest=result.final_tape.digest(),
         replay_ok=replay_backward(result) == result.initial_tape,
         transcript=[type(step).__name__ for step in result.transcript],

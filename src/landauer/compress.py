@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .bitstring import (
     BitString,
@@ -221,6 +221,8 @@ def _xor_decompress(code: str, helper: str) -> str:
         payload = "0" * n
     else:
         payload = code[1:]
+        if "1" not in payload:  # the encoder writes a zero payload as a run
+            raise MalformedCode("xor: literal payload with no 1 bit")
     return _xor_payload(payload, helper)  # xor is an involution
 
 
@@ -246,6 +248,8 @@ def _bookmark_decompress(code: str, helper: str) -> str:
         return _tile(helper, _BOOKMARK_LEN)
     if not code or code[0] != "1":
         raise MalformedCode("bookmark8: bad mode bit")
+    if helper and code[1:] == _tile(helper, _BOOKMARK_LEN):  # the encoder bookmarks it
+        raise MalformedCode("bookmark8: literal of the bookmarked tiling")
     return code[1:]
 
 
@@ -265,13 +269,6 @@ def default_family() -> tuple[CompressionCodec, ...]:
 REGISTRY: dict[str, CompressionCodec] = {c.name: c for c in default_family()}
 
 
-def get_codec(name: str) -> CompressionCodec:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown codec {name!r}; registered: {sorted(REGISTRY)}")
-
-
 # --- description-length estimator ----------------------------------------------
 
 
@@ -286,7 +283,7 @@ class ComplexityEstimate:
 
     bits: int
     codec_name: str
-    is_upper_bound: bool = True
+    is_upper_bound: ClassVar[bool] = True
 
 
 def estimate_complexity(data: BitString, helper: BitString = BitString()) -> ComplexityEstimate:

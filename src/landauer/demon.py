@@ -5,8 +5,10 @@ catalyst: bit-identical before and after every scenario), a zero region,
 and a history region for reversible intermediate state.  Scenarios run at
 the thermodynamic bound: erasing one residual bit costs exactly one bit
 unit, extraction credits exactly the freed zeros, and no device
-inefficiencies are modeled.  Ledger entries are per phase; scenarios never
-interleave work-producing moves into an erasure phase.
+inefficiencies are modeled.  Ledger entries are per phase and in bits (no
+scenario takes a temperature: the CLI converts the ledger total to joules
+at its --temperature); scenarios never interleave work-producing moves
+into an erasure phase.
 
 Extraction rewrites S in place into its mode-bit block encoding (see
 compress.encode_with_escape; the raw escape is always on).  Because 2^n
@@ -35,7 +37,7 @@ from .compress import CompressionCodec, decode_with_escape, encode_with_escape
 from .errors import GeneratorMismatch, InvariantViolated
 from .irrev import IrreversibleCircuit, evaluate
 from .synth import CompiledReversible, bennett_compile
-from .thermo import DEFAULT_TEMPERATURE, EnergyLedger
+from .thermo import EnergyLedger
 from .circuits import reverse_circuit, simulate
 
 
@@ -176,13 +178,8 @@ def _check_clean(tape: Tape, *regions: str) -> None:
             raise InvariantViolated(f"{region} not zero at the end of the scenario")
 
 
-def run_extract(
-    S: BitString,
-    X: BitString,
-    codec: CompressionCodec,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> ScenarioResult:
-    """Reversibly compress S in place, crediting the freed zeros.
+def run_extract(S: BitString, X: BitString, codec: CompressionCodec) -> ScenarioResult:
+    """Reversibly compress S in place, crediting the freed zeros (in bits).
 
     wv_bits = len(S) - len(code); negative exactly when the encoding
     spills its mode bit (incompressible S).  The code, including any
@@ -193,21 +190,16 @@ def run_extract(
     tape1 = step.apply(tape0)
     code_len = len(encode_with_escape(codec, S, X))
     wv = len(S) - code_len
-    ledger = EnergyLedger(temperature=temperature)
+    ledger = EnergyLedger()
     ledger.credit("extract:zeros", wv)
     _check_catalyst(tape0, tape1)
     return ScenarioResult("extract", ledger, tape0, tape1, wv, 0, (step,))
 
 
-def run_extract_then_erase(
-    S: BitString,
-    X: BitString,
-    codec: CompressionCodec,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> ScenarioResult:
+def run_extract_then_erase(S: BitString, X: BitString, codec: CompressionCodec) -> ScenarioResult:
     """Extract work from S, then erase the residual code at one bit per bit.
 
-    wv_bits + ec_bits = len(S) exactly.
+    wv_bits + ec_bits = len(S) exactly; the ledger holds both phases in bits.
     """
     tape0 = _fresh_tape(S, X)
     encode = BlockEncodeStep(codec)
@@ -216,7 +208,7 @@ def run_extract_then_erase(
     erase = EraseStep(erased_s=tape1.s_region, erased_spill=tape1.zero_region[:1] if code_len > len(S) else BitString())
     tape2 = erase.apply(tape1)
     wv = len(S) - code_len
-    ledger = EnergyLedger(temperature=temperature)
+    ledger = EnergyLedger()
     ledger.credit("extract:zeros", wv)
     ledger.debit("erase:code", code_len)
     _check_catalyst(tape0, tape2)
@@ -226,24 +218,19 @@ def run_extract_then_erase(
     )
 
 
-def run_erase_then_extract(
-    S: BitString,
-    X: BitString,
-    codec: CompressionCodec,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> ScenarioResult:
+def run_erase_then_extract(S: BitString, X: BitString, codec: CompressionCodec) -> ScenarioResult:
     """Erase S first (cost: its coded length), then use the zeros as fuel.
 
     Of the len(S) freed zeros, the erasure debit claims code-length many;
     the reported work value is the net len(S) - ec_bits.  Totals match
-    extract-then-erase with the ledger entries in swapped order.
+    extract-then-erase with the ledger entries, in bits, in swapped order.
     """
     tape0 = _fresh_tape(S, X)
     code_len = len(encode_with_escape(codec, S, X))
     erase = EraseStep(erased_s=S, erased_spill=BitString())
     tape1 = erase.apply(tape0)
     wv = len(S) - code_len
-    ledger = EnergyLedger(temperature=temperature)
+    ledger = EnergyLedger()
     ledger.debit("erase:code", code_len)
     ledger.credit("extract:zeros", wv)
     _check_catalyst(tape0, tape1)
@@ -253,17 +240,13 @@ def run_erase_then_extract(
     )
 
 
-def run_xor_copy_extract(
-    S: BitString,
-    X: BitString,
-    generator: IrreversibleCircuit,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> ScenarioResult:
+def run_xor_copy_extract(S: BitString, X: BitString, generator: IrreversibleCircuit) -> ScenarioResult:
     """Full-value extraction when X programs a copy of S.
 
     Compiles the generator, computes the copy (history holds the junk),
     XORs the copy into S producing 0^len(S), then uncomputes the copy so
-    history and ancillas return to zero.  wv_bits = len(S) exactly.
+    history and ancillas return to zero.  wv_bits = len(S) exactly, the
+    one ledger credit, in bits.
     """
     if evaluate(generator, X) != S:
         raise GeneratorMismatch("generator(X) does not produce S")
@@ -279,7 +262,7 @@ def run_xor_copy_extract(
     tape2 = xor_in.apply(tape1)
     tape3 = backward.apply(tape2)
 
-    ledger = EnergyLedger(temperature=temperature)
+    ledger = EnergyLedger()
     ledger.credit("extract:xor_copy", len(S))
     _check_catalyst(tape0, tape3)
     _check_clean(tape3, "history_region", "s_region")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .bitstring import BitString, encode_self_delimiting
 from .circuits import max_sweep_width
@@ -85,7 +86,7 @@ class PrBoxReport:
     no_signaling_gap_y: Fraction
     rate_x_given_a: Fraction
     rate_y_given_b: Fraction
-    caveat: str = (
+    caveat: ClassVar[str] = (
         "compressor rates upper-bound complexity rates; with pseudorandom "
         "inputs the output-complexity numbers are proxies, not certificates"
     )

@@ -87,7 +87,8 @@ _LINE_SETS = (
 
 @dataclass(frozen=True)
 class CompiledReversible:
-    """A reversible circuit, its result register and its helper value.
+    """A reversible circuit, its result register and its helper value
+    (empty when the circuit has no helper lines).
 
     The circuit's line roles are its only line map: input_lines,
     output_lines, helper_lines, ancilla_lines and const_one_lines hold the
@@ -99,7 +100,7 @@ class CompiledReversible:
 
     circuit: ReversibleCircuit
     result_lines: tuple[int, ...] = ()
-    helper_value: BitString | None = None
+    helper_value: BitString = BitString()
 
     def __post_init__(self):
         lines: dict[str, list[int]] = {role: [] for _, role in _LINE_SETS}
@@ -107,10 +108,9 @@ class CompiledReversible:
             lines[role].append(i)
         for name, role in _LINE_SETS:
             object.__setattr__(self, name, tuple(lines[role]))
-        helper_bits = 0 if self.helper_value is None else len(self.helper_value)
-        if helper_bits != len(self.helper_lines):
+        if len(self.helper_value) != len(self.helper_lines):
             raise WidthMismatch(
-                f"helper value has {helper_bits} bits for {len(self.helper_lines)} helper lines"
+                f"helper value has {len(self.helper_value)} bits for {len(self.helper_lines)} helper lines"
             )
         if not self.result_lines:
             object.__setattr__(self, "result_lines", self.output_lines)
@@ -123,9 +123,8 @@ class CompiledReversible:
         cells = ["0"] * self.circuit.width
         for bit, line in zip(data, self.input_lines):
             cells[line] = "1" if bit else "0"
-        if self.helper_lines:
-            for bit, line in zip(self.helper_value, self.helper_lines):
-                cells[line] = "1" if bit else "0"
+        for bit, line in zip(self.helper_value, self.helper_lines):
+            cells[line] = "1" if bit else "0"
         for line in self.const_one_lines:
             cells[line] = "1"
         return BitString("".join(cells))
@@ -186,15 +185,13 @@ def bennett_compile(src: IrreversibleCircuit) -> CompiledReversible:
 
 
 def _transposition_gates(u: int, v: int, register: Sequence[int], chain: Sequence[int]) -> list[Gate]:
-    """Exact swap of the two basis states u and v of the register lines.
+    """Exact swap of two distinct basis states u and v of the register lines.
 
     Conjugates a multi-controlled flip by CNOTs (folding the differing
     bits onto one pivot line) and NOTs (turning the off-pivot pattern into
     all-ones).  Every other basis state is left fixed; the chain ancillas
     are zero before and after.
     """
-    if u == v:
-        return []
     diff = u ^ v
     p = (diff & -diff).bit_length() - 1  # pivot: lowest differing line
     lo = u if not (u >> p) & 1 else v  # the one with pivot bit 0

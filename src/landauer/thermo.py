@@ -1,11 +1,13 @@
 """Free-energy accounting: work-value and erasure-cost bounds in bit units.
 
 All quantities are kept as exact integers/rationals in units of kT*ln2 per
-bit; joules appear only at presentation time via to_joules.  Sides of a
-bound that rely on the compressor-family estimator are flagged
-`estimated`: the estimator upper-bounds true description length, so an
-estimated lower bound may exceed the true one.  No numeric fudge factors
-are ever applied; every report carries the achieving codec.
+bit, and no ledger or report holds a temperature.  Joules appear only at
+presentation time, via to_joules at the CLI's --temperature (for bounds,
+through BoundReport.to_dict).  Sides of a bound that rely on the
+compressor-family estimator are flagged `estimated`: the estimator
+upper-bounds true description length, so an estimated lower bound may
+exceed the true one.  No numeric fudge factors are ever applied; every
+report carries the achieving codec.
 
 Length convention: whenever a coded length enters a bound, it is the
 self-delimited coded length (header plus codec output), so each quantity
@@ -46,10 +48,10 @@ class EnergyLedger:
     """Signed free-energy entries in exact bit units (single writer).
 
     Credits are energy gained (extracted work), debits energy spent
-    (erasure).  Totals stay exact until converted to joules.
+    (erasure).  The ledger holds bits only; the CLI converts its total to
+    joules with to_joules at its --temperature.
     """
 
-    temperature: float = DEFAULT_TEMPERATURE
     entries: list[tuple[str, Fraction]] = field(default_factory=list)
 
     def credit(self, label: str, bits) -> None:
@@ -60,9 +62,6 @@ class EnergyLedger:
 
     def total_bits(self) -> Fraction:
         return sum((v for _, v in self.entries), Fraction(0))
-
-    def total_joules(self) -> float:
-        return to_joules(self.total_bits(), self.temperature)
 
 
 def coded_length(codec: CompressionCodec, data: BitString, helper: BitString) -> int:

@@ -5,6 +5,7 @@ import os
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from landauer.circuits import LINE_ROLES, ReversibleCircuit, circuit_from_json, 
 from landauer.cli import main
 from landauer.errors import LandauerError
 from landauer.irrev import OPS, IrreversibleCircuit, LogicGate, netlist_from_json, save_netlist
+from landauer.thermo import to_joules
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,6 +161,21 @@ def test_demon_scenarios(tmp_path, monkeypatch):
         if scenario != "extract":
             assert report["conservation_ok"] is True
         assert "final_tape_digest" in report
+
+
+def test_demon_joules_are_the_ledger_bits_at_the_cli_temperature(tmp_path, monkeypatch):
+    (tmp_path / "s.bits").write_text("0" * 64)
+    monkeypatch.chdir(tmp_path)
+    argv = ["demon", "--scenario", "extract-erase", "--s-file", "s.bits"]
+    code, text = run_cli(argv + ["--temperature", "150"])
+    assert code == 0, text
+    report = json.loads(text)
+    bits = Fraction(report["ledger_total_bits"])
+    assert bits != 0
+    assert report["ledger_total_joules"] == to_joules(bits, 150)
+    code, text = run_cli(argv + ["--temperature", "0"])
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "NonPositiveTemperature"
 
 
 def test_prbox_report():

@@ -6,10 +6,10 @@ frozen as literals next to the oracle calls that reproduce them.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from landauer.bitstring import BitString, encode_self_delimiting
+from landauer.bitstring import BitString, decode_uint, encode_self_delimiting
 from landauer.compress import (
     BOOKMARK8,
     IDENTITY,
@@ -201,6 +201,40 @@ def test_bookmark8_compresses_the_tiled_helper():
     assert BOOKMARK8.compress(BitString("10101010"), BitString()) == BitString("1") + BitString(
         "10101010"
     )
+
+
+def test_xor_refuses_a_literal_code_with_no_one_bit():
+    # "1" would decode to the empty string, whose code is the run record "01"
+    assert XOR.compress(EMPTY, EMPTY) == BitString("01")
+    with pytest.raises(MalformedCode):
+        XOR.decompress(BitString("1"), EMPTY)
+
+
+def test_bookmark8_refuses_a_literal_of_the_bookmarked_tiling():
+    # "1" + 0^8 would decode to 0^8, which the helper "0" bookmarks as "0"
+    assert BOOKMARK8.compress(BitString.zeros(8), BitString("0")) == BitString("0")
+    with pytest.raises(MalformedCode):
+        BOOKMARK8.decompress(BitString("1" + "0" * 8), BitString("0"))
+
+
+@pytest.mark.parametrize("codec", (IDENTITY, XOR, BOOKMARK8), ids=lambda c: c.name)
+@given(code=st.text(alphabet="01", max_size=64), helper=st.text(alphabet="01", max_size=16))
+@example(code="1", helper="")  # the two plain cases above, drawn rarely at random
+@example(code="100000000", helper="0")
+@settings(max_examples=300)
+def test_decoder_accepts_exactly_its_encoders_image(codec, code, helper):
+    if codec is XOR and code.startswith("0"):
+        try:
+            run = decode_uint(code, 1)[0]
+        except MalformedCode:
+            run = 0
+        assume(run <= 2**16)  # a 64-bit record can declare a run of 2^32 zeros
+    code, helper = BitString(code), BitString(helper)
+    try:
+        data = codec.decompress(code, helper)
+    except MalformedCode:
+        return
+    assert codec.compress(data, helper) == code
 
 
 # --- registry-wide injectivity ----------------------------------------------------

@@ -495,7 +495,7 @@ def test_simulate_and_trajectory_equal_the_mask_reference(case):
     c, x = case
     out = simulate(c, x)
     assert type(out) is BitString and out == ref_simulate(c, x)
-    states = simulate_trajectory(c, x).states
+    states = simulate_trajectory(c, x)
     assert len(states) == c.gate_count() + 1
     assert states[0] == x and states[-1] == out
     for k, state in enumerate(states):

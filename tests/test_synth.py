@@ -222,7 +222,7 @@ def test_compiled_line_sets_are_the_circuit_roles():
 def test_helper_value_length_must_match_helper_lines():
     compiled = build_fig1_compressor(XOR, 4, BitString("10"))
     assert len(compiled.helper_lines) == 2
-    for value in (BitString("1"), BitString("101"), None):
+    for value in (BitString("1"), BitString("101"), BitString()):
         with pytest.raises(WidthMismatch):
             replace(compiled, helper_value=value)
 
