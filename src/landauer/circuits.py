@@ -10,14 +10,14 @@ definitionally Toffoli gates with constant-1 controls: `normalize_to_toffoli`
 rewrites any circuit into Toffoli-only form over two appended CONST_ONE
 lines, so the "reversible gates only, no AND/OR" discipline is checkable.
 
-One kernel, `_apply`, holds the gate semantics.  Each circuit lowers
-itself once to line-index steps (`_program`, cached on it with the
-CONST_ONE and ANCILLA_ZERO line masks of `_constant_masks`), which the
-kernel applies to a list of per-line rows.  For one state the rows are
-the ints 0/1 of the bit string, character i being line i; for a batch
-(`run_states`) they are views of uint8 bit planes, one per line, which
-the kernel updates in place.  `reverse_circuit` is cached, and the
-reversed circuit inherits the reversed program and the masks.
+One kernel, `_apply`, holds the gate semantics.  A circuit is lowered
+while it is checked, in its constructor: the gates to line-index steps
+(`_prog`) and the CONST_ONE and ANCILLA_ZERO roles to line masks
+(`_const`).  The kernel applies the steps to a list of per-line rows.
+For one state the rows are the ints 0/1 of the bit string, character i
+being line i; for a batch (`run_states`) they are views of uint8 bit
+planes, one per line, which the kernel updates in place.
+`reverse_circuit` is built once per circuit and cached on it.
 
 Exhaustive sweeps run as one batch at any width and are refused up front
 beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  The full
@@ -70,9 +70,6 @@ DEFAULT_MAX_WIDTH = 20
 
 # gate kind -> (controls, targets) arity
 _ARITY = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}
-
-# gate kind -> `_apply` opcode
-_OPCODE = {TOFFOLI: 0, CNOT: 1, NOT: 2, FREDKIN: 3}
 
 # a state's '0'/'1' characters <-> its per-line rows of ints 0/1
 _TO_ROWS = bytes.maketrans(b"01", b"\x00\x01")
@@ -156,32 +153,17 @@ class ReversibleCircuit:
             if r not in LINE_ROLES:
                 raise ValueError(f"unknown line role {r!r}")
         object.__setattr__(self, "line_roles", roles)
+        # (CONST_ONE lines, ANCILLA_ZERO lines) as masks, line i <-> bit (1 << i) as in _to_mask
+        marks = ["".join("1" if r == role else "0" for r in reversed(roles)) for role in (CONST_ONE, ANCILLA_ZERO)]
+        object.__setattr__(self, "_const", tuple(int("0" + m, 2) for m in marks))
+        # `_apply` steps (kind, a, b, t): the gate's controls and targets right-aligned in three slots
+        prog = []
         for g in self.gates:
-            if max(g.controls + g.targets) >= self.width:
+            lines = g.controls + g.targets
+            if max(lines) >= self.width:
                 raise ValueError(f"gate {g} exceeds width {self.width}")
-
-    # Gates lowered to `_apply` steps (op, a, b, t): the opcode, then the
-    # gate's controls and targets right-aligned in three slots; cached per circuit.
-    def _program(self):
-        prog = self.__dict__.get("_prog")
-        if prog is None:
-            prog = self.__dict__["_prog"] = tuple(
-                (_OPCODE[g.kind],) + ((0,) * 3 + g.controls + g.targets)[-3:] for g in self.gates
-            )
-        return prog
-
-    # (CONST_ONE lines, ANCILLA_ZERO lines) as masks; cached per circuit.
-    def _constant_masks(self) -> tuple[int, int]:
-        masks = self.__dict__.get("_const")
-        if masks is None:
-            one = zero = 0
-            for i, role in enumerate(self.line_roles):
-                if role == CONST_ONE:
-                    one |= 1 << i
-                elif role == ANCILLA_ZERO:
-                    zero |= 1 << i
-            masks = self.__dict__["_const"] = (one, zero)
-        return masks
+            prog.append((g.kind,) + ((0,) * 3 + lines)[-3:])
+        object.__setattr__(self, "_prog", tuple(prog))
 
     def gate_count(self) -> int:
         return len(self.gates)
@@ -195,7 +177,7 @@ def _to_mask(bits: BitString) -> int:
 
 def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
     """Raise BadConstantLine for the lowest line whose role the state breaks."""
-    one, zero = c._constant_masks()
+    one, zero = c._const
     bad = (one & ~mask) | (zero & mask)
     if bad:
         i = (bad & -bad).bit_length() - 1
@@ -207,13 +189,15 @@ def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
 def _apply(prog, rows: list, ones):
     """The one gate kernel: apply lowered steps to per-line rows; `ones` is
     the all-ones row (1 for an int, 0xFF for a uint8 plane view).  A step
-    (op, a, b, t) ends in the last target t, with b the line before it."""
-    for op, a, b, t in prog:
-        if op == 0:
+    (kind, a, b, t) is the gate kind, then its lines ending in the last
+    target t, with b the line before it.  Kinds are compared with ==: one
+    read from JSON equals the constant but is another object."""
+    for kind, a, b, t in prog:
+        if kind == TOFFOLI:
             rows[t] ^= rows[a] & rows[b]
-        elif op == 1:
+        elif kind == CNOT:
             rows[t] ^= rows[b]
-        elif op == 2:
+        elif kind == NOT:
             rows[t] ^= ones
         else:
             swap = rows[a] & (rows[b] ^ rows[t])
@@ -236,26 +220,23 @@ def _state(rows: list[int]) -> BitString:
 
 def simulate(c: ReversibleCircuit, input_bits: BitString) -> BitString:
     """Apply the gates in list order to a full-width input state."""
-    return _state(_apply(c._program(), _rows(c, input_bits), 1))
+    return _state(_apply(c._prog, _rows(c, input_bits), 1))
 
 
 def simulate_trajectory(c: ReversibleCircuit, input_bits: BitString) -> tuple[BitString, ...]:
     """The input state, then the state after each gate in list order."""
     rows = _rows(c, input_bits)
-    return (_state(rows),) + tuple(_state(_apply((step,), rows, 1)) for step in c._program())
+    return (_state(rows),) + tuple(_state(_apply((step,), rows, 1)) for step in c._prog)
 
 
 def reverse_circuit(c: ReversibleCircuit) -> ReversibleCircuit:
     """Gates in reversed order; every gate kind is its own inverse.
 
-    Built once per circuit and cached on it.  The reversed circuit inherits
-    the reversed program of `c` and its constant-line masks.
+    Built once per circuit, when first asked for, and cached on it.
     """
     r = c.__dict__.get("_reversed")
     if r is None:
-        r = ReversibleCircuit(c.width, c.gates[::-1], c.line_roles)
-        r.__dict__.update(_prog=c._program()[::-1], _const=c._constant_masks())
-        c.__dict__["_reversed"] = r
+        r = c.__dict__["_reversed"] = ReversibleCircuit(c.width, c.gates[::-1], c.line_roles)
     return r
 
 
@@ -269,7 +250,7 @@ def run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
     if len(planes) != c.width:
         raise WidthMismatch(f"batch has {len(planes)} lines, circuit width {c.width}")
     p = np.array(planes, dtype=np.uint8)
-    _apply(c._program(), list(p), 0xFF)  # one view per line: cheaper to index than p[i]
+    _apply(c._prog, list(p), 0xFF)  # one view per line: cheaper to index than p[i]
     return p
 
 

@@ -53,10 +53,6 @@ class GeneratorMismatch(LandauerError):
     """The generator circuit does not produce the expected string."""
 
 
-class TooManyLines(LandauerError):
-    """A synthesis step needs more chain ancilla lines than the circuit has."""
-
-
 class NonPositiveTemperature(LandauerError):
     """Joule conversion requires a finite temperature above 0 K."""
 

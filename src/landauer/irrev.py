@@ -5,10 +5,10 @@ A netlist is a list of named inputs, a topologically ordered list of
 of output references.  This is exactly the gate family the reversible
 target forbids, hence what the compiler must eliminate.
 
-`evaluate` runs a netlist's index program, lowered once per netlist and
-cached on it: one (opcode, argument index, argument index) triple per gate
-over a single value list that holds the inputs and then each gate's value,
-plus the output indices.
+A netlist numbers its nodes while it is checked, in its constructor:
+the inputs 0..k-1, then gate j as k+j.  `steps` holds one (op, argument
+index, argument index) triple per gate and `output_nodes` the index of
+each output; `evaluate` runs the steps over one value list in that order.
 
 JSON form:
     {"inputs": ["a", "b"],
@@ -32,7 +32,6 @@ XOR = "xor"
 
 OPS = (AND, OR, NOT, XOR)
 _ARITY = {AND: 2, OR: 2, XOR: 2, NOT: 1}
-_OPCODE = {AND: 0, OR: 1, XOR: 2, NOT: 3}  # evaluate's dispatch order
 
 
 @dataclass(frozen=True)
@@ -54,35 +53,25 @@ class IrreversibleCircuit:
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if len(set(self.inputs)) != len(self.inputs):
             raise ValueError("duplicate input names")
-        known = set(self.inputs)
+        index = {name: i for i, name in enumerate(self.inputs)}
+        steps = []
         for g in self.gates:
             if g.op not in OPS:
                 raise ValueError(f"unknown op {g.op!r}")
             if len(g.args) != _ARITY[g.op]:
                 raise ValueError(f"{g.op} takes {_ARITY[g.op]} args, got {len(g.args)}")
-            if g.gate_id in known:
+            if g.gate_id in index:
                 raise ValueError(f"duplicate node id {g.gate_id!r}")
             for a in g.args:
-                if a not in known:
+                if a not in index:
                     raise ValueError(f"gate {g.gate_id!r} references unknown node {a!r}")
-            known.add(g.gate_id)
+            steps.append((g.op, index[g.args[0]], index[g.args[-1]]))
+            index[g.gate_id] = len(index)
         for o in self.outputs:
-            if o not in known:
+            if o not in index:
                 raise ValueError(f"output references unknown node {o!r}")
-
-    # Gates lowered to (opcode, arg index, arg index) over one value list,
-    # inputs first and then one value per gate, plus the output indices;
-    # cached per netlist.
-    def _program(self):
-        prog = self.__dict__.get("_prog")
-        if prog is None:
-            index = {name: i for i, name in enumerate(self.inputs)}
-            steps = []
-            for g in self.gates:
-                steps.append((_OPCODE[g.op], index[g.args[0]], index[g.args[-1]]))
-                index[g.gate_id] = len(index)
-            prog = self.__dict__["_prog"] = (tuple(steps), tuple(index[o] for o in self.outputs))
-        return prog
+        object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "output_nodes", tuple(index[o] for o in self.outputs))
 
 
 def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
@@ -91,18 +80,17 @@ def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
         raise WidthMismatch(
             f"{len(c.inputs)} inputs expected, got {len(input_bits)} bits"
         )
-    steps, outputs = c._program()
     value = [ch == "1" for ch in str(input_bits)]
-    for op, a, b in steps:
-        if op == 0:
+    for op, a, b in c.steps:
+        if op == AND:
             value.append(value[a] & value[b])
-        elif op == 1:
+        elif op == OR:
             value.append(value[a] | value[b])
-        elif op == 2:
+        elif op == XOR:
             value.append(value[a] ^ value[b])
         else:
             value.append(not value[a])
-    return _trusted("".join("1" if value[o] else "0" for o in outputs))
+    return _trusted("".join("1" if value[o] else "0" for o in c.output_nodes))
 
 
 # --- library macros -----------------------------------------------------------

@@ -69,7 +69,6 @@ from .compress import CompressionCodec, encode_with_escape
 from .errors import (
     CodecNotInjective,
     DomainTooLarge,
-    TooManyLines,
     WidthMismatch,
 )
 from .irrev import AND, NOT, OR, XOR, IrreversibleCircuit
@@ -153,28 +152,23 @@ def bennett_compile(src: IrreversibleCircuit) -> CompiledReversible:
     """
     k, g, m = len(src.inputs), len(src.gates), len(src.outputs)
 
-    line_of: dict[str, int] = {name: i for i, name in enumerate(src.inputs)}
+    # A node's index in the netlist is its line: inputs on 0..k-1, then gate j on k+j.
     forward: list[Gate] = []
-    for j, gate in enumerate(src.gates):
-        t = k + j
-        a = line_of[gate.args[0]]
-        if gate.op == NOT:
+    for t, (op, a, b) in enumerate(src.steps, start=k):
+        if op == NOT:
             forward += [cnot(a, t), not_gate(t)]
-        else:
-            b = line_of[gate.args[1]]
-            if a == b:
-                # degenerate two-arg gates: and/or collapse to a wire, xor to 0
-                if gate.op in (AND, OR):
-                    forward.append(cnot(a, t))
-            elif gate.op == AND:
-                forward.append(toffoli(a, b, t))
-            elif gate.op == XOR:
-                forward += [cnot(a, t), cnot(b, t)]
-            else:  # or: a + b + ab mod 2
-                forward += [cnot(a, t), cnot(b, t), toffoli(a, b, t)]
-        line_of[gate.gate_id] = t
+        elif a == b:
+            # degenerate two-arg gates: and/or collapse to a wire, xor to 0
+            if op in (AND, OR):
+                forward.append(cnot(a, t))
+        elif op == AND:
+            forward.append(toffoli(a, b, t))
+        elif op == XOR:
+            forward += [cnot(a, t), cnot(b, t)]
+        else:  # or: a + b + ab mod 2
+            forward += [cnot(a, t), cnot(b, t), toffoli(a, b, t)]
 
-    copies = [cnot(line_of[ref], k + g + i) for i, ref in enumerate(src.outputs)]
+    copies = [cnot(line, k + g + i) for i, line in enumerate(src.output_nodes)]
     gates = tuple(forward) + tuple(copies) + tuple(reversed(forward))
 
     roles = (INPUT,) * k + (ANCILLA_ZERO,) * g + (OUTPUT_ALIAS,) * m
@@ -190,7 +184,8 @@ def _transposition_gates(u: int, v: int, register: Sequence[int], chain: Sequenc
     Conjugates a multi-controlled flip by CNOTs (folding the differing
     bits onto one pivot line) and NOTs (turning the off-pivot pattern into
     all-ones).  Every other basis state is left fixed; the chain ancillas
-    are zero before and after.
+    are zero before and after.  A register of r > 3 lines needs r - 3 of
+    them, which is what build_fig1_compressor allocates.
     """
     diff = u ^ v
     p = (diff & -diff).bit_length() - 1  # pivot: lowest differing line
@@ -210,8 +205,6 @@ def _transposition_gates(u: int, v: int, register: Sequence[int], chain: Sequenc
         core = [toffoli(controls[0], controls[1], p)]
     else:
         need = len(controls) - 2
-        if need > len(chain):
-            raise TooManyLines(f"need {need} chain ancillas, have {len(chain)}")
         up = [toffoli(controls[0], controls[1], chain[0])]
         for idx in range(need - 1):
             up.append(toffoli(chain[idx], controls[2 + idx], chain[idx + 1]))

@@ -31,7 +31,7 @@ LN2 = math.log(2.0)
 DEFAULT_TEMPERATURE = 300.0
 
 
-def to_joules(bits, temperature: float = DEFAULT_TEMPERATURE) -> float:
+def to_joules(bits, temperature: float) -> float:
     """bits * k * T * ln 2 with the SI Boltzmann constant k; floats enter
     here and only here.
 
@@ -104,7 +104,7 @@ class BoundReport:
     upper_codec: str = ""
     note: str = ""
 
-    def to_dict(self, temperature: float = DEFAULT_TEMPERATURE) -> dict:
+    def to_dict(self, temperature: float) -> dict:
         return {
             "quantity": self.quantity,
             "lower_bits": self.lower_bits,

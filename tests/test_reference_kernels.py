@@ -5,8 +5,8 @@ each kernel (dict-keyed lz78 parse, per-character xor, per-bit box
 condition, per-line state packing and table assembly, sort-based
 injectivity, per-bit mask conversions, a scalar gate interpreter over
 bit masks, 2-D-indexed gate sweep, per-role constant-line check,
-dict-walking netlist evaluation).  Every kernel must
-return exactly the reference's output.  A cached structure (a circuit's
+dict-walking netlist evaluation, a name-map Bennett compile loop).  Every
+kernel must return exactly the reference's output.  A cached structure (a circuit's
 permutation table, a weight class's planes) must equal a fresh build, be
 the same object on a second call, and refuse writes.
 """
@@ -19,15 +19,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landauer import circuits, irrev
+from landauer.synth import bennett_compile
 from landauer.clausius import WeightCouple, _class_planes
 from landauer.bitstring import BitString, encode_uint
 from landauer.circuits import (
     ANCILLA_ZERO,
     CNOT,
     CONST_ONE,
+    FREDKIN,
+    INPUT,
     LINE_ROLES,
     NOT,
+    OUTPUT_ALIAS,
     TOFFOLI,
+    Gate,
     ReversibleCircuit,
     _check_constant_lines,
     _to_mask,
@@ -198,6 +203,33 @@ def ref_evaluate(c: irrev.IrreversibleCircuit, input_bits: BitString) -> BitStri
             b = value[g.args[1]]
             value[g.gate_id] = a & b if g.op == irrev.AND else a | b if g.op == irrev.OR else a ^ b
     return BitString(value[o] for o in c.outputs)
+
+
+def ref_bennett_gates(src: irrev.IrreversibleCircuit) -> tuple:
+    """The Bennett gate list with its own name -> line map: input i on
+    line i, gate j on line k + j, output i copied to line k + g + i."""
+    k, g = len(src.inputs), len(src.gates)
+    line_of = {name: i for i, name in enumerate(src.inputs)}
+    forward = []
+    for j, gate in enumerate(src.gates):
+        t = k + j
+        a = line_of[gate.args[0]]
+        if gate.op == irrev.NOT:
+            forward += [cnot(a, t), not_gate(t)]
+        else:
+            b = line_of[gate.args[1]]
+            if a == b:
+                if gate.op in (irrev.AND, irrev.OR):
+                    forward.append(cnot(a, t))
+            elif gate.op == irrev.AND:
+                forward.append(toffoli(a, b, t))
+            elif gate.op == irrev.XOR:
+                forward += [cnot(a, t), cnot(b, t)]
+            else:
+                forward += [cnot(a, t), cnot(b, t), toffoli(a, b, t)]
+        line_of[gate.gate_id] = t
+    copies = [cnot(line_of[ref], k + g + i) for i, ref in enumerate(src.outputs)]
+    return tuple(forward + copies + forward[::-1])
 
 
 # --- inputs ----------------------------------------------------------------------
@@ -537,11 +569,32 @@ def test_reversed_program_equals_fresh_lowering(c, data):
     r = reverse_circuit(c)
     fresh = ReversibleCircuit(c.width, tuple(reversed(c.gates)), c.line_roles)
     assert r == fresh
-    assert r._program() == fresh._program()
-    assert r._constant_masks() == fresh._constant_masks()
+    assert r._prog == fresh._prog
+    assert r._const == fresh._const
     assert reverse_circuit(c) is r  # built once per circuit
     back = reverse_circuit(r)
-    assert back == c and back._program() == c._program()
+    assert back == c and back._prog == c._prog
+
+
+# a gate kind equal to the constant but another object, as a kind read from JSON is
+_COPIED_KIND = {kind: "".join(kind) for kind in (TOFFOLI, CNOT, NOT, FREDKIN)}
+
+
+@given(circuits_of_width(st.integers(1, 30)), st.integers(0, 2**30 - 1))
+@example(ReversibleCircuit(3, (toffoli(0, 1, 2), cnot(2, 0), not_gate(1), fredkin(0, 1, 2))), 0b011)
+@settings(max_examples=100, deadline=None)
+def test_kinds_equal_to_the_constants_run_like_them(c, state):
+    c = ReversibleCircuit(c.width, tuple(Gate(_COPIED_KIND[g.kind], g.controls, g.targets) for g in c.gates))
+    assert all(g.kind is not kind for g in c.gates for kind in _COPIED_KIND)
+    x = BitString.from_int(state % 2**c.width, c.width)
+    want = ref_simulate(c, x)
+    assert simulate(c, x) == want
+    states = simulate_trajectory(c, x)
+    assert states[-1] == want
+    assert all(state == ref_simulate(ReversibleCircuit(c.width, c.gates[:k]), x) for k, state in enumerate(states))
+    # a batch of eight copies of x, each line one byte
+    out = run_states(c, np.array([[0xFF if bit else 0] for bit in x], dtype=np.uint8))
+    assert BitString("".join({0xFF: "1", 0: "0"}[row[0]] for row in out)) == want
 
 
 @st.composite
@@ -586,3 +639,15 @@ def test_lowered_evaluate_equals_dict_reference(net, data):
         bits = BitString.from_int(x, k)
         got = irrev.evaluate(net, bits)
         assert type(got) is BitString and got == ref_evaluate(net, bits)
+
+
+@given(netlists())
+@example(irrev.rom_circuit(BitString("0110"), 2))
+@example(wire_through(3))
+@example(NOT_CHAIN)
+@example(irrev.IrreversibleCircuit(("a",), (), ()))
+@settings(max_examples=200)
+def test_bennett_lines_are_the_netlist_node_indices(net):
+    k, g, m = len(net.inputs), len(net.gates), len(net.outputs)
+    roles = (INPUT,) * k + (ANCILLA_ZERO,) * g + (OUTPUT_ALIAS,) * m
+    assert bennett_compile(net).circuit == ReversibleCircuit(k + g + m, ref_bennett_gates(net), roles)

@@ -17,6 +17,12 @@ shares its name with a used method of another class passes unnoticed.
 
 A module imports a _-prefixed name from a sibling module only when the
 name is on the SHARED_PRIVATE allow-list with its reason.
+
+A function stores into an instance __dict__ (by subscript or by .update),
+that is, caches a value on an object, only when it is on the
+OBJECT_CACHES allow-list with its reason.  What a constructor can build,
+it builds and stores with object.__setattr__; a lazy cache is kept only
+for what is costly or recursive to build up front.
 """
 
 import ast
@@ -40,6 +46,13 @@ PAPER_FACING = {
 SHARED_PRIVATE = {
     "bitstring._trusted": "wraps text a kernel already built from '0'/'1' without checking it again",
     "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check and the Fig. 1 tables",
+}
+
+
+# Functions that cache a value on an object, built only when first asked for.
+OBJECT_CACHES = {
+    "circuits.reverse_circuit": "a reversed circuit built eagerly would build its own reverse, without end",
+    "circuits.permutation_table": "a sweep of all 2^width states, which most circuits are never asked for",
 }
 
 
@@ -91,6 +104,28 @@ def private_imports(tree: ast.Module) -> list[str]:
             names = [a.name for a in node.names]
             found += [f"{module}.{n}" for n in names if n.startswith("_") and not n.endswith("__")]
     return sorted(found)
+
+
+def object_caches(tree: ast.Module) -> list[str]:
+    """'function' or 'Class.method' for each top-level function or method
+    that stores into an instance __dict__, by subscript or by .update."""
+    found = []
+    for node in tree.body:
+        scope, fns = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+        for fn in fns:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_stores_into_dict, ast.walk(fn))):
+                found.append(scope + fn.name)
+    return found
+
+
+def _stores_into_dict(node: ast.AST) -> bool:
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        target = node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "update":
+        target = node.func.value
+    else:
+        return False
+    return isinstance(target, ast.Attribute) and target.attr == "__dict__"
 
 
 def references(nodes) -> tuple[Counter, Counter]:
@@ -216,3 +251,23 @@ def test_private_names_cross_modules_only_from_the_allow_list():
     assert not stray, f"private names imported from a sibling: {stray}"
     unused = SHARED_PRIVATE.keys() - {name for _, name in found}
     assert not unused, f"allow-listed but never imported: {sorted(unused)}"
+
+
+def test_the_object_cache_rule_flags_stores_into_an_instance_dict():
+    tree = ast.parse(
+        "class C:\n"
+        "    def __post_init__(self): object.__setattr__(self, 'prog', ())\n"
+        "    def _program(self):\n        self.__dict__['_prog'] = p = ()\n        return p\n"
+        "    def peek(self): return self.__dict__.get('_prog')\n"
+        "def warm(c): c.__dict__.update(_t=1)\n"
+        "def tally(d, c): d['n'] = c.__dict__['n']; d.update(m=1)\n"
+        "def bump(c): c.__dict__['n'] += 1\n"
+    )
+    assert object_caches(tree) == ["C._program", "warm", "bump"]
+
+
+def test_only_the_allow_listed_functions_cache_on_an_object():
+    found = {f"{p.stem}.{name}" for p in SOURCES for name in object_caches(parse(p))}
+    stray, stale = sorted(found - OBJECT_CACHES.keys()), sorted(OBJECT_CACHES.keys() - found)
+    assert not stray, f"caches on an object, not allow-listed: {stray}"
+    assert not stale, f"allow-listed but caches nothing: {stale}"

@@ -25,7 +25,6 @@ from landauer.compress import (
 from landauer.errors import (
     CodecNotInjective,
     DomainTooLarge,
-    TooManyLines,
     WidthMismatch,
 )
 from landauer.irrev import (
@@ -536,14 +535,6 @@ def test_transposition_gadget_moves_exactly_two_states():
             expected = v if x == u else u if x == v else x
             assert got == expected, (u, v, x)
             assert state[reg_width:].weight() == 0  # chains restored
-
-
-def test_transposition_gadget_without_chain_ancillas_is_refused():
-    from landauer.synth import _transposition_gates
-
-    # five register lines leave four controls, which need two chain ancillas
-    with pytest.raises(TooManyLines):
-        _transposition_gates(0b00000, 0b10110, tuple(range(5)), ())
 
 
 def test_fig1_composed_with_reverse_restores_input():

@@ -22,7 +22,7 @@ from landauer.thermo import (
 
 
 def test_to_joules_examples():
-    assert to_joules(0) == 0.0
+    assert to_joules(0, 300.0) == 0.0
     one_bit = to_joules(1, 300.0)
     assert one_bit == pytest.approx(1.380649e-23 * 300.0 * math.log(2), rel=1e-12)
     assert one_bit == pytest.approx(2.871e-21, rel=1e-3)
@@ -178,6 +178,6 @@ def test_wv_report_flags():
     rep = wv_report(s, BitString(), LZ78)
     assert not rep.lower_estimated and rep.upper_estimated
     assert rep.lower_bits <= rep.upper_bits
-    d = rep.to_dict()
+    d = rep.to_dict(300.0)
     assert d["estimated"] == {"lower": False, "upper": True}
     assert d["joules"]["T"] == 300.0
