@@ -19,6 +19,10 @@ from .errors import MalformedCode
 
 BitsLike = Union[str, "BitString", Iterable[int]]
 
+# a bit string's '0'/'1' characters <-> its rows of ints 0/1, by bytes.translate
+_TO_ROWS = bytes.maketrans(b"01", b"\x00\x01")
+_FROM_ROWS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class BitString:
     """Immutable finite sequence of bits.

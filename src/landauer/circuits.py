@@ -42,7 +42,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .bitstring import BitString, _trusted
+from .bitstring import _FROM_ROWS, _TO_ROWS, BitString, _trusted
 from .errors import (
     BadConstantLine,
     DomainTooLarge,
@@ -70,10 +70,6 @@ DEFAULT_MAX_WIDTH = 20
 
 # gate kind -> (controls, targets) arity
 _ARITY = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}
-
-# a state's '0'/'1' characters <-> its per-line rows of ints 0/1
-_TO_ROWS = bytes.maketrans(b"01", b"\x00\x01")
-_FROM_ROWS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def max_sweep_width() -> int:
@@ -190,14 +186,16 @@ def _apply(prog, rows: list, ones):
     """The one gate kernel: apply lowered steps to per-line rows; `ones` is
     the all-ones row (1 for an int, 0xFF for a uint8 plane view).  A step
     (kind, a, b, t) is the gate kind, then its lines ending in the last
-    target t, with b the line before it.  Kinds are compared with ==: one
-    read from JSON equals the constant but is another object."""
+    target t, with b the line before it.  Kinds are compared with == to
+    local names, which load faster than globals: one read from JSON equals
+    the constant but is another object."""
+    toffoli_, cnot_, not_ = TOFFOLI, CNOT, NOT
     for kind, a, b, t in prog:
-        if kind == TOFFOLI:
+        if kind == toffoli_:
             rows[t] ^= rows[a] & rows[b]
-        elif kind == CNOT:
+        elif kind == cnot_:
             rows[t] ^= rows[b]
-        elif kind == NOT:
+        elif kind == not_:
             rows[t] ^= ones
         else:
             swap = rows[a] & (rows[b] ^ rows[t])

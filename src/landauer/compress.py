@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from .bitstring import (
+    _TO_ROWS,
     BitString,
     _trusted,
     decode_self_delimiting,
@@ -103,9 +104,6 @@ def _identity_decompress(code: str, helper: str) -> str:
 # --- LZ78 with dictionary warm-up ---------------------------------------------
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _lz78_warmup(helper: str) -> tuple[list[int], int]:
     """Phrase trie of the helper's parse: (child, dictionary size).
 
@@ -116,7 +114,7 @@ def _lz78_warmup(helper: str) -> tuple[list[int], int]:
     child = [0, 0]
     size = 0
     slot = 0  # 2 * current node
-    for bit in helper.encode().translate(_BIT_VALUES):
+    for bit in helper.encode().translate(_TO_ROWS):
         k = slot + bit
         slot = child[k]
         if not slot:  # new phrase; the parse restarts at the empty phrase
@@ -132,7 +130,7 @@ def _lz78_compress(data: str, helper: str) -> str:
     # token (index, bit) is k = 2*index + bit in size.bit_length() + 1 bits
     token = f"0{size.bit_length() + 1}b"
     slot = 0
-    for bit in data.encode().translate(_BIT_VALUES):
+    for bit in data.encode().translate(_TO_ROWS):
         k = slot + bit
         nxt = child[k]
         if nxt:

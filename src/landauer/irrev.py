@@ -8,7 +8,8 @@ target forbids, hence what the compiler must eliminate.
 A netlist numbers its nodes while it is checked, in its constructor:
 the inputs 0..k-1, then gate j as k+j.  `steps` holds one (op, argument
 index, argument index) triple per gate and `output_nodes` the index of
-each output; `evaluate` runs the steps over one value list in that order.
+each output.  `evaluate` runs the steps in that order over one row of
+0/1 ints, one per node, as `circuits` runs gates over a state's lines.
 
 JSON form:
     {"inputs": ["a", "b"],
@@ -22,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .bitstring import BitString, _trusted
+from .bitstring import _FROM_ROWS, _TO_ROWS, BitString, _trusted
 from .errors import WidthMismatch, json_field, load_json
 
 AND = "and"
@@ -75,22 +76,24 @@ class IrreversibleCircuit:
 
 
 def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
-    """Standard boolean semantics; returns the output bits in order."""
+    """Standard boolean semantics; returns the output bits in order.
+    Node values are 0/1 ints, so NOT is ^ 1."""
     if len(input_bits) != len(c.inputs):
         raise WidthMismatch(
             f"{len(c.inputs)} inputs expected, got {len(input_bits)} bits"
         )
-    value = [ch == "1" for ch in str(input_bits)]
+    value = list(str(input_bits).encode().translate(_TO_ROWS))
+    and_, or_, xor_ = AND, OR, XOR  # locals load faster than module globals
     for op, a, b in c.steps:
-        if op == AND:
+        if op == and_:
             value.append(value[a] & value[b])
-        elif op == OR:
+        elif op == or_:
             value.append(value[a] | value[b])
-        elif op == XOR:
+        elif op == xor_:
             value.append(value[a] ^ value[b])
         else:
-            value.append(not value[a])
-    return _trusted("".join("1" if value[o] else "0" for o in c.output_nodes))
+            value.append(value[a] ^ 1)
+    return _trusted(bytes([value[o] for o in c.output_nodes]).translate(_FROM_ROWS).decode())
 
 
 # --- library macros -----------------------------------------------------------

@@ -383,7 +383,9 @@ def verify_compiled(
     helper lines untouched), and injectivity of the full-state map on the
     swept domain: the output states, one byte row each, are sorted and no
     two adjacent rows may be equal.  At most 16 offending cases of each
-    kind are recorded, in input order.
+    kind are recorded, in input order.  The inputs and the results are
+    each rendered to text in one numpy pass over their planes; the oracle
+    is then called once per input x, in order, on BitString.from_int(x, k).
     """
     k = len(compiled.input_lines)
     if k > max_sweep_width():
@@ -396,14 +398,13 @@ def verify_compiled(
     planes[list(reversed(compiled.input_lines))] = cube_planes(k)
     out = run_states(c, planes)
 
-    results = np.unpackbits(out[list(compiled.result_lines)], axis=1, count=count).T + ord("0")
-    got = [row.tobytes().decode() for row in results]
+    inputs = _render(planes[list(compiled.input_lines)], count)
     mismatches = []
-    for x in range(count):
-        data = BitString.from_int(x, k)
+    for text, got in zip(inputs, _render(out[list(compiled.result_lines)], count)):
+        data = _trusted(text)
         want = oracle(data)
-        if got[x] != str(want) and len(mismatches) < _KEEP:
-            mismatches.append((data, BitString(got[x]), want))
+        if got != str(want) and len(mismatches) < _KEEP:
+            mismatches.append((data, _trusted(got), want))
 
     helper = list(compiled.helper_lines)
     checks = [(out[i], i, "ancilla not restored") for i in compiled.ancilla_lines]
@@ -412,10 +413,20 @@ def verify_compiled(
         checks.append((np.bitwise_or.reduce(out[helper] ^ planes[helper]), helper[0], "helper changed"))
     flags = np.array([np.unpackbits(bad, count=count) for bad, _, _ in checks]).reshape(len(checks), count)
     xs, rows = np.nonzero(flags.T)  # input order, then check order
-    violations = [(BitString.from_int(int(x), k), *checks[v][1:]) for x, v in zip(xs, rows[:_KEEP])]
+    violations = [(_trusted(inputs[x]), *checks[v][1:]) for x, v in zip(xs, rows[:_KEEP])]
 
     states = np.packbits(np.unpackbits(out, axis=1, count=count), axis=0).T  # one byte row per state
     return VerificationReport(count, tuple(mismatches), tuple(violations), _rows_distinct(states))
+
+
+def _render(planes: np.ndarray, count: int) -> list[str]:
+    """The first `count` states of packed bit planes as '0'/'1' text, line
+    i of a state being character i, in one unpack and one decode."""
+    width = len(planes)
+    if not width:  # no lines: every state is the empty string (a 0 slice step would raise)
+        return [""] * count
+    text = (np.unpackbits(planes, axis=1, count=count).T + ord("0")).tobytes().decode()
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 def _rows_distinct(rows: np.ndarray) -> bool:

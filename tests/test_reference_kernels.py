@@ -631,6 +631,7 @@ NOT_CHAIN = irrev.IrreversibleCircuit(
 @example(wire_through(3), None)
 @example(NOT_CHAIN, None)
 @example(irrev.IrreversibleCircuit(("a",), (), ()), None)
+@example(irrev.IrreversibleCircuit((), (), ()), None)
 @settings(max_examples=200)
 def test_lowered_evaluate_equals_dict_reference(net, data):
     k = len(net.inputs)

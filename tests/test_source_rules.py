@@ -23,9 +23,20 @@ that is, caches a value on an object, only when it is on the
 OBJECT_CACHES allow-list with its reason.  What a constructor can build,
 it builds and stores with object.__setattr__; a lazy cache is kept only
 for what is costly or recursive to build up front.
+
+Results are exact: big integers and Fractions.  A float literal, a call to
+float or to math.log, log2, exp or sqrt, and any / or /= appear only at
+the FLOAT_SITES, each a presentation boundary listed with its reason, and
+every listed site still makes a float.
+
+The modules that neither sweep states nor call one that does
+(bitstring, compress, irrev, thermo) import without numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -46,7 +57,21 @@ PAPER_FACING = {
 SHARED_PRIVATE = {
     "bitstring._trusted": "wraps text a kernel already built from '0'/'1' without checking it again",
     "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check and the Fig. 1 tables",
+    "bitstring._TO_ROWS": "the one '0'/'1' text -> 0/1 int row table, for the gate kernel, the netlist evaluator and lz78",
+    "bitstring._FROM_ROWS": "the one 0/1 int row -> '0'/'1' text table, for the gate kernel and the netlist evaluator",
 }
+
+# Functions and module constants that make floats, each for presentation only.
+FLOAT_SITES = {
+    "clausius.clausius_experiment": "the per-n trend is log2 of an exact ratio, rendered for the report",
+    "thermo.BOLTZMANN_K": "the SI Boltzmann constant in J/K, used only to print joules",
+    "thermo.LN2": "ln 2, used only to print joules",
+    "thermo.DEFAULT_TEMPERATURE": "the CLI's default temperature in kelvin, a float as argparse parses one",
+    "thermo.to_joules": "turns exact bit counts into joules for printing",
+}
+
+# math functions whose results are floats
+FLOAT_MATH = {"log", "log2", "exp", "sqrt"}
 
 
 # Functions that cache a value on an object, built only when first asked for.
@@ -126,6 +151,51 @@ def _stores_into_dict(node: ast.AST) -> bool:
     else:
         return False
     return isinstance(target, ast.Attribute) and target.attr == "__dict__"
+
+
+def float_sites(tree: ast.Module) -> dict[str, list[int]]:
+    """{'site': lines} for each top-level function, method ('Class.method'),
+    assigned name or other statement ('<module>') of the module that makes
+    a float: a float literal, a call to float or to a FLOAT_MATH function of
+    math, an import of one from math, or a / or /=."""
+    found: dict[str, list[int]] = {}
+    for scope, node in _statements(tree.body, ""):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)] or ["<module>"]
+        else:
+            names = ["<module>"]
+        lines = sorted(n.lineno for n in ast.walk(node) if _makes_float(n))
+        if lines:
+            for name in names:
+                found.setdefault(scope + name, []).extend(lines)
+    return found
+
+
+def _statements(body, scope):
+    """(scope, statement) for each statement, descending into classes."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _statements(node.body, f"{scope}{node.name}.")
+        else:
+            yield scope, node
+
+
+def _makes_float(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return type(node.value) is float
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.Div)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" and any(a.name in FLOAT_MATH for a in node.names)
+    if isinstance(node, ast.Call):
+        f = node.func
+        if isinstance(f, ast.Name):
+            return f.id == "float"
+        return isinstance(f, ast.Attribute) and f.attr in FLOAT_MATH and getattr(f.value, "id", "") == "math"
+    return False
 
 
 def references(nodes) -> tuple[Counter, Counter]:
@@ -271,3 +341,51 @@ def test_only_the_allow_listed_functions_cache_on_an_object():
     stray, stale = sorted(found - OBJECT_CACHES.keys()), sorted(OBJECT_CACHES.keys() - found)
     assert not stray, f"caches on an object, not allow-listed: {stray}"
     assert not stale, f"allow-listed but caches nothing: {stale}"
+
+
+def test_the_float_rule_flags_every_way_to_make_a_float():
+    tree = ast.parse(
+        "import math\nfrom math import sqrt, comb\n"
+        "HALF = 0.5\nTWO = 2\n"
+        "def exact(n): return math.comb(n, 2) // 2 + math.isqrt(n)\n"
+        "def ratio(a, b): return a / b\n"
+        "def scale(x):\n    x /= 3\n    return x\n"
+        "def bits(n): return math.log2(n) + math.exp(1) + math.log(n)\n"
+        "def cast(n: float) -> float: return float(n)\n"
+        "class C:\n    k: float = 1e-3\n    def m(self): return (7).bit_length()\n"
+        "if TWO:\n    ROOT = 2 ** 0.5\n"
+    )
+    assert float_sites(tree) == {
+        "<module>": [2, 16],
+        "HALF": [3],
+        "ratio": [6],
+        "scale": [8],
+        "bits": [10, 10, 10],
+        "cast": [11],
+        "C.k": [13],
+    }
+
+
+def test_floats_appear_only_at_the_listed_presentation_sites():
+    found = {f"{p.stem}.{site}": lines for p in SOURCES for site, lines in float_sites(parse(p)).items()}
+    stray = {site: lines for site, lines in found.items() if site not in FLOAT_SITES}
+    assert not stray, f"floats outside the listed sites (site: lines): {stray}"
+    stale = sorted(FLOAT_SITES.keys() - found.keys())
+    assert not stale, f"listed as making a float but makes none: {stale}"
+
+
+def test_the_numpy_free_modules_import_without_numpy():
+    code = (
+        "import sys\n"
+        "import landauer.bitstring, landauer.compress, landauer.irrev, landauer.thermo\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landauer.bitstring import BitString, encode_self_delimiting
 from landauer.circuits import (
@@ -28,6 +30,7 @@ from landauer.errors import (
     WidthMismatch,
 )
 from landauer.irrev import (
+    AND,
     IrreversibleCircuit,
     LogicGate,
     evaluate,
@@ -42,6 +45,7 @@ from landauer.synth import (
     fig1_block_oracle,
     verify_compiled,
 )
+from test_reference_kernels import netlists
 
 
 def wire_through(n):
@@ -153,6 +157,35 @@ def with_gates(compiled, extra):
     c = compiled.circuit
     circuit = ReversibleCircuit(c.width, c.gates + tuple(extra), c.line_roles)
     return replace(compiled, circuit=circuit)
+
+
+@given(netlists(), st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3))
+@example(IrreversibleCircuit((), (), ()), [])
+@example(IrreversibleCircuit(("a", "b"), (LogicGate("g", AND, ("a", "b")),), ()), [(0, 2)])
+@example(wire_through(6), [(0, 6), (1, 11)])  # 48 of 64 results wrong
+@settings(max_examples=100, deadline=None)
+def test_verify_equals_the_scalar_reference(net, flaws):
+    """Bennett builds of random netlists, some broken by extra CNOTs (each
+    (control, target) taken modulo the width), report as the reference does."""
+    comp = bennett_compile(net)
+    w = comp.circuit.width
+    comp = with_gates(comp, [cnot(a % w, b % w) for a, b in flaws if a % w != b % w])
+    oracle = lambda x: evaluate(net, x)
+    assert verify_compiled(comp, oracle) == verify_one_state_at_a_time(comp, oracle)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 9])
+def test_verify_calls_the_oracle_once_per_input_in_order(k):
+    calls = []
+
+    def oracle(data):
+        calls.append(data)
+        return data
+
+    report = verify_compiled(bennett_compile(wire_through(k)), oracle)
+    assert report.ok and report.swept == 1 << k
+    assert calls == [BitString.from_int(x, k) for x in range(1 << k)]
+    assert all(type(data) is BitString for data in calls)
 
 
 def test_verify_wide_bennett_matches_scalar_reference():
