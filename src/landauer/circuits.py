@@ -165,9 +165,9 @@ class ReversibleCircuit:
         return len(self.gates)
 
 
-def _to_mask(bits: BitString) -> int:
-    """The state as an int, line i <-> bit (1 << i): the bit string read
-    backwards."""
+def _to_mask(bits: BitString | str) -> int:
+    """The state as an int, line i <-> bit (1 << i): the bit string, or its
+    '0'/'1' text, read backwards."""
     return int(str(bits)[::-1] or "0", 2)
 
 

@@ -15,7 +15,8 @@ are reused: CompressionCodec.compress keeps its last 16 distinct (kernel,
 data, helper) calls and their codes alive, and nothing else.  That memo
 is the only place codes are reused; callers ask compress again rather
 than pass a code along.  A raising kernel is called again every time;
-decompress is not cached.
+decompress is not cached.  The Fig. 1 block pass, block_codes, calls
+each kernel once per block and keeps nothing.
 
 Registered codecs:
 
@@ -38,7 +39,9 @@ final partial phrase.  The format is bit-exact and documented so other
 implementations can reproduce it.  A phrase's index is its node id in
 the phrase trie (0 is the empty phrase, ids in order of creation, helper
 phrases first), which is the same numbering as a phrase dictionary built
-in parse order, so the bitstream is unchanged by the trie kernel.
+in parse order, so the bitstream is unchanged by the trie kernel.  The
+decoder grows the same trie and refuses a token that writes a phrase it
+already holds, so it accepts exactly the codes the encoder writes.
 """
 
 from __future__ import annotations
@@ -54,10 +57,9 @@ from .bitstring import (
     _trusted,
     decode_self_delimiting,
     decode_uint,
-    encode_self_delimiting,
     encode_uint,
 )
-from .errors import MalformedCode
+from .errors import CodecNotInjective, MalformedCode
 
 
 @dataclass(frozen=True)
@@ -159,31 +161,41 @@ def _lz78_decompress(code: str, helper: str) -> str:
         if slot:  # a parent's id is below its child's, so its phrase is set
             table[slot >> 1] = table[k >> 1] + "01"[k & 1]
     produced: list[str] = []
-    produced_len = 0
-    while produced_len < n:
-        w = (len(table) - 1).bit_length()
-        if pos + w > len(code):
+    left = n  # bits still to produce
+    end = len(code)
+    while left:
+        w = size.bit_length()
+        stop = pos + w + 1  # a full token: w index bits, then the next bit
+        if stop <= end:
+            k = int(code[pos:stop], 2)
+            idx = k >> 1
+        elif stop - 1 == end:  # room for an index-only final token alone
+            idx = int(code[pos:end], 2) if w else 0
+            k = -1
+        else:
             raise MalformedCode("lz78: truncated token index")
-        idx = int(code[pos : pos + w], 2) if w else 0
-        pos += w
-        if idx >= len(table):
+        if idx > size:
             raise MalformedCode(f"lz78: index {idx} out of range")
         phrase = table[idx]
-        remaining = n - produced_len
-        if len(phrase) == remaining:
+        if len(phrase) >= left:
+            if len(phrase) > left:
+                raise MalformedCode("lz78: phrase overruns declared length")
             produced.append(phrase)  # final partial phrase
-            produced_len = n
+            pos = stop - 1
             break
-        if len(phrase) > remaining:
-            raise MalformedCode("lz78: phrase overruns declared length")
-        if pos >= len(code):
+        if k < 0:
             raise MalformedCode("lz78: truncated token symbol")
-        phrase += code[pos]
-        pos += 1
-        produced.append(phrase)
-        produced_len += len(phrase)
+        if child[k]:  # the encoder extends a known phrase rather than write it
+            raise MalformedCode(f"lz78: token repeats phrase {child[k] >> 1}")
+        size += 1
+        child[k] = 2 * size
+        child += (0, 0)
+        phrase += "01"[k & 1]
         table.append(phrase)
-    if pos != len(code):
+        produced.append(phrase)
+        left -= len(phrase)
+        pos = stop
+    if pos != end:
         raise MalformedCode("lz78: trailing bits after token stream")
     return "".join(produced)
 
@@ -298,6 +310,16 @@ def estimate_complexity(data: BitString, helper: BitString = BitString()) -> Com
 # --- block encoding with raw escape ---------------------------------------------
 
 
+def _escape(code: str, data: str) -> str:
+    """The one escape rule, on the text of `data` and its codec output:
+    "0" || gamma(len(code) + 1) || code when that fits in len(data) bits
+    after the mode bit, else "1" || data."""
+    n = len(code) + 1
+    if 2 * n.bit_length() + n - 2 <= len(data):  # gamma(n) has 2 * bitlen(n) - 1 bits
+        return "0" + str(encode_uint(n - 1)) + code
+    return "1" + data
+
+
 def encode_with_escape(codec: CompressionCodec, data: BitString, helper: BitString) -> BitString:
     """Encode `data` into at most len(data)+1 bits, mode bit first.
 
@@ -308,10 +330,7 @@ def encode_with_escape(codec: CompressionCodec, data: BitString, helper: BitStri
     The branch structure keeps data -> code injective for every codec
     that satisfies the round-trip contract.
     """
-    wrapped = encode_self_delimiting(codec.compress(data, helper))
-    if len(wrapped) <= len(data):
-        return _trusted("0" + str(wrapped))
-    return _trusted("1" + str(data))
+    return _trusted(_escape(str(codec.compress(data, helper)), str(data)))
 
 
 def decode_with_escape(
@@ -340,10 +359,34 @@ def decode_with_escape(
         raise MalformedCode(f"block code padding after bit {end} is not all zero")
     if raw:
         data = coded[1:end]
-        if len(encode_self_delimiting(codec.compress(data, helper))) <= data_len:
+        if _escape(str(codec.compress(data, helper)), str(data))[0] == "0":
             raise MalformedCode("raw block code holds data the compressed branch encodes")
         return data
     data = codec.decompress(payload, helper)
     if len(data) != data_len:
         raise MalformedCode(f"block code decodes to {len(data)} bits, expected {data_len}")
     return data
+
+
+def block_codes(codec: CompressionCodec, block: int, helper: BitString) -> list[str]:
+    """The escape code of each `block`-bit value under `helper`, as text in
+    value order, after its round trip; each kernel runs once per value,
+    outside the compress memo.  A kernel output other than bits raises
+    ValueError (a compress output before its decompress), and a failed
+    round trip CodecNotInjective."""
+    compress, decompress = codec._compress, codec._decompress
+    h = str(helper)
+    width = f"0{block}b"
+    codes = []
+    for v in range(1 << block):
+        d = format(v, width)
+        code = compress(d, h)
+        if code.strip("01"):
+            raise ValueError(f"{codec.name} compress wrote other than bits: {code!r}")
+        back = decompress(code, h)
+        if back != d:
+            if back.strip("01"):
+                raise ValueError(f"{codec.name} decompress wrote other than bits: {back!r}")
+            raise CodecNotInjective(f"{codec.name} fails round-trip on {d}")
+        codes.append(_escape(code, d))
+    return codes

@@ -29,11 +29,12 @@ compressible blocks, not with 2^block, and the whole line set stays small
 enough for exhaustive bijectivity sweeps.  The helper is baked into the
 encoding table and carried on inert HELPER lines, unchanged by every gate.
 
-The build and fig1_block_oracle read one checked block table: each of the
-2^block blocks is compressed, round-tripped and checked for a collision
-once.  Only the last table is cached: a build is verified right after it,
-and consecutive builds seldom share (codec, block, helper), so more entries
-would only keep dead tables alive.  Verifying against that table is still not circular: it is the
+The build and fig1_block_oracle read one checked block table: one text
+pass of compress.block_codes runs the kernels on each of the 2^block blocks
+once, then each code is checked for a collision.  Only the last table is
+cached: a build is verified right after it, and consecutive builds seldom
+share (codec, block, helper), so more entries would only keep dead tables
+alive.  Verifying against that table is still not circular: it is the
 codec's encoding, not the gate list, and the tests check the registers
 against an encoding rebuilt from the codec alone.
 """
@@ -65,7 +66,7 @@ from .circuits import (
     simulate,
     toffoli,
 )
-from .compress import CompressionCodec, encode_with_escape
+from .compress import CompressionCodec, block_codes
 from .errors import (
     CodecNotInjective,
     DomainTooLarge,
@@ -303,7 +304,7 @@ def fig1_block_oracle(
     once here, so a build and its verification run the codec over the
     block domain once; the oracle is then a lookup.  Verification stays
     independent of the builder all the same: the table is the codec's
-    encode_with_escape, not the synthesized gates, and the tests rebuild
+    escape encoding, not the synthesized gates, and the tests rebuild
     the expected register without either.  Raises WidthMismatch for data
     of any length but `block`, and what the build raises for the table.
     """
@@ -339,14 +340,12 @@ def _fig1_table(codec: CompressionCodec, block: int, helper: BitString) -> Mappi
     # One entry is the whole reuse: a build and then its oracle (see the
     # module docstring).  lru_cache stores no exception, so a codec that
     # fails the checks fails on every call.
+    width = f"0{block}b"
     table: dict[int, int] = {}
     used: set[int] = set()
-    for s_val in range(1 << block):
-        data = BitString.from_int(s_val, block)
-        if codec.decompress(codec.compress(data, helper), helper) != data:
-            raise CodecNotInjective(f"{codec.name} fails round-trip on {data}")
-        # the code is a memo hit of the compress above
-        e = _to_mask(encode_with_escape(codec, data, helper))
+    for v, code in enumerate(block_codes(codec, block, helper)):
+        data = format(v, width)
+        e = _to_mask(code)
         if e in used:
             raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
         used.add(e)

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from landauer.bitstring import BitString, encode_self_delimiting
+from landauer.bitstring import BitString, encode_self_delimiting, encode_uint
 from landauer.compress import IDENTITY, LZ78, XOR, default_family
 from landauer.demon import (
     BlockEncodeStep,
@@ -233,6 +235,51 @@ def test_block_invert_accepts_only_the_genuine_tape():
     raw_set = replace(genuine, s_region=BitString("1") + zeros[:63])
     with pytest.raises(MalformedCode, match="raw block code"):
         step.invert(raw_set)
+
+
+def test_block_invert_refuses_a_non_canonical_lz78_code():
+    # S = X = 0^64: the helper's warm-up holds the phrases 0^1 .. 0^10, so the
+    # genuine code opens with the token (10, 0).  The forged code opens with
+    # (9, 0), ending the first phrase one bit early; it writes 0^10 again and
+    # still decodes to S.
+    zeros = BitString.zeros(64)
+    step = BlockEncodeStep(LZ78)
+    initial = Tape(zeros, zeros, BitString.zeros(2))
+    genuine = step.apply(initial)
+    assert len(LZ78.compress(zeros, zeros)) == 37
+    assert step.invert(genuine) == initial
+    tokens = [(9, 0), (11, 0), (12, 0), (13, 0), (14, 0)]
+    code = encode_uint(64) + BitString("".join(format(2 * i + b, "05b") for i, b in tokens) + "0100")
+    assert len(code) == 42
+    coded = BitString("0") + encode_self_delimiting(code)
+    forged = replace(genuine, s_region=coded + BitString.zeros(64 - len(coded)))
+    with pytest.raises(MalformedCode, match="lz78: token repeats phrase 10"):
+        step.invert(forged)
+
+
+@st.composite
+def near_genuine_tapes(draw):
+    """A block-encoded tape with up to two bits of its code region flipped."""
+    s, x = draw(st.text("01", max_size=24)), draw(st.text("01", max_size=12))
+    codec = draw(st.sampled_from(default_family()))
+    tape = BlockEncodeStep(codec).apply(Tape(BitString(s), BitString(x), BitString("01")))
+    cells = list(str(tape.s_region) + str(tape.zero_region))
+    for i in draw(st.lists(st.integers(0, len(s)), max_size=2)):
+        cells[i] = "10"[int(cells[i])]
+    text = "".join(cells)
+    return codec, replace(tape, s_region=BitString(text[: len(s)]), zero_region=BitString(text[len(s) :]))
+
+
+@given(near_genuine_tapes())
+@settings(max_examples=400)
+def test_block_invert_accepts_only_tapes_its_apply_writes(case):
+    codec, tape = case
+    step = BlockEncodeStep(codec)
+    try:
+        back = step.invert(tape)
+    except MalformedCode:
+        return
+    assert step.apply(back) == tape
 
 
 S8, X4 = BitString("10110011"), BitString("0110")

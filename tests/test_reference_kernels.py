@@ -5,7 +5,8 @@ each kernel (dict-keyed lz78 parse, per-character xor, per-bit box
 condition, per-line state packing and table assembly, sort-based
 injectivity, per-bit mask conversions, a scalar gate interpreter over
 bit masks, 2-D-indexed gate sweep, per-role constant-line check,
-dict-walking netlist evaluation, a name-map Bennett compile loop).  Every
+dict-walking netlist evaluation, a name-map Bennett compile loop, the
+per-block BitString loop of the Fig. 1 table).  Every
 kernel must return exactly the reference's output.  A cached structure (a circuit's
 permutation table, a weight class's planes) must equal a fresh build, be
 the same object on a second call, and refuse writes.
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from landauer import circuits, irrev
 from landauer.synth import bennett_compile
 from landauer.clausius import WeightCouple, _class_planes
-from landauer.bitstring import BitString, encode_uint
+from landauer.bitstring import BitString, decode_uint, encode_self_delimiting, encode_uint
 from landauer.circuits import (
     ANCILLA_ZERO,
     CNOT,
@@ -53,12 +54,14 @@ from landauer.compress import (
     LZ78,
     XOR,
     ComplexityEstimate,
+    CompressionCodec,
     default_family,
+    encode_with_escape,
     estimate_complexity,
 )
-from landauer.errors import BadConstantLine, DomainTooLarge
+from landauer.errors import BadConstantLine, CodecNotInjective, DomainTooLarge
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
-from landauer.synth import _rows_distinct
+from landauer.synth import _fig1_codes, _rows_distinct
 
 # --- references ------------------------------------------------------------------
 
@@ -87,6 +90,32 @@ def ref_lz78_compress(data: str, helper: str) -> str:
     if cur:
         out.append(format(phrases[cur], f"0{len(phrases).bit_length()}b"))
     return "".join(out)
+
+
+def ref_encode_with_escape(codec, data: BitString, helper: BitString) -> BitString:
+    """The escape rule on BitStrings: mode bit, then the self-delimited code
+    when it fits in len(data) bits, else the data itself."""
+    wrapped = encode_self_delimiting(codec.compress(data, helper))
+    if len(wrapped) <= len(data):
+        return BitString("0") + wrapped
+    return BitString("1") + data
+
+
+def ref_fig1_table(codec, block: int, helper: BitString) -> dict[int, int]:
+    """The per-block Fig. 1 table loop on BitStrings: round trip, escape
+    code, collision check, register state -> code mask, in value order."""
+    table: dict[int, int] = {}
+    used: set[int] = set()
+    for s_val in range(1 << block):
+        data = BitString.from_int(s_val, block)
+        if codec.decompress(codec.compress(data, helper), helper) != data:
+            raise CodecNotInjective(f"{codec.name} fails round-trip on {data}")
+        e = _to_mask(ref_encode_with_escape(codec, data, helper))
+        if e in used:
+            raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
+        used.add(e)
+        table[_to_mask(data) << 1] = e
+    return table
 
 
 def ref_gamma(m: int) -> str:
@@ -287,6 +316,31 @@ def lz78_width_examples(test):
     return test
 
 
+# bookmarks of five 8-bit blocks with 1-3 bit codes, so the compressed
+# branch writes codes of several lengths, the 3-bit one filling the block
+# exactly; every other block is tagged
+_MARKS = {"00000000": "0", "11111111": "1", "10101010": "00", "01010101": "01", "00110011": "000"}
+_UNMARKS = {v: k for k, v in _MARKS.items()}
+
+
+def _marks_compress(data: str, helper: str) -> str:
+    if data in _MARKS:
+        return _MARKS[data]
+    return "111" + str(encode_uint(len(data))) + data
+
+
+def _marks_decompress(code: str, helper: str) -> str:
+    if code in _UNMARKS:
+        return _UNMARKS[code]
+    n, used = decode_uint(code, 3)
+    return code[3 + used : 3 + used + n]
+
+
+MARKS = CompressionCodec("marks", "10", _marks_compress, _marks_decompress)
+
+HELPERS = [format(v, f"0{n}b") if n else "" for n in range(5) for v in range(1 << n)]
+
+
 # --- kernels equal their references --------------------------------------------------
 
 
@@ -314,6 +368,28 @@ def test_xor_int_matches_per_character_reference(pair):
     code = XOR.compress(BitString(data), BitString(helper))
     assert str(code) == ref_xor_compress(data, helper)
     assert XOR.decompress(code, BitString(helper)) == BitString(data)
+
+
+@pytest.mark.parametrize("codec", default_family() + (MARKS,), ids=lambda c: c.name)
+def test_fig1_table_equals_the_per_block_reference(codec):
+    for helper in map(BitString, HELPERS):
+        for block in range(1, 9):
+            table = _fig1_codes(codec, block, helper)
+            assert list(table.items()) == list(ref_fig1_table(codec, block, helper).items())
+    if codec is MARKS:  # the compressed branch, at three code lengths
+        assert {len(encode_with_escape(MARKS, BitString(m), BitString())) for m in _MARKS} == {5, 6, 9}
+
+
+@pytest.mark.parametrize("codec", default_family() + (MARKS,), ids=lambda c: c.name)
+@given(data_helper())
+@example(("", ""))
+@example(("0", ""))
+@example(("0" * 17, "0" * 17))  # xor: the wrapped run record fills the 17 bits exactly
+@example(("0" * 300, "0" * 300))
+@settings(max_examples=100)
+def test_escape_rule_equals_the_bitstring_reference(codec, pair):
+    data, helper = map(BitString, pair)
+    assert encode_with_escape(codec, data, helper) == ref_encode_with_escape(codec, data, helper)
 
 
 @given(st.integers(1, 2000), st.integers(0, 2**32))

@@ -45,7 +45,7 @@ from landauer.synth import (
     fig1_block_oracle,
     verify_compiled,
 )
-from test_reference_kernels import netlists
+from test_reference_kernels import _MARKS, MARKS, netlists
 
 
 def wire_through(n):
@@ -348,6 +348,51 @@ def test_fig1_rejects_a_codec_whose_decompress_breaks_one_block():
         build_fig1_compressor(broken, 4, BitString())
 
 
+def test_fig1_checks_a_compress_output_for_bits_before_decompressing_it():
+    from landauer.compress import CompressionCodec
+
+    decompressed = []
+
+    def decompress(code, helper):
+        decompressed.append(code)
+        return code
+
+    codec = CompressionCodec("nonbits", "11", lambda d, h: "01x0" if d == "0110" else d, decompress)
+    for make in (build_fig1_compressor, fig1_block_oracle):
+        decompressed.clear()
+        with pytest.raises(ValueError):
+            make(codec, 4, BitString())
+        assert decompressed == [format(v, "04b") for v in range(6)]  # never the code of 0110
+
+
+def test_fig1_refuses_a_decompress_output_that_is_not_bits():
+    from landauer.compress import CompressionCodec
+
+    codec = CompressionCodec("nonbits", "11", lambda d, h: d, lambda c, h: "01x0" if c == "0110" else c)
+    with pytest.raises(ValueError):
+        build_fig1_compressor(codec, 4, BitString())
+
+
+def test_fig1_refuses_codes_equal_after_zero_padding(monkeypatch):
+    from landauer import synth
+
+    # A genuine escape code is prefix-free and so never equals another after
+    # padding; the table still compares the padded masks, not the texts.
+    monkeypatch.setattr(synth, "block_codes", lambda codec, block, helper: ["100", "01", "010", "111"])
+    with pytest.raises(CodecNotInjective, match="padded block encoding collides at 10"):
+        fig1_block_oracle(replace(XOR, name="padded"), 2, BitString())
+
+
+def test_fig1_build_leaves_the_compress_memo_alone():
+    from landauer import compress, synth
+
+    synth._fig1_table.cache_clear()
+    before = compress._compressed.cache_info()
+    build_fig1_compressor(LZ78, 8, BitString("0110"))
+    assert synth._fig1_table.cache_info().misses == 1
+    assert compress._compressed.cache_info() == before
+
+
 def test_fig1_build_compresses_each_block_once():
     from landauer.compress import CompressionCodec
 
@@ -467,30 +512,12 @@ def test_fig1_table_is_never_served_for_another_key():
 
 
 def test_fig1_multiple_compressible_blocks():
-    # four bookmark values with 1-2 bit codes: exercises multi-cycle residues
-    from landauer.bitstring import decode_uint, encode_uint
-    from landauer.compress import CompressionCodec
-
-    marks = {"00000000": "0", "11111111": "1", "10101010": "00", "01010101": "01"}
-    inverse = {v: k for k, v in marks.items()}
-
-    def comp(data, helper):
-        if data in marks:
-            return marks[data]
-        return "111" + str(encode_uint(len(data))) + data
-
-    def decomp(code, helper):
-        if code in inverse:
-            return inverse[code]
-        n, used = decode_uint(BitString(code), 3)
-        return code[3 + used : 3 + used + n]
-
-    codec = CompressionCodec("marks", "10", comp, decomp)
-    compiled = build_fig1_compressor(codec, 8, BitString("1"))
-    report = verify_compiled(compiled, fig1_block_oracle(codec, 8, BitString("1")))
+    # five bookmark values with 1-3 bit codes: exercises multi-cycle residues
+    compiled = build_fig1_compressor(MARKS, 8, BitString("1"))
+    report = verify_compiled(compiled, fig1_block_oracle(MARKS, 8, BitString("1")))
     assert report.ok and report.swept == 256
-    modes = {compiled.result(compiled.run(BitString(m)))[0] for m in marks}
-    assert modes == {0}  # all four bookmarks take the compressed branch
+    modes = {compiled.result(compiled.run(BitString(m)))[0] for m in _MARKS}
+    assert modes == {0}  # every bookmark takes the compressed branch
     assert check_injective_bruteforce(compiled.circuit, compiled.circuit.width)
 
 
