@@ -149,9 +149,9 @@ class ReversibleCircuit:
             if r not in LINE_ROLES:
                 raise ValueError(f"unknown line role {r!r}")
         object.__setattr__(self, "line_roles", roles)
-        # (CONST_ONE lines, ANCILLA_ZERO lines) as masks, line i <-> bit (1 << i) as in _to_mask
-        marks = ["".join("1" if r == role else "0" for r in reversed(roles)) for role in (CONST_ONE, ANCILLA_ZERO)]
-        object.__setattr__(self, "_const", tuple(int("0" + m, 2) for m in marks))
+        # (CONST_ONE lines, ANCILLA_ZERO lines) as masks: each role's marks, line i first
+        marks = ("".join("1" if r == role else "0" for r in roles) for role in (CONST_ONE, ANCILLA_ZERO))
+        object.__setattr__(self, "_const", tuple(map(_to_mask, marks)))
         # `_apply` steps (kind, a, b, t): the gate's controls and targets right-aligned in three slots
         prog = []
         for g in self.gates:

@@ -10,13 +10,21 @@ bound on true description length.  encode_with_escape always keeps the
 raw escape, which the tape scenarios need for wv + ec = len(S) and the
 Fig. 1 build needs for a bijective block map.
 
+A decoder accepts a code only if its encoder writes it back:
+CompressionCodec.decompress compresses the kernel's output again and
+raises MalformedCode unless that gives the input code, so every codec
+maps (data, helper) one to one onto the codes that decode.  A decompress
+kernel refuses only a code it cannot decode, or one it can refuse
+before building a large output.
+
 Kernels must be pure functions of (data, helper), so compress outputs
 are reused: CompressionCodec.compress keeps its last 16 distinct (kernel,
 data, helper) calls and their codes alive, and nothing else.  That memo
 is the only place codes are reused; callers ask compress again rather
-than pass a code along.  A raising kernel is called again every time;
-decompress is not cached.  The Fig. 1 block pass, block_codes, calls
-each kernel once per block and keeps nothing.
+than pass a code along, and decompress's re-encode of data just
+compressed is a memo hit.  A raising kernel is called again every time;
+decompress itself is not cached.  The Fig. 1 block pass, block_codes,
+calls each kernel once per block and keeps nothing.
 
 Registered codecs:
 
@@ -40,8 +48,9 @@ implementations can reproduce it.  A phrase's index is its node id in
 the phrase trie (0 is the empty phrase, ids in order of creation, helper
 phrases first), which is the same numbering as a phrase dictionary built
 in parse order, so the bitstream is unchanged by the trie kernel.  The
-decoder grows the same trie and refuses a token that writes a phrase it
-already holds, so it accepts exactly the codes the encoder writes.
+decoder replays the helper's trie into a phrase table and appends one
+phrase per token; a token that writes a phrase the table already holds
+decodes, and the re-encode in decompress refuses it.
 """
 
 from __future__ import annotations
@@ -83,7 +92,10 @@ class CompressionCodec:
         return _compressed(self._compress, str(data), str(helper))
 
     def decompress(self, code: BitString, helper: BitString) -> BitString:
-        return BitString(self._decompress(str(code), str(helper)))
+        data = BitString(self._decompress(str(code), str(helper)))
+        if self.compress(data, helper) != code:  # the one canonical-code check
+            raise MalformedCode(f"{self.name}: not the code the encoder writes for the {len(data)} bits it decodes to")
+        return data
 
 
 @functools.lru_cache(maxsize=16)
@@ -178,25 +190,16 @@ def _lz78_decompress(code: str, helper: str) -> str:
             raise MalformedCode(f"lz78: index {idx} out of range")
         phrase = table[idx]
         if len(phrase) >= left:
-            if len(phrase) > left:
-                raise MalformedCode("lz78: phrase overruns declared length")
             produced.append(phrase)  # final partial phrase
-            pos = stop - 1
             break
         if k < 0:
             raise MalformedCode("lz78: truncated token symbol")
-        if child[k]:  # the encoder extends a known phrase rather than write it
-            raise MalformedCode(f"lz78: token repeats phrase {child[k] >> 1}")
         size += 1
-        child[k] = 2 * size
-        child += (0, 0)
         phrase += "01"[k & 1]
         table.append(phrase)
         produced.append(phrase)
         left -= len(phrase)
         pos = stop
-    if pos != end:
-        raise MalformedCode("lz78: trailing bits after token stream")
     return "".join(produced)
 
 
@@ -231,8 +234,6 @@ def _xor_decompress(code: str, helper: str) -> str:
         payload = "0" * n
     else:
         payload = code[1:]
-        if "1" not in payload:  # the encoder writes a zero payload as a run
-            raise MalformedCode("xor: literal payload with no 1 bit")
     return _xor_payload(payload, helper)  # xor is an involution
 
 
@@ -258,8 +259,6 @@ def _bookmark_decompress(code: str, helper: str) -> str:
         return _tile(helper, _BOOKMARK_LEN)
     if not code or code[0] != "1":
         raise MalformedCode("bookmark8: bad mode bit")
-    if helper and code[1:] == _tile(helper, _BOOKMARK_LEN):  # the encoder bookmarks it
-        raise MalformedCode("bookmark8: literal of the bookmarked tiling")
     return code[1:]
 
 

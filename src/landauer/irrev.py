@@ -116,12 +116,7 @@ def rom_circuit(output_bits: BitString, num_inputs: int = 1) -> IrreversibleCirc
     return IrreversibleCircuit(names, gates, outputs)
 
 
-def random_netlist(
-    num_inputs: int,
-    num_gates: int,
-    rng: random.Random,
-    num_outputs: int | None = None,
-) -> IrreversibleCircuit:
+def random_netlist(num_inputs: int, num_gates: int, rng: random.Random) -> IrreversibleCircuit:
     """Random topologically ordered netlist for compiler stress tests."""
     names = [f"x{i}" for i in range(num_inputs)]
     gates = []
@@ -132,7 +127,7 @@ def random_netlist(
         gid = f"g{j}"
         gates.append(LogicGate(gid, op, args))
         pool.append(gid)
-    k = num_outputs if num_outputs is not None else rng.randint(1, max(1, len(pool) // 2))
+    k = rng.randint(1, max(1, len(pool) // 2))
     outputs = tuple(rng.choice(pool) for _ in range(k))
     return IrreversibleCircuit(tuple(names), tuple(gates), outputs)
 

@@ -16,6 +16,7 @@ from landauer import cli
 from landauer.bitstring import BitString, encode_uint
 from landauer.circuits import LINE_ROLES, ReversibleCircuit, circuit_from_json, load_circuit, simulate
 from landauer.cli import main
+from landauer.compress import LZ78
 from landauer.errors import LandauerError
 from landauer.irrev import OPS, IrreversibleCircuit, LogicGate, netlist_from_json, save_netlist
 from landauer.thermo import to_joules
@@ -117,6 +118,27 @@ def test_compress_decompress_pipe_roundtrip(tmp_path):
     )
     assert code == 0
     assert back.strip() == data
+
+
+@pytest.mark.parametrize(
+    "codec, code, helper",
+    [
+        ("lz78", "011000", ""),  # decodes 00 as (0, 0) then (1, 0); its code is 01101
+        ("lz78", str(LZ78.compress(BitString("10110100"), BitString())) + "0", ""),  # a trailing bit
+        ("xor", "1", ""),  # an empty literal payload; the encoder writes the run record 01
+        ("bookmark8", "100000000", "0"),  # a literal of the tiling the helper bookmarks as 0
+    ],
+)
+def test_decompress_refuses_a_code_the_encoder_does_not_write(tmp_path, codec, code, helper):
+    argv = ["decompress", "--codec", codec]
+    if helper:
+        (tmp_path / "h.bits").write_text(helper)
+        argv += ["--helper-file", str(tmp_path / "h.bits")]
+    exit_code, text = run_cli(argv, stdin_text=code)
+    assert exit_code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "MalformedCode"
+    assert error["message"].startswith(f"{codec}: ")
 
 
 def test_bounds_golden(tmp_path, monkeypatch):

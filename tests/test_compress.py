@@ -217,6 +217,14 @@ def test_bookmark8_refuses_a_literal_of_the_bookmarked_tiling():
         BOOKMARK8.decompress(BitString("1" + "0" * 8), BitString("0"))
 
 
+def test_decompress_accepts_only_the_code_the_encoder_writes_back():
+    # a decoder kernel that ignores the mode bit: every code decodes, one in two is canonical
+    lenient = CompressionCodec("lenient", "", lambda d, h: "1" + d, lambda c, h: c[1:])
+    assert lenient.decompress(BitString("1101"), EMPTY) == BitString("101")
+    with pytest.raises(MalformedCode, match="^lenient: not the code the encoder writes"):
+        lenient.decompress(BitString("0101"), EMPTY)
+
+
 @pytest.mark.parametrize("codec", default_family(), ids=lambda c: c.name)
 @given(code=st.text(alphabet="01", max_size=64), helper=st.text(alphabet="01", max_size=16))
 @example(code="1", helper="")  # the two plain cases above, drawn rarely at random

@@ -61,7 +61,7 @@ from landauer.compress import (
 )
 from landauer.errors import BadConstantLine, CodecNotInjective, DomainTooLarge
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
-from landauer.synth import _fig1_codes, _rows_distinct
+from landauer.synth import _fig1_codes
 
 # --- references ------------------------------------------------------------------
 
@@ -517,31 +517,6 @@ def test_cached_class_planes_equal_a_fresh_build(couple):
     assert _class_planes(couple) is planes
     with pytest.raises(ValueError):
         planes[...] = 0
-
-
-@st.composite
-def byte_rows(draw):
-    """A uint8 array of 0-40 rows and 0-4 columns over a small alphabet, so
-    that equal rows are common; now and then a drawn row is repeated."""
-    n, cols = draw(st.integers(0, 40)), draw(st.integers(0, 4))
-    values = draw(st.lists(st.integers(0, 3), min_size=n * cols, max_size=n * cols))
-    rows = np.array(values, dtype=np.uint8).reshape(n, cols)
-    if n and draw(st.booleans()):
-        rows = np.insert(rows, draw(st.integers(0, n)), rows[draw(st.integers(0, n - 1))], axis=0)
-    return rows
-
-
-@given(byte_rows())
-@example(np.zeros((0, 0), dtype=np.uint8))
-@example(np.zeros((1, 0), dtype=np.uint8))
-@example(np.zeros((2, 0), dtype=np.uint8))
-@example(np.zeros((0, 3), dtype=np.uint8))
-@example(np.array([[7, 1]], dtype=np.uint8))
-@example(np.array([[0, 1], [1, 0], [0, 1]], dtype=np.uint8))
-@example(np.arange(256, dtype=np.uint8).reshape(256, 1))
-@settings(max_examples=300)
-def test_sorted_row_distinctness_agrees_with_unique(rows):
-    assert _rows_distinct(rows) is (len(np.unique(rows, axis=0)) == len(rows))
 
 
 @st.composite

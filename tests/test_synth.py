@@ -150,7 +150,8 @@ def verify_one_state_at_a_time(compiled, oracle):
             if compiled.pick(state, compiled.helper_lines) != compiled.helper_value and len(violations) < keep:
                 violations.append((data, compiled.helper_lines[0], "helper changed"))
         seen.add(str(state))
-    return VerificationReport(1 << k, tuple(mismatches), tuple(violations), len(seen) == 1 << k)
+    assert len(seen) == 1 << k  # distinct inputs, distinct full states
+    return VerificationReport(1 << k, tuple(mismatches), tuple(violations))
 
 
 def with_gates(compiled, extra):
@@ -190,7 +191,8 @@ def test_verify_calls_the_oracle_once_per_input_in_order(k):
 
 def test_verify_wide_bennett_matches_scalar_reference():
     # 6 inputs + 60 work lines + 4 outputs: wider than an int64 state
-    src = random_netlist(6, 60, substream(33, "wide"), num_outputs=4)
+    drawn = random_netlist(6, 60, substream(33, "wide"))
+    src = replace(drawn, outputs=tuple(g.gate_id for g in drawn.gates[-4:]))
     comp = bennett_compile(src)
     assert comp.circuit.width == 70
     oracle = lambda x: evaluate(src, x)
