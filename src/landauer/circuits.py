@@ -15,8 +15,13 @@ while it is checked, in its constructor: the gates to line-index steps
 (`_prog`) and the CONST_ONE and ANCILLA_ZERO roles to line masks
 (`_const`).  The kernel applies the steps to a list of per-line rows.
 For one state the rows are the ints 0/1 of the bit string, character i
-being line i; for a batch (`run_states`) they are views of uint8 bit
-planes, one per line, which the kernel updates in place.
+being line i.  A batch (`run_states`) is packed uint8 bit planes, one per
+line.  Up to _INT_ROW_BYTES bytes per line, as in the weight-class sweeps
+and Bennett verification, each line runs as one Python int: one int
+operation on a few hundred bytes costs far less than one numpy call.
+Larger batches run on views of the planes, updated in place, where
+numpy's per-byte speed wins.  The bound is a module constant, not a
+setting.
 `reverse_circuit` is built once per circuit and cached on it.
 
 Exhaustive sweeps run as one batch at any width and are refused up front
@@ -67,6 +72,9 @@ OUTPUT_ALIAS = "output_alias"
 LINE_ROLES = (INPUT, HELPER, ANCILLA_ZERO, CONST_ONE, OUTPUT_ALIAS)
 
 DEFAULT_MAX_WIDTH = 20
+
+# run_states holds a batch of at most this many bytes per line as Python ints
+_INT_ROW_BYTES = 1024
 
 # gate kind -> (controls, targets) arity
 _ARITY = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}
@@ -184,7 +192,8 @@ def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
 
 def _apply(prog, rows: list, ones):
     """The one gate kernel: apply lowered steps to per-line rows; `ones` is
-    the all-ones row (1 for an int, 0xFF for a uint8 plane view).  A step
+    the all-ones row (1 for one state's bit, 2^(8 * bytes) - 1 for a batch
+    line held as an int, 0xFF for a uint8 plane view).  A step
     (kind, a, b, t) is the gate kind, then its lines ending in the last
     target t, with b the line before it.  Kinds are compared with == to
     local names, which load faster than globals: one read from JSON equals
@@ -242,12 +251,27 @@ def run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
     """Apply the gates to a batch of states held as bit planes, at any width.
 
     planes[i] is line i over the batch, packed by np.packbits; the result is
-    a new array in the same layout, whose padding bits carry no state.
-    Constant lines are not checked.
+    a new, writable uint8 array in the same layout, whose padding bits carry
+    no state (NOT flips them).  The input is never written.  Constant lines
+    are not checked.
+
+    At most _INT_ROW_BYTES bytes per line, each line runs as one Python int
+    (big-endian, as its bytes read); larger batches run on plane views.  The
+    two give bit-identical results.  Where ints stop paying depends on the
+    circuit: many-gate Fredkin circuits gain up to about 3 KB per line,
+    Toffoli/CNOT circuits up to about 0.5-1 KB, and a wide circuit with a
+    few gates pays the per-line conversion at any size.  1 KB lies between.
     """
     if len(planes) != c.width:
         raise WidthMismatch(f"batch has {len(planes)} lines, circuit width {c.width}")
-    p = np.array(planes, dtype=np.uint8)
+    p = np.asarray(planes, dtype=np.uint8)
+    nbytes = p.shape[1]
+    if nbytes <= _INT_ROW_BYTES:
+        data = p.tobytes()  # in line order whatever the layout: slicing it beats reading strided rows
+        lines = [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(c.width)]
+        rows = _apply(c._prog, lines, (1 << 8 * nbytes) - 1)
+        return np.frombuffer(bytearray().join(r.to_bytes(nbytes, "big") for r in rows), np.uint8).reshape(p.shape)
+    p = p.copy()
     _apply(c._prog, list(p), 0xFF)  # one view per line: cheaper to index than p[i]
     return p
 

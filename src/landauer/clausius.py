@@ -125,7 +125,7 @@ def _class_planes(couple: WeightCouple) -> np.ndarray:
     (lines 0..n-1) paired with every right half.
 
     Built once per couple and cached (a few couples at a time); the planes
-    are read-only, as run_states copies its batch before applying gates.
+    are read-only, as run_states never writes its batch.
     """
     n = couple.n
     left, right = (np.zeros((math.comb(n, w), n), dtype=bool) for w in (couple.left_weight, couple.right_weight))

@@ -553,16 +553,36 @@ def test_to_mask_equals_per_bit_reference(text):
 # --- lowered forms equal their references ------------------------------------------
 
 
-@given(circuits_of_width(st.integers(1, 70)), st.integers(1, 40), st.randoms(use_true_random=False))
-@example(ReversibleCircuit(1, (not_gate(0),)), 1, random.Random(0))
-@example(ReversibleCircuit(70, (fredkin(69, 0, 35), toffoli(68, 1, 2), cnot(0, 69))), 3, random.Random(1))
+INT_ROWS = circuits._INT_ROW_BYTES  # run_states' switch from Python-int rows to plane views
+FLIP_ALL = ReversibleCircuit(3, (not_gate(0), not_gate(1), not_gate(2)))  # padding bits flip too
+
+
+@given(
+    circuits_of_width(st.integers(1, 70)),
+    st.integers(0, 40) | st.integers(INT_ROWS - 3, INT_ROWS + 3),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+@example(ReversibleCircuit(1, (not_gate(0),)), 1, random.Random(0), False)
+@example(ReversibleCircuit(70, (fredkin(69, 0, 35), toffoli(68, 1, 2), cnot(0, 69))), 3, random.Random(1), False)
+@example(FLIP_ALL, 0, random.Random(2), False)
+@example(FLIP_ALL, INT_ROWS, random.Random(3), False)
+@example(FLIP_ALL, INT_ROWS + 1, random.Random(4), False)
+@example(ReversibleCircuit(3, (fredkin(0, 1, 2), toffoli(0, 1, 2))), 5, random.Random(5), True)
 @settings(max_examples=150, deadline=None)
-def test_row_view_run_states_equals_indexed_reference(c, nbytes, rnd):
+def test_row_view_run_states_equals_indexed_reference(c, nbytes, rnd, like_class_planes):
+    """Both row representations, Python ints up to INT_ROWS bytes per line
+    and plane views above, equal the indexed reference bit for bit."""
     planes = np.random.default_rng(rnd.getrandbits(32)).integers(0, 256, (c.width, nbytes), dtype=np.uint8)
+    if like_class_planes:  # read-only and column-major, as _class_planes builds its batch
+        planes = np.asfortranarray(planes)
+        planes.setflags(write=False)
     before = planes.copy()
     out = run_states(c, planes)
-    assert out.dtype == np.uint8 and np.array_equal(out, ref_run_states(c, planes))
+    assert out.dtype == np.uint8 and out.shape == planes.shape
+    assert np.array_equal(out, ref_run_states(c, planes))  # every byte, padding bits included
     assert np.array_equal(planes, before)  # the input batch is not modified
+    assert out.flags.writeable and not np.shares_memory(out, planes)  # a fresh result
 
 
 @given(
