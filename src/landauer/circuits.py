@@ -35,7 +35,7 @@ reuse it; the ceiling is checked on every call, before the cache.
 of the 2^n states into themselves is injective iff it is onto.
 
 A state as an int has bit i = line i, the bit string read backwards
-(`_to_mask`); the constant-line check and the Fig. 1 tables use it.
+(`_to_mask`); the constant-line check and the Fig. 1 build use it.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ Fig. 1 build needs for a bijective block map.
 A decoder accepts a code only if its encoder writes it back:
 CompressionCodec.decompress compresses the kernel's output again and
 raises MalformedCode unless that gives the input code, so every codec
-maps (data, helper) one to one onto the codes that decode.  A decompress
-kernel refuses only a code it cannot decode, or one it can refuse
-before building a large output.
+maps (data, helper) one to one onto the codes that decode, and
+decode_with_escape accepts only the zero-padded code encode_with_escape
+writes.  A decompress kernel refuses only a code it cannot decode, or
+one it can refuse before building a large output.
 
 Kernels must be pure functions of (data, helper), so compress outputs
 are reused: CompressionCodec.compress keeps its last 16 distinct (kernel,
@@ -295,7 +296,7 @@ class ComplexityEstimate:
     is_upper_bound: ClassVar[bool] = True
 
 
-def estimate_complexity(data: BitString, helper: BitString = BitString()) -> ComplexityEstimate:
+def estimate_complexity(data: BitString, helper: BitString) -> ComplexityEstimate:
     """The cheapest code over default_family(), the first one on a tie."""
     best = None
     for c in default_family():
@@ -340,30 +341,26 @@ def decode_with_escape(
 ) -> BitString:
     """Invert encode_with_escape; `coded` may carry zero padding at the end.
 
-    Raises MalformedCode unless the code decodes to exactly data_len bits,
-    every padding bit after it is 0, and it is the code encode_with_escape
-    writes: a raw block must hold data the compressed branch does not fit.
+    Accepts only the zero-padded code encode_with_escape writes: the data
+    the mode bit's branch gives is encoded again (a compress-memo hit after
+    a compressed branch).  Raises MalformedCode for every other code.
     """
-    if len(coded) == 0:
+    text = str(coded)
+    if not text:
         raise MalformedCode("empty block code")
-    raw = coded[0] == 1
+    raw = text[0] == "1"
     if raw:
-        end = 1 + data_len
-        if len(coded) < end:
-            raise MalformedCode("raw block code cut short")
+        data = _trusted(text[1 : 1 + data_len])
     else:
-        payload, used = decode_self_delimiting(coded, 1)
-        end = 1 + used
-    if coded[end:].weight():
-        raise MalformedCode(f"block code padding after bit {end} is not all zero")
-    if raw:
-        data = coded[1:end]
-        if _escape(str(codec.compress(data, helper)), str(data))[0] == "0":
-            raise MalformedCode("raw block code holds data the compressed branch encodes")
-        return data
-    data = codec.decompress(payload, helper)
+        data = codec.decompress(decode_self_delimiting(coded, 1)[0], helper)
     if len(data) != data_len:
         raise MalformedCode(f"block code decodes to {len(data)} bits, expected {data_len}")
+    code = str(encode_with_escape(codec, data, helper))
+    if not text.startswith(code):  # the one canonical-code check
+        branch = "raw" if raw else "compressed"
+        raise MalformedCode(f"{branch} block code is not the one encode_with_escape writes for its {data_len} bits")
+    if "1" in text[len(code) :]:
+        raise MalformedCode(f"block code padding after bit {len(code)} is not all zero")
     return data
 
 

@@ -99,7 +99,7 @@ def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
 # --- library macros -----------------------------------------------------------
 
 
-def rom_circuit(output_bits: BitString, num_inputs: int = 1) -> IrreversibleCircuit:
+def rom_circuit(output_bits: BitString, num_inputs: int) -> IrreversibleCircuit:
     """Constant-output circuit: emits `output_bits` regardless of input.
 
     Constants are built from the first input (x XOR x = 0, NOT of that = 1),

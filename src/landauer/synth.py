@@ -31,20 +31,21 @@ encoding table and carried on inert HELPER lines, unchanged by every gate.
 
 The build and fig1_block_oracle read one checked block table: one text
 pass of compress.block_codes runs the kernels on each of the 2^block blocks
-once, then each code is checked for a collision.  Only the last table is
-cached: a build is verified right after it, and consecutive builds seldom
-share (codec, block, helper), so more entries would only keep dead tables
-alive.  Verifying against that table is still not circular: it is the
-codec's encoding, not the gate list, and the tests check the registers
-against an encoding rebuilt from the codec alone.
+once, and the codes, zero-padded to block+1 bits, are checked for a
+collision.  The oracle wraps these texts; the build reads them as line
+masks (_to_mask).  Only the last table is cached: a build is verified
+right after it, and consecutive builds seldom share (codec, block,
+helper), so more entries would only keep dead tables alive.  Verifying
+against that table is still not circular: it is the codec's encoding,
+not the gate list, and the tests check the registers against an
+encoding rebuilt from the codec alone.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -253,7 +254,8 @@ def build_fig1_compressor(
     """
     # The data sits on lines 1..block and line 0 takes the mode bit, so the
     # raw branch is a bare flip of line 0.
-    table = _fig1_codes(codec, block, helper).copy()
+    codes = _fig1_codes(codec, block, helper)
+    table = {_to_mask(format(v, f"0{block}b")) << 1: _to_mask(code) for v, code in enumerate(codes)}
     used = set(table.values())
     reg_width = block + 1
 
@@ -308,8 +310,7 @@ def fig1_block_oracle(
     the expected register without either.  Raises WidthMismatch for data
     of any length but `block`, and what the build raises for the table.
     """
-    width = block + 1
-    codes = [_trusted(format(e, f"0{width}b")[::-1]) for e in _fig1_codes(codec, block, helper).values()]
+    codes = [_trusted(code) for code in _fig1_codes(codec, block, helper)]
 
     def oracle(data: BitString) -> BitString:
         if len(data) != block:
@@ -319,14 +320,12 @@ def fig1_block_oracle(
     return oracle
 
 
-def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> Mapping[int, int]:
-    """The checked block table of a Fig. 1 compressor, read-only.
+def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> tuple[str, ...]:
+    """The checked block table of a Fig. 1 compressor: the escape code of
+    each data value, in value order, as text zero-padded to block+1 bits.
 
-    It maps the register state of each data value (data on lines
-    1..block, line 0 clear), in value order, to the line mask of its
-    zero-padded code (padding adds no bits to a mask).  Too small a block,
-    or a register above the sweep ceiling, is refused on every call before
-    the cache and before any codec call.
+    Too small a block, or a register above the sweep ceiling, is refused
+    on every call before the cache and before any codec call.
     """
     if block < 1:
         raise ValueError("block must be at least 1")
@@ -336,21 +335,20 @@ def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> Mappi
 
 
 @functools.lru_cache(maxsize=1)
-def _fig1_table(codec: CompressionCodec, block: int, helper: BitString) -> Mapping[int, int]:
+def _fig1_table(codec: CompressionCodec, block: int, helper: BitString) -> tuple[str, ...]:
     # One entry is the whole reuse: a build and then its oracle (see the
     # module docstring).  lru_cache stores no exception, so a codec that
-    # fails the checks fails on every call.
-    width = f"0{block}b"
-    table: dict[int, int] = {}
-    used: set[int] = set()
-    for v, code in enumerate(block_codes(codec, block, helper)):
-        data = format(v, width)
-        e = _to_mask(code)
-        if e in used:
-            raise CodecNotInjective(f"{codec.name} block encoding collides at {data}")
-        used.add(e)
-        table[_to_mask(data) << 1] = e
-    return MappingProxyType(table)
+    # fails the checks fails on every call.  A pure codec never trips the
+    # collision check (block_codes round-trips each block, and escape codes
+    # are prefix-free); it stays because an impure kernel or a patched block
+    # pass would otherwise hang build_fig1_compressor in _cycles.
+    codes = tuple(code.ljust(block + 1, "0") for code in block_codes(codec, block, helper))
+    seen: set[str] = set()
+    for v, code in enumerate(codes):
+        if code in seen:
+            raise CodecNotInjective(f"{codec.name} block encoding collides at {format(v, f'0{block}b')}")
+        seen.add(code)
+    return codes
 
 
 # --- verification sweeps ----------------------------------------------------------

@@ -206,7 +206,7 @@ def test_trajectory_records_each_gate():
 
 
 def test_drift_report_constant_trajectory():
-    est = lambda s: estimate_complexity(s).bits
+    est = lambda s: estimate_complexity(s, BitString()).bits
     c = ReversibleCircuit(8)
     traj = simulate_trajectory(c, BitString.zeros(8))
     rep = complexity_drift_report(traj, est)
@@ -222,7 +222,7 @@ def test_drift_report_random_toffoli_trajectory():
         gates.append(toffoli(a, b, t))
     c = ReversibleCircuit(16, tuple(gates))
     traj = simulate_trajectory(c, BitString.zeros(16))
-    est = lambda s: estimate_complexity(s).bits
+    est = lambda s: estimate_complexity(s, BitString()).bits
     rep = complexity_drift_report(traj, est)
     assert len(rep.rows) == 65
     # recompute each row independently of the report path

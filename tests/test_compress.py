@@ -262,7 +262,7 @@ def test_registered_codec_injectivity_spot(codec):
 
 
 def test_estimate_empty_data_is_header_only():
-    est = estimate_complexity(BitString())
+    est = estimate_complexity(BitString(), BitString())
     assert est.bits == 1  # identity tag, self-delimited, plus nothing
     assert est.is_upper_bound
 
@@ -287,7 +287,7 @@ def test_estimate_data_equals_helper_takes_log_branch():
 
 def test_estimate_pseudorandom_kilobit_pin():
     data = random_bits(substream(2024, "pseudorandom"), 1024)
-    est = estimate_complexity(data)
+    est = estimate_complexity(data, BitString())
     assert 0.9 * 1024 <= est.bits <= 1024 + 1
     assert est.bits == 1025  # frozen regression value: identity branch wins
     assert est.codec_name == "identity"
@@ -352,6 +352,42 @@ def test_decode_with_escape_refuses_a_raw_block_the_compressed_branch_encodes():
     zeros = BitString.zeros(64)
     with pytest.raises(MalformedCode, match="raw block code"):
         decode_with_escape(XOR, BitString("1") + zeros, 64, zeros)
+
+
+def _accepted(codec, codes, data_len, helper):
+    """The codes decode_with_escape accepts, each checked to be the code
+    encode_with_escape writes for what it decodes to, then zeros."""
+    out = []
+    for code in codes:
+        try:
+            data = decode_with_escape(codec, code, data_len, helper)
+        except MalformedCode:
+            continue
+        want = encode_with_escape(codec, data, helper)
+        assert code == want + BitString.zeros(len(code) - len(want)), (codec.name, str(code), str(helper))
+        out.append(code)
+    return out
+
+
+def test_decode_with_escape_accepts_exactly_the_padded_codes_its_encoder_writes():
+    # 001111 reads as the xor code of 1, which the encoder writes raw as 11
+    with pytest.raises(MalformedCode, match="^compressed block code"):
+        decode_with_escape(XOR, BitString("001111"), 1, EMPTY)
+    # every code of 0-11 bits, for data of 0-6 bits: each value of n bits
+    # escapes raw to n + 1 bits, padded here to 11 - n lengths, so 3,020
+    # codes over the domain
+    codes = [BitString.from_int(v, n) for n in range(12) for v in range(1 << n)]
+    for codec in default_family():
+        accepted = sum(
+            len(_accepted(codec, codes, data_len, BitString(helper)))
+            for helper in ("", "0", "10", "011")
+            for data_len in range(7)
+        )
+        assert accepted == 3020, codec.name
+    # block 8 under helper 10 reaches the compressed branch: codes of 0-10 bits
+    accepted = _accepted(BOOKMARK8, codes[: (1 << 11) - 1], 8, BitString("10"))
+    assert len(accepted) == 516
+    assert sum(code[0] == 0 for code in accepted) == 6
 
 
 def test_encode_with_escape_injective_over_block():

@@ -374,8 +374,10 @@ def test_xor_int_matches_per_character_reference(pair):
 def test_fig1_table_equals_the_per_block_reference(codec):
     for helper in map(BitString, HELPERS):
         for block in range(1, 9):
-            table = _fig1_codes(codec, block, helper)
-            assert list(table.items()) == list(ref_fig1_table(codec, block, helper).items())
+            codes = _fig1_codes(codec, block, helper)
+            assert all(len(code) == block + 1 for code in codes)
+            table = [(_to_mask(BitString.from_int(v, block)) << 1, _to_mask(code)) for v, code in enumerate(codes)]
+            assert table == list(ref_fig1_table(codec, block, helper).items())
     if codec is MARKS:  # the compressed branch, at three code lengths
         assert {len(encode_with_escape(MARKS, BitString(m), BitString())) for m in _MARKS} == {5, 6, 9}
 

@@ -56,7 +56,7 @@ PAPER_FACING = {
 # Private names that sibling modules may import.
 SHARED_PRIVATE = {
     "bitstring._trusted": "wraps text a kernel already built from '0'/'1' without checking it again",
-    "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check and the Fig. 1 tables",
+    "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check and the Fig. 1 build",
     "bitstring._TO_ROWS": "the one '0'/'1' text -> 0/1 int row table, for the gate kernel, the netlist evaluator and lz78",
     "bitstring._FROM_ROWS": "the one 0/1 int row -> '0'/'1' text table, for the gate kernel and the netlist evaluator",
 }
