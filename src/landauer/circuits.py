@@ -15,27 +15,26 @@ while it is checked, in its constructor: the gates to line-index steps
 (`_prog`) and the CONST_ONE and ANCILLA_ZERO roles to line masks
 (`_const`).  The kernel applies the steps to a list of per-line rows.
 For one state the rows are the ints 0/1 of the bit string, character i
-being line i.  A batch (`run_states`) is packed uint8 bit planes, one per
-line.  Up to _INT_ROW_BYTES bytes per line, as in the weight-class sweeps
-and Bennett verification, each line runs as one Python int: one int
-operation on a few hundred bytes costs far less than one numpy call.
-Larger batches run on views of the planes, updated in place, where
-numpy's per-byte speed wins.  The bound is a module constant, not a
-setting.
+being line i.  A batch (`run_states`) is one Python int per line, bit x
+being state x: one int operation on a few hundred bytes costs far less
+than one numpy call.
 `reverse_circuit` is built once per circuit and cached on it.
 
 Exhaustive sweeps run as one batch at any width and are refused up front
 beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  The full
-cube's planes come in closed form from `cube_planes`; `permutation_table`
-packs the image planes back into state integers one byte lane (8 lines)
-at a time.  The table is cached on its circuit and is read-only, so
+cube's rows come in closed form from their periodic bytes (`cube_rows`).
+`permutation_table`, the one numpy path, runs the kernel on uint8 views
+of those bytes, where numpy's per-byte speed wins at 2^width states, and
+packs the image back into state integers one byte lane (8 lines) at a
+time.  The table is cached on its circuit and is read-only, so
 `check_injective_bruteforce` and `check_conservative(exhaustive=True)`
 reuse it; the ceiling is checked on every call, before the cache.
 `check_injective_bruteforce` marks every image in a 2^n bit array: a map
 of the 2^n states into themselves is injective iff it is onto.
 
 A state as an int has bit i = line i, the bit string read backwards
-(`_to_mask`); the constant-line check and the Fig. 1 build use it.
+(`_to_mask`); the constant-line check, the Fig. 1 build and the
+weight-class rows use it.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -72,9 +71,6 @@ OUTPUT_ALIAS = "output_alias"
 LINE_ROLES = (INPUT, HELPER, ANCILLA_ZERO, CONST_ONE, OUTPUT_ALIAS)
 
 DEFAULT_MAX_WIDTH = 20
-
-# run_states holds a batch of at most this many bytes per line as Python ints
-_INT_ROW_BYTES = 1024
 
 # gate kind -> (controls, targets) arity
 _ARITY = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}
@@ -192,7 +188,7 @@ def _check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
 
 def _apply(prog, rows: list, ones):
     """The one gate kernel: apply lowered steps to per-line rows; `ones` is
-    the all-ones row (1 for one state's bit, 2^(8 * bytes) - 1 for a batch
+    the all-ones row (1 for one state's bit, 2^count - 1 for a batch
     line held as an int, 0xFF for a uint8 plane view).  A step
     (kind, a, b, t) is the gate kind, then its lines ending in the last
     target t, with b the line before it.  Kinds are compared with == to
@@ -247,52 +243,32 @@ def reverse_circuit(c: ReversibleCircuit) -> ReversibleCircuit:
     return r
 
 
-def run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
-    """Apply the gates to a batch of states held as bit planes, at any width.
+def run_states(c: ReversibleCircuit, rows: Sequence[int], count: int) -> list[int]:
+    """Apply the gates to a batch of `count` states, at any width.
 
-    planes[i] is line i over the batch, packed by np.packbits; the result is
-    a new, writable uint8 array in the same layout, whose padding bits carry
-    no state (NOT flips them).  The input is never written.  Constant lines
-    are not checked.
-
-    At most _INT_ROW_BYTES bytes per line, each line runs as one Python int
-    (big-endian, as its bytes read); larger batches run on plane views.  The
-    two give bit-identical results.  Where ints stop paying depends on the
-    circuit: many-gate Fredkin circuits gain up to about 3 KB per line,
-    Toffoli/CNOT circuits up to about 0.5-1 KB, and a wide circuit with a
-    few gates pays the per-line conversion at any size.  1 KB lies between.
+    rows[i] is line i over the batch: bit x of it is line i of state x.
+    The result is a new list in the same form, its bits at or above
+    `count` 0 when those of the input are.  Constant lines are not checked.
     """
-    if len(planes) != c.width:
-        raise WidthMismatch(f"batch has {len(planes)} lines, circuit width {c.width}")
-    p = np.asarray(planes, dtype=np.uint8)
-    nbytes = p.shape[1]
-    if nbytes <= _INT_ROW_BYTES:
-        data = p.tobytes()  # in line order whatever the layout: slicing it beats reading strided rows
-        lines = [int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big") for i in range(c.width)]
-        rows = _apply(c._prog, lines, (1 << 8 * nbytes) - 1)
-        return np.frombuffer(bytearray().join(r.to_bytes(nbytes, "big") for r in rows), np.uint8).reshape(p.shape)
-    p = p.copy()
-    _apply(c._prog, list(p), 0xFF)  # one view per line: cheaper to index than p[i]
-    return p
+    if len(rows) != c.width:
+        raise WidthMismatch(f"batch has {len(rows)} lines, circuit width {c.width}")
+    return _apply(c._prog, list(rows), (1 << count) - 1)
 
 
-def cube_planes(width: int) -> np.ndarray:
-    """Bit planes of every state 0 .. 2^width - 1 in order, built from their
-    periodic bytes: plane i is np.packbits(np.arange(2**width) >> i & 1).
+def _cube_bytes(width: int) -> list[bytes]:
+    """Line i of every state 0 .. 2^width - 1 in order, as little-endian
+    bytes: lines 0-2 repeat one byte (0xAA, 0xCC, 0xF0), line i >= 3
+    alternates runs of 2^(i-3) bytes 0x00 and 0xFF.  Below width 3 the
+    bits past the last state are not 0."""
+    size = (2**width + 7) // 8
+    periods = [bytes([b]) for b in (0xAA, 0xCC, 0xF0)] + [bytes(1 << i) + b"\xff" * (1 << i) for i in range(width - 3)]
+    return [p * (size // len(p)) for p in periods[:width]]
 
-    Lines 0-2 repeat one byte (0x55, 0x33, 0x0F); line i >= 3 alternates
-    runs of 2^(i-3) bytes 0x00 and 0xFF.  Below width 3 the one byte keeps
-    only its first 2^width bits, as np.packbits pads.
-    """
-    planes = np.empty((width, (2**width + 7) // 8), dtype=np.uint8)
-    keep = 0xFF if width >= 3 else 0xFF00 >> (1 << width) & 0xFF
-    for i, byte in zip(range(width), (0x55, 0x33, 0x0F)):
-        planes[i] = byte & keep
-    for i in range(3, width):
-        runs = planes[i].reshape(-1, 2, 1 << (i - 3))
-        runs[:, 0] = 0x00
-        runs[:, 1] = 0xFF
-    return planes
+
+def cube_rows(width: int) -> list[int]:
+    """The run_states rows of every state 0 .. 2^width - 1, in order."""
+    ones = (1 << 2**width) - 1
+    return [int.from_bytes(line, "little") & ones for line in _cube_bytes(width)]
 
 
 def permutation_table(c: ReversibleCircuit) -> np.ndarray:
@@ -307,7 +283,9 @@ def permutation_table(c: ReversibleCircuit) -> np.ndarray:
     table = c.__dict__.get("_table")
     if table is None:
         count = 1 << c.width
-        image = np.unpackbits(run_states(c, cube_planes(c.width)), axis=1, count=count)
+        planes = np.frombuffer(bytearray().join(_cube_bytes(c.width)), np.uint8).reshape(c.width, (count + 7) // 8)
+        _apply(c._prog, list(planes), 0xFF)  # one view per line, updated in place
+        image = np.unpackbits(planes, axis=1, count=count, bitorder="little")
         # byte k of each state's little-endian int64 holds lines 8k .. 8k+7
         lanes = np.zeros((count, 8), dtype=np.uint8)
         for k in range(0, c.width, 8):

@@ -13,7 +13,9 @@ integer / rational arithmetic; floats appear only when rendering the
 log2 trend.
 
 Conservative circuits are sampled as uniform random Fredkin gates, which
-preserve Hamming weight by construction (no filtering needed).
+preserve Hamming weight by construction (no filtering needed).  A class
+is swept as one run_states batch (`_class_rows`), and the half weights of
+its images are counted with exact-weight masks (`_weight_masks`).
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .circuits import (
     ReversibleCircuit,
+    _to_mask,
     check_conservative,
     fredkin,
     max_sweep_width,
@@ -120,22 +121,25 @@ def _check_class_sweep(source: WeightCouple) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _class_planes(couple: WeightCouple) -> np.ndarray:
-    """Every state of a weight class as one run_states batch: each left half
-    (lines 0..n-1) paired with every right half.
+def _class_rows(couple: WeightCouple) -> tuple[int, ...]:
+    """Every state of a weight class as run_states rows: state r = a*R + b
+    pairs left half a (lines 0..n-1) with right half b, of R right halves.
 
-    Built once per couple and cached (a few couples at a time); the planes
-    are read-only, as run_states never writes its batch.
+    Built once per couple and cached (a few couples at a time).
     """
     n = couple.n
-    left, right = (np.zeros((math.comb(n, w), n), dtype=bool) for w in (couple.left_weight, couple.right_weight))
-    for half, w in ((left, couple.left_weight), (right, couple.right_weight)):
-        for r, ones in enumerate(combinations(range(n), w)):
-            half[r, list(ones)] = True
-    states = np.hstack([np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))])
-    planes = np.packbits(states.T, axis=1)
-    planes.setflags(write=False)
-    return planes
+    left, right = (list(combinations(range(n), w)) for w in (couple.left_weight, couple.right_weight))
+    lines = ["".join(("1" if i in a else "0") * len(right) for a in left) for i in range(n)]
+    lines += ["".join("1" if i in b else "0" for b in right) * len(left) for i in range(n)]
+    return tuple(map(_to_mask, lines))
+
+
+def _weight_masks(rows: list[int], ones: int) -> list[int]:
+    """masks[k] has bit x set iff exactly k of the rows have bit x set."""
+    masks = [ones]
+    for r in rows:
+        masks = [m ^ (m ^ p) & r for m, p in zip(masks + [0], [0] + masks)]
+    return masks
 
 
 def count_class_transitions(
@@ -165,11 +169,18 @@ def count_class_transitions(
         if not check_conservative(c, exhaustive=True):
             raise NotConservative("circuit does not preserve Hamming weight")
         proved = True
-    image = np.unpackbits(run_states(c, _class_planes(source)), axis=1, count=source.class_size())
-    left, right = image[:n].sum(axis=0), image[n:].sum(axis=0)
-    if not proved and np.any(left + right != source.left_weight + source.right_weight):
-        raise NotConservative("circuit changes the Hamming weight of a source-class state")
-    return int(np.count_nonzero((left == target.left_weight) & (right == target.right_weight)))
+    rows, size = _class_rows(source), source.class_size()
+    ones = (1 << size) - 1
+    image = run_states(c, rows, size)
+    weight = source.left_weight + source.right_weight
+    if not proved and (bad := ones ^ _weight_masks(image, ones)[weight]):
+        x = (bad & -bad).bit_length() - 1  # the first offending state
+        state = "".join(str(r >> x & 1) for r in rows)
+        raise NotConservative(f"circuit changes the Hamming weight of source-class state {state}")
+    # every image keeps its weight, so the right half's weight follows from the left's
+    if target.left_weight + target.right_weight != weight:
+        return 0
+    return _weight_masks(image[:n], ones)[target.left_weight].bit_count()
 
 
 @dataclass(frozen=True)
@@ -229,16 +240,14 @@ def clausius_experiment(
     tail_ceiling = imbalance_tail_exact(n, w, delta)
 
     size = source.class_size()
-    planes = _class_planes(source)
+    rows = _class_rows(source)
     max_point = Fraction(0)
     max_tail = Fraction(0)
     for i in range(circuits):
         circuit = random_conservative_circuit(2 * n, gc, substream_seed(seed, "circuit", i))
-        left = np.unpackbits(run_states(circuit, planes), axis=1, count=size)[:n].sum(axis=0)
-        point = int(np.count_nonzero(left == target.left_weight))
-        tail = int(np.count_nonzero(left >= target.left_weight))
-        max_point = max(max_point, Fraction(point, size))
-        max_tail = max(max_tail, Fraction(tail, size))
+        left = _weight_masks(run_states(circuit, rows, size)[:n], (1 << size) - 1)
+        max_point = max(max_point, Fraction(left[target.left_weight].bit_count(), size))
+        max_tail = max(max_tail, Fraction(sum(m.bit_count() for m in left[target.left_weight :]), size))
 
     trend = []
     for m in range(n, 4 * n + 1, n):  # multiples of n are on the (w, delta) grid

@@ -44,10 +44,9 @@ encoding rebuilt from the codec alone.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
-
-import numpy as np
 
 from .bitstring import BitString, _trusted
 from .circuits import (
@@ -60,7 +59,7 @@ from .circuits import (
     ReversibleCircuit,
     _to_mask,
     cnot,
-    cube_planes,
+    cube_rows,
     max_sweep_width,
     not_gate,
     run_states,
@@ -380,44 +379,52 @@ def verify_compiled(
     ancilla restoration (ancilla lines back to 0, const lines still 1,
     helper lines untouched).  At most 16 offending cases of each kind are
     recorded, in input order.  The inputs and the results are each
-    rendered to text in one numpy pass over their planes; the oracle is
-    then called once per input x, in order, on BitString.from_int(x, k).
+    rendered to text in one pass over their rows; the oracle is then
+    called once per input x, in order, on BitString.from_int(x, k).
     """
     k = len(compiled.input_lines)
     if k > max_sweep_width():
         raise DomainTooLarge(f"2^{k} inputs exceeds 2^{max_sweep_width()} ceiling")
     c = compiled.circuit
     count = 1 << k
+    ones = (1 << count) - 1
+    rows = [ones if bit else 0 for bit in compiled.assemble_input(BitString.zeros(k))]
     # Input x is BitString.from_int(x, k): data line j carries bit k-1-j of x.
-    planes = np.zeros((c.width, (count + 7) // 8), dtype=np.uint8)
-    planes[[i for i, bit in enumerate(compiled.assemble_input(BitString.zeros(k))) if bit]] = 0xFF
-    planes[list(reversed(compiled.input_lines))] = cube_planes(k)
-    out = run_states(c, planes)
+    for line, row in zip(reversed(compiled.input_lines), cube_rows(k)):
+        rows[line] = row
+    out = run_states(c, rows, count)
 
-    inputs = _render(planes[list(compiled.input_lines)], count)
+    inputs = _render([rows[i] for i in compiled.input_lines], count)
     mismatches = []
-    for text, got in zip(inputs, _render(out[list(compiled.result_lines)], count)):
+    for text, got in zip(inputs, _render([out[i] for i in compiled.result_lines], count)):
         data = _trusted(text)
         want = oracle(data)
         if got != str(want) and len(mismatches) < _KEEP:
             mismatches.append((data, _trusted(got), want))
 
-    helper = list(compiled.helper_lines)
     checks = [(out[i], i, "ancilla not restored") for i in compiled.ancilla_lines]
-    checks += [(~out[i], i, "constant line flipped") for i in compiled.const_one_lines]
-    if helper:
-        checks.append((np.bitwise_or.reduce(out[helper] ^ planes[helper]), helper[0], "helper changed"))
-    flags = np.array([np.unpackbits(bad, count=count) for bad, _, _ in checks]).reshape(len(checks), count)
-    xs, rows = np.nonzero(flags.T)  # input order, then check order
-    violations = [(_trusted(inputs[x]), *checks[v][1:]) for x, v in zip(xs, rows[:_KEEP])]
-    return VerificationReport(count, tuple(mismatches), tuple(violations))
+    checks += [(ones ^ out[i], i, "constant line flipped") for i in compiled.const_one_lines]
+    if compiled.helper_lines:
+        changed = functools.reduce(operator.or_, (out[i] ^ rows[i] for i in compiled.helper_lines))
+        checks.append((changed, compiled.helper_lines[0], "helper changed"))
+    bad = functools.reduce(operator.or_, (row for row, _, _ in checks), 0)
+    violations = []
+    while bad and len(violations) < _KEEP:  # input order, then check order
+        x = bad & -bad
+        bad ^= x
+        violations += [(_trusted(inputs[x.bit_length() - 1]), i, what) for row, i, what in checks if row & x]
+    return VerificationReport(count, tuple(mismatches), tuple(violations[:_KEEP]))
 
 
-def _render(planes: np.ndarray, count: int) -> list[str]:
-    """The first `count` states of packed bit planes as '0'/'1' text, line
-    i of a state being character i, in one unpack and one decode."""
-    width = len(planes)
+def _render(rows: list[int], count: int) -> list[str]:
+    """The first `count` states of run_states rows as '0'/'1' text, line i
+    of a state being character i: each row is written into every
+    width-th byte of one buffer, then decoded once."""
+    width = len(rows)
     if not width:  # no lines: every state is the empty string (a 0 slice step would raise)
         return [""] * count
-    text = (np.unpackbits(planes, axis=1, count=count).T + ord("0")).tobytes().decode()
+    buf = bytearray(count * width)
+    for i, row in enumerate(rows):
+        buf[i::width] = format(row, f"0{count}b")[::-1].encode()
+    text = buf.decode()
     return [text[i : i + width] for i in range(0, len(text), width)]

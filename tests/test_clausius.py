@@ -158,7 +158,7 @@ def test_count_class_transitions_on_a_wide_non_fredkin_circuit():
 def test_count_class_transitions_wide_circuit_must_keep_class_weights():
     from landauer.circuits import ReversibleCircuit, not_gate, toffoli
 
-    with pytest.raises(NotConservative):
+    with pytest.raises(NotConservative, match="111111111111000000000000"):
         count_class_transitions(ReversibleCircuit(24, (not_gate(23),)), WeightCouple(12, 12, 0), WeightCouple(12, 12, 1))
     # weight-changing only off the class: above the ceiling the class is all that is checked
     off_class = ReversibleCircuit(24, (toffoli(12, 13, 0),))

@@ -8,20 +8,29 @@ bit masks, 2-D-indexed gate sweep, per-role constant-line check,
 dict-walking netlist evaluation, a name-map Bennett compile loop, the
 per-block BitString loop of the Fig. 1 table).  Every
 kernel must return exactly the reference's output.  A cached structure (a circuit's
-permutation table, a weight class's planes) must equal a fresh build, be
+permutation table, a weight class's rows) must equal a fresh build, be
 the same object on a second call, and refuse writes.
 """
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landauer import circuits, irrev
+from landauer import circuits, clausius, irrev
 from landauer.synth import bennett_compile
-from landauer.clausius import WeightCouple, _class_planes
+from landauer.clausius import (
+    WeightCouple,
+    _class_rows,
+    _weight_masks,
+    clausius_experiment,
+    count_class_transitions,
+    random_conservative_circuit,
+)
 from landauer.bitstring import BitString, decode_uint, encode_self_delimiting, encode_uint
 from landauer.circuits import (
     ANCILLA_ZERO,
@@ -40,7 +49,7 @@ from landauer.circuits import (
     check_injective_bruteforce,
     cnot,
     check_conservative,
-    cube_planes,
+    cube_rows,
     fredkin,
     not_gate,
     permutation_table,
@@ -59,7 +68,7 @@ from landauer.compress import (
     encode_with_escape,
     estimate_complexity,
 )
-from landauer.errors import BadConstantLine, CodecNotInjective, DomainTooLarge
+from landauer.errors import BadConstantLine, CodecNotInjective, DomainTooLarge, NotConservative
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
 from landauer.synth import _fig1_codes
 
@@ -144,9 +153,14 @@ def ref_pack_states(states: np.ndarray, width: int) -> np.ndarray:
     return np.array(planes, dtype=np.uint8).reshape(width, (len(states) + 7) // 8)
 
 
+def ref_rows(bits) -> list[int]:
+    """Each line of 0/1 states as one int, bit x being state x."""
+    return [int.from_bytes(np.packbits(line, bitorder="little").tobytes(), "little") for line in bits]
+
+
 def ref_permutation_table(c: ReversibleCircuit) -> np.ndarray:
     count = 1 << c.width
-    image = np.unpackbits(run_states(c, ref_pack_states(np.arange(count), c.width)), axis=1, count=count)
+    image = np.unpackbits(ref_run_states(c, ref_pack_states(np.arange(count), c.width)), axis=1, count=count)
     return sum((line.astype(np.int64) << i for i, line in enumerate(image)), np.zeros(count, dtype=np.int64))
 
 
@@ -211,6 +225,28 @@ def ref_run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
             p[a] ^= swap
             p[b] ^= swap
     return p
+
+
+def ref_class_states(couple: WeightCouple) -> list[BitString]:
+    """The class in sweep order, which is descending text order: each left
+    half, in combinations order, with every right half."""
+    n = couple.n
+    halves = ("".join(s) for s in product("01", repeat=2 * n))
+    weights = (couple.left_weight, couple.right_weight)
+    return [BitString(s) for s in sorted(halves, reverse=True) if (s[:n].count("1"), s[n:].count("1")) == weights]
+
+
+def ref_count_class_transitions(c: ReversibleCircuit, source: WeightCouple, target: WeightCouple) -> int:
+    """Simulate each class state and count the weights of its halves;
+    the first state whose image changes weight is named."""
+    n, count = source.n, 0
+    for state in ref_class_states(source):
+        image = str(simulate(c, state))
+        weights = image[:n].count("1"), image[n:].count("1")
+        if sum(weights) != source.left_weight + source.right_weight:
+            raise NotConservative(f"circuit changes the Hamming weight of source-class state {state}")
+        count += weights == (target.left_weight, target.right_weight)
+    return count
 
 
 def ref_check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
@@ -470,12 +506,9 @@ def test_validating_constructor_accepts_exactly_the_bit_strings(text):
 # --- circuit-sweep kernels equal their references ---------------------------------------
 
 
-def test_cube_planes_equal_packed_arange_at_every_width():
+def test_cube_rows_equal_packed_arange_at_every_width():
     for w in range(0, 21):
-        planes = cube_planes(w)
-        expected = ref_pack_states(np.arange(2**w), w)
-        assert planes.dtype == np.uint8 and planes.shape == expected.shape
-        assert np.array_equal(planes, expected), w
+        assert cube_rows(w) == ref_rows(np.arange(2**w) >> i & 1 for i in range(w)), w
 
 
 @given(circuits_of_width())
@@ -513,12 +546,72 @@ couples = st.integers(0, 7).flatmap(
 @example(WeightCouple(0, 0, 0))
 @example(WeightCouple(8, 4, 4))
 @settings(max_examples=100)
-def test_cached_class_planes_equal_a_fresh_build(couple):
-    planes = _class_planes(couple)
-    assert np.array_equal(planes, _class_planes.__wrapped__(couple))
-    assert _class_planes(couple) is planes
-    with pytest.raises(ValueError):
-        planes[...] = 0
+def test_cached_class_rows_equal_a_fresh_build(couple):
+    rows = _class_rows(couple)
+    assert rows == _class_rows.__wrapped__(couple)
+    assert _class_rows(couple) is rows
+    with pytest.raises(TypeError):
+        rows[0] = 0
+
+
+@st.composite
+def class_cases(draw):
+    """A couple with 2 <= n <= 6, a target (of the same total weight in
+    about half the draws) and a random circuit of width 2n.  Half the
+    circuits are followed by their own reverse and Fredkin gates, so that
+    their Toffoli and CNOT gates keep the weight."""
+    n = draw(st.integers(2, 6))
+    left, right = draw(st.integers(0, n)), draw(st.integers(0, n))
+    target_left = draw(st.integers(max(0, left + right - n), min(n, left + right)))
+    target_right = draw(st.just(left + right - target_left) | st.integers(0, n))
+    c = draw(circuits_of_width(st.just(2 * n)))
+    if draw(st.booleans()):
+        fredkins = random_conservative_circuit(2 * n, draw(st.integers(0, 12)), draw(st.integers(0, 99)))
+        c = ReversibleCircuit(2 * n, c.gates + c.gates[::-1] + fredkins.gates)
+    return c, WeightCouple(n, left, right), WeightCouple(n, target_left, target_right)
+
+
+def _count_outcome(count, *case):
+    try:
+        return count(*case)
+    except NotConservative as exc:
+        return type(exc), str(exc)
+
+
+@given(class_cases())
+@example((ReversibleCircuit(4, (toffoli(2, 3, 0),)), WeightCouple(2, 2, 0), WeightCouple(2, 2, 0)))
+@example((ReversibleCircuit(6, (cnot(0, 5), cnot(0, 5))), WeightCouple(3, 2, 1), WeightCouple(3, 2, 1)))
+@settings(max_examples=100, deadline=None)
+def test_class_count_equals_the_per_state_reference(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LANDAUER_MAX_WIDTH", str(2 * case[1].n - 1))  # below 2n: the in-class weight check runs
+        assert _count_outcome(count_class_transitions, *case) == _count_outcome(ref_count_class_transitions, *case)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_experiment_counts_equal_the_per_state_reference(data):
+    n = data.draw(st.integers(2, 6))
+    wn = data.draw(st.integers((n + 1) // 2, n - 1))
+    wdn = data.draw(st.integers(wn, n))
+    drawn = data.draw(st.lists(circuits_of_width(st.just(2 * n)), min_size=1, max_size=3))
+    with pytest.MonkeyPatch.context() as mp:
+        # the experiment's point and tail counts on the drawn circuits, whatever their gates
+        mp.setattr(clausius, "random_conservative_circuit", lambda width, gates, seed, it=iter(drawn): next(it))
+        report = clausius_experiment(n, Fraction(wn, n), Fraction(wdn - wn, n), circuits=len(drawn), seed=0)
+    states = ref_class_states(WeightCouple(n, wn, n - wn))
+    lefts = [[str(simulate(c, s))[:n].count("1") for s in states] for c in drawn]
+    assert report.max_point_fraction == max(Fraction(ws.count(wdn), len(states)) for ws in lefts)
+    assert report.max_tail_fraction == max(Fraction(sum(w >= wdn for w in ws), len(states)) for ws in lefts)
+
+
+@given(st.integers(0, 70).flatmap(lambda count: st.tuples(st.just(count), st.lists(st.integers(0, 2**count - 1), max_size=8))))
+@settings(max_examples=200)
+def test_weight_masks_equal_per_state_popcounts(case):
+    count, rows = case
+    masks = _weight_masks(rows, (1 << count) - 1)
+    weights = [sum(r >> x & 1 for r in rows) for x in range(count)]
+    assert masks == [sum(1 << x for x, w in enumerate(weights) if w == k) for k in range(len(rows) + 1)]
 
 
 @st.composite
@@ -555,38 +648,32 @@ def test_to_mask_equals_per_bit_reference(text):
 # --- lowered forms equal their references ------------------------------------------
 
 
-INT_ROWS = circuits._INT_ROW_BYTES  # run_states' switch from Python-int rows to plane views
-FLIP_ALL = ReversibleCircuit(3, (not_gate(0), not_gate(1), not_gate(2)))  # padding bits flip too
+OLD_SWITCH = 8 * 1024  # states per batch where run_states once switched from Python ints to numpy planes
+FLIP_ALL = ReversibleCircuit(3, (not_gate(0), not_gate(1), not_gate(2)))  # bits past the batch stay 0
 
 
 @given(
     circuits_of_width(st.integers(1, 70)),
-    st.integers(0, 40) | st.integers(INT_ROWS - 3, INT_ROWS + 3),
+    st.integers(0, 320) | st.integers(OLD_SWITCH - 20, OLD_SWITCH + 20),
     st.randoms(use_true_random=False),
-    st.booleans(),
 )
-@example(ReversibleCircuit(1, (not_gate(0),)), 1, random.Random(0), False)
-@example(ReversibleCircuit(70, (fredkin(69, 0, 35), toffoli(68, 1, 2), cnot(0, 69))), 3, random.Random(1), False)
-@example(FLIP_ALL, 0, random.Random(2), False)
-@example(FLIP_ALL, INT_ROWS, random.Random(3), False)
-@example(FLIP_ALL, INT_ROWS + 1, random.Random(4), False)
-@example(ReversibleCircuit(3, (fredkin(0, 1, 2), toffoli(0, 1, 2))), 5, random.Random(5), True)
+@example(ReversibleCircuit(1, (not_gate(0),)), 1, random.Random(0))
+@example(ReversibleCircuit(70, (fredkin(69, 0, 35), toffoli(68, 1, 2), cnot(0, 69))), 21, random.Random(1))
+@example(FLIP_ALL, 0, random.Random(2))
+@example(FLIP_ALL, OLD_SWITCH - 3, random.Random(3))
+@example(FLIP_ALL, OLD_SWITCH + 5, random.Random(4))
+@example(ReversibleCircuit(3, (fredkin(0, 1, 2), toffoli(0, 1, 2))), 37, random.Random(5))
 @settings(max_examples=150, deadline=None)
-def test_row_view_run_states_equals_indexed_reference(c, nbytes, rnd, like_class_planes):
-    """Both row representations, Python ints up to INT_ROWS bytes per line
-    and plane views above, equal the indexed reference bit for bit."""
-    planes = np.random.default_rng(rnd.getrandbits(32)).integers(0, 256, (c.width, nbytes), dtype=np.uint8)
-    if like_class_planes:  # read-only and column-major, as _class_planes builds its batch
-        planes = np.asfortranarray(planes)
-        planes.setflags(write=False)
-    before = planes.copy()
-    out = run_states(c, planes)
-    assert out.dtype == np.uint8 and out.shape == planes.shape
-    assert np.array_equal(out, ref_run_states(c, planes))  # every byte, padding bits included
-    assert np.array_equal(planes, before)  # the input batch is not modified
-    assert out.flags.writeable and not np.shares_memory(out, planes)  # a fresh result
-
-
+def test_row_view_run_states_equals_indexed_reference(c, count, rnd):
+    """Python-int rows, on both sides of the batch size where run_states
+    once switched to numpy planes, equal the 2-D-indexed plane reference
+    bit for bit, with no bit set past the batch."""
+    bits = np.random.default_rng(rnd.getrandbits(32)).integers(0, 2, (c.width, count), dtype=np.uint8)
+    rows = ref_rows(bits)
+    before = list(rows)
+    out = run_states(c, rows, count)
+    assert out == ref_rows(np.unpackbits(ref_run_states(c, np.packbits(bits, axis=1)), axis=1, count=count))
+    assert rows == before and out is not rows  # the input batch is not modified
 @given(
     circuits_of_width(st.integers(1, 70)).flatmap(
         lambda c: st.tuples(st.just(c), st.integers(0, 2**c.width - 1).map(lambda x: BitString.from_int(x, c.width)))
@@ -666,8 +753,8 @@ def test_kinds_equal_to_the_constants_run_like_them(c, state):
     assert states[-1] == want
     assert all(state == ref_simulate(ReversibleCircuit(c.width, c.gates[:k]), x) for k, state in enumerate(states))
     # a batch of eight copies of x, each line one byte
-    out = run_states(c, np.array([[0xFF if bit else 0] for bit in x], dtype=np.uint8))
-    assert BitString("".join({0xFF: "1", 0: "0"}[row[0]] for row in out)) == want
+    out = run_states(c, [0xFF if bit else 0 for bit in x], 8)
+    assert BitString("".join({0xFF: "1", 0: "0"}[row] for row in out)) == want
 
 
 @st.composite

@@ -29,8 +29,10 @@ float or to math.log, log2, exp or sqrt, and any / or /= appear only at
 the FLOAT_SITES, each a presentation boundary listed with its reason, and
 every listed site still makes a float.
 
-The modules that neither sweep states nor call one that does
-(bitstring, compress, irrev, thermo) import without numpy.
+Only circuits imports numpy, at module level or inside a function: its
+permutation table is the one numpy path, and every other state batch is
+Python-int rows.  The modules that neither sweep states nor call one that
+does (bitstring, compress, irrev, thermo) import without numpy.
 """
 
 import ast
@@ -56,7 +58,7 @@ PAPER_FACING = {
 # Private names that sibling modules may import.
 SHARED_PRIVATE = {
     "bitstring._trusted": "wraps text a kernel already built from '0'/'1' without checking it again",
-    "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check and the Fig. 1 build",
+    "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check, the Fig. 1 build and the weight-class rows",
     "bitstring._TO_ROWS": "the one '0'/'1' text -> 0/1 int row table, for the gate kernel, the netlist evaluator and lz78",
     "bitstring._FROM_ROWS": "the one 0/1 int row -> '0'/'1' text table, for the gate kernel and the netlist evaluator",
 }
@@ -129,6 +131,21 @@ def private_imports(tree: ast.Module) -> list[str]:
             names = [a.name for a in node.names]
             found += [f"{module}.{n}" for n in names if n.startswith("_") and not n.endswith("__")]
     return sorted(found)
+
+
+def numpy_imports(tree: ast.Module) -> list[int]:
+    """Lines of imports of numpy or a numpy submodule, anywhere in the module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "numpy" for m in modules):
+            lines.append(node.lineno)
+    return lines
 
 
 def object_caches(tree: ast.Module) -> list[str]:
@@ -372,6 +389,22 @@ def test_floats_appear_only_at_the_listed_presentation_sites():
     assert not stray, f"floats outside the listed sites (site: lines): {stray}"
     stale = sorted(FLOAT_SITES.keys() - found.keys())
     assert not stale, f"listed as making a float but makes none: {stale}"
+
+
+def test_the_numpy_rule_flags_imports_at_any_depth():
+    tree = ast.parse(
+        "import numpy as np\nimport os, numpy.linalg\nfrom numpy import uint8\n"
+        "from .numpy import x\nimport numpyish\n"
+        "def f():\n    from numpy.lib import stride_tricks\n    import numpy\n"
+    )
+    assert numpy_imports(tree) == [1, 2, 3, 7, 8]
+
+
+def test_only_circuits_imports_numpy():
+    found = {p.name: numpy_imports(parse(p)) for p in SOURCES}
+    stray = {name: lines for name, lines in found.items() if lines and name != "circuits.py"}
+    assert not stray, f"numpy imported outside circuits (module: lines): {stray}"
+    assert found["circuits.py"], "circuits no longer imports numpy: drop this rule's exception"
 
 
 def test_the_numpy_free_modules_import_without_numpy():
