@@ -29,6 +29,7 @@ packs the image back into state integers one byte lane (8 lines) at a
 time.  The table is cached on its circuit and is read-only, so
 `check_injective_bruteforce` and `check_conservative(exhaustive=True)`
 reuse it; the ceiling is checked on every call, before the cache.
+These three import numpy when called, so importing circuits does not.
 `check_injective_bruteforce` marks every image in a 2^n bit array: a map
 of the 2^n states into themselves is injective iff it is onto.
 
@@ -42,9 +43,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from .bitstring import _FROM_ROWS, _TO_ROWS, BitString, _trusted
 from .errors import (
@@ -55,6 +54,9 @@ from .errors import (
     json_field,
     load_json,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOFFOLI = "toffoli"
 CNOT = "cnot"
@@ -282,6 +284,8 @@ def permutation_table(c: ReversibleCircuit) -> np.ndarray:
         raise DomainTooLarge(f"width {c.width} exceeds ceiling {max_sweep_width()}")
     table = c.__dict__.get("_table")
     if table is None:
+        import numpy as np
+
         count = 1 << c.width
         planes = np.frombuffer(bytearray().join(_cube_bytes(c.width)), np.uint8).reshape(c.width, (count + 7) // 8)
         _apply(c._prog, list(planes), 0xFF)  # one view per line, updated in place
@@ -310,6 +314,8 @@ def check_injective_bruteforce(c: ReversibleCircuit, n: int) -> bool:
         raise DomainTooLarge(f"{n} bits exceeds ceiling {max_sweep_width()}")
     if c.width != n:
         raise WidthMismatch(f"circuit width {c.width}, asked to sweep {n} bits")
+    import numpy as np
+
     # a map of the 2^n states into themselves is injective iff onto
     hit = np.zeros(1 << n, dtype=bool)
     hit[permutation_table(c)] = True
@@ -325,6 +331,8 @@ def check_conservative(c: ReversibleCircuit, exhaustive: bool = False) -> bool:
     """
     if not exhaustive:
         return all(g.kind == FREDKIN for g in c.gates)
+    import numpy as np
+
     table = permutation_table(c)
     return bool(np.array_equal(np.bitwise_count(np.arange(len(table))), np.bitwise_count(table)))
 

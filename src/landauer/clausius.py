@@ -13,7 +13,10 @@ integer / rational arithmetic; floats appear only when rendering the
 log2 trend.
 
 Conservative circuits are sampled as uniform random Fredkin gates, which
-preserve Hamming weight by construction (no filtering needed).  A class
+preserve Hamming weight by construction (no filtering needed).  Each gate
+is the three lines random.Random.sample(range(width), 3) picks, drawn
+straight from the substream's getrandbits by CPython's own rule, so the
+circuits (and the golden files) are sample's without its per-call cost.  A class
 is swept as one run_states batch (`_class_rows`), and the half weights of
 its images are counted with exact-weight masks (`_weight_masks`).
 """
@@ -26,13 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .bitstring import BitString
 from .circuits import (
     ReversibleCircuit,
     _to_mask,
     check_conservative,
     fredkin,
     max_sweep_width,
+    permutation_table,
     run_states,
+    simulate_trajectory,
 )
 from .errors import DomainTooLarge, NonIntegralWeights, NotConservative, WidthTooSmall
 from .rng import substream, substream_seed
@@ -99,18 +105,48 @@ def imbalance_tail_exact(n: int, w, delta) -> Fraction:
 def random_conservative_circuit(width: int, gate_count: int, seed: int) -> ReversibleCircuit:
     """Uniformly random Fredkin gates; deterministic under the seed.
 
-    Zero gates give the identity circuit; a negative count raises ValueError.
+    Gate i is fredkin(*rng.sample(range(width), 3)), the i-th sample of
+    the substream, drawn here straight from its getrandbits as CPython's
+    sample draws it: each index below m is getrandbits(m.bit_length()),
+    redrawn until it is below m.  Up to width 21, sample picks from a
+    shrinking pool (j0 < width, j1 < width - 1, j2 < width - 2), each pick
+    replaced by the pool's last line; the two replacements resolve in
+    closed form.  From width 22 it redraws below width until the three
+    lines differ.  Zero gates give the identity circuit; a negative count
+    raises ValueError.
     """
     if width < 3:
         raise WidthTooSmall(f"Fredkin gates need width >= 3, got {width}")
     if gate_count < 0:
         raise ValueError(f"gate count must be non-negative, got {gate_count}")
-    rng = substream(seed, "fredkin-circuit")
-    lines = list(range(width))  # sample() checks a list fastest; the draws are the same
+    bits = substream(seed, "fredkin-circuit").getrandbits
     gates = []
-    for _ in range(gate_count):
-        control, a, b = rng.sample(lines, 3)
-        gates.append(fredkin(control, a, b))
+    if width <= 21:  # sample()'s pool of lines
+        k0, k1, k2 = (m.bit_length() for m in (width, width - 1, width - 2))
+        for _ in range(gate_count):
+            j0 = bits(k0)
+            while j0 >= width:
+                j0 = bits(k0)
+            j1 = bits(k1)
+            while j1 >= width - 1:
+                j1 = bits(k1)
+            j2 = bits(k2)
+            while j2 >= width - 2:
+                j2 = bits(k2)
+            # pick 0 leaves slot j0 holding line width - 1, pick 1 leaves slot j1
+            # holding what slot width - 2 held; picks 1 and 2 read those slots
+            a = width - 1 if j1 == j0 else j1
+            b = width - 2 if j2 == j1 else j2
+            gates.append(fredkin(j0, a, width - 1 if b == j0 else b))
+    else:  # sample()'s set of picks
+        k = width.bit_length()
+        for _ in range(gate_count):
+            picks = []
+            while len(picks) < 3:
+                j = bits(k)
+                if j < width and j not in picks:
+                    picks.append(j)
+            gates.append(fredkin(*picks))
     return ReversibleCircuit(width, tuple(gates))
 
 
@@ -142,6 +178,17 @@ def _weight_masks(rows: list[int], ones: int) -> list[int]:
     return masks
 
 
+def _weight_change(c: ReversibleCircuit, state: str) -> str:
+    """'<state>, at gate i (<kind> on lines ...)': the state and the first
+    gate that changes its Hamming weight.  The circuit runs without its
+    line roles, as in the sweeps."""
+    weight = state.count("1")
+    trajectory = simulate_trajectory(ReversibleCircuit(c.width, c.gates), BitString(state))
+    i = next(t for t, s in enumerate(trajectory) if str(s).count("1") != weight) - 1
+    g = c.gates[i]
+    return f"{state}, at gate {i} ({g.kind} on lines {', '.join(map(str, g.controls + g.targets))})"
+
+
 def count_class_transitions(
     c: ReversibleCircuit,
     source: WeightCouple,
@@ -155,8 +202,10 @@ def count_class_transitions(
     proved conservative over its whole 2^(2n) cube when that cube is within
     the sweep ceiling; above it, the check is that every image in the swept
     class keeps its source state's weight, which is the property the count
-    relies on.  Either failure raises NotConservative.  A target of another
-    n than the source's raises ValueError.
+    relies on.  Either failure raises NotConservative, naming the first
+    offending state (in state-integer order over the cube, in sweep order
+    over the class) and the first gate that changes its weight.  A target
+    of another n than the source's raises ValueError.
     """
     n = source.n
     if target.n != n:
@@ -167,7 +216,11 @@ def count_class_transitions(
     proved = check_conservative(c)
     if not proved and c.width <= max_sweep_width():
         if not check_conservative(c, exhaustive=True):
-            raise NotConservative("circuit does not preserve Hamming weight")
+            table = permutation_table(c).tolist()
+            x = next(x for x, y in enumerate(table) if x.bit_count() != y.bit_count())
+            state = format(x, f"0{c.width}b")[::-1]  # line i is bit i of x
+            offender = _weight_change(c, state)
+            raise NotConservative(f"circuit does not preserve Hamming weight: first offending state {offender}")
         proved = True
     rows, size = _class_rows(source), source.class_size()
     ones = (1 << size) - 1
@@ -176,7 +229,8 @@ def count_class_transitions(
     if not proved and (bad := ones ^ _weight_masks(image, ones)[weight]):
         x = (bad & -bad).bit_length() - 1  # the first offending state
         state = "".join(str(r >> x & 1) for r in rows)
-        raise NotConservative(f"circuit changes the Hamming weight of source-class state {state}")
+        offender = _weight_change(c, state)
+        raise NotConservative(f"circuit changes the Hamming weight of source-class state {offender}")
     # every image keeps its weight, so the right half's weight follows from the left's
     if target.left_weight + target.right_weight != weight:
         return 0

@@ -186,15 +186,15 @@ def _lz78_decompress(code: str, helper: str) -> str:
             idx = int(code[pos:end], 2) if w else 0
             k = -1
         else:
-            raise MalformedCode("lz78: truncated token index")
+            raise MalformedCode(f"lz78: truncated token index at bit {pos}")
         if idx > size:
-            raise MalformedCode(f"lz78: index {idx} out of range")
+            raise MalformedCode(f"lz78: index {idx} out of range at bit {pos}")
         phrase = table[idx]
         if len(phrase) >= left:
             produced.append(phrase)  # final partial phrase
             break
         if k < 0:
-            raise MalformedCode("lz78: truncated token symbol")
+            raise MalformedCode(f"lz78: truncated token symbol at bit {end}")
         size += 1
         phrase += "01"[k & 1]
         table.append(phrase)
@@ -229,7 +229,7 @@ def _xor_decompress(code: str, helper: str) -> str:
     if code[0] == "0":
         n, used = decode_uint(code, 1)
         if 1 + used != len(code):
-            raise MalformedCode("xor: trailing bits after run-length record")
+            raise MalformedCode(f"xor: trailing bits after run-length record, from bit {1 + used}")
         if n > sys.maxsize:  # no bit string is that long, so no xor code says so
             raise MalformedCode(f"xor: run length {n} exceeds any bit string")
         payload = "0" * n

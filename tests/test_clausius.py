@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from landauer.circuits import check_conservative
+from landauer.circuits import check_conservative, fredkin
 from landauer.clausius import (
     WeightCouple,
     clausius_experiment,
@@ -12,6 +12,7 @@ from landauer.clausius import (
     random_conservative_circuit,
 )
 from landauer.errors import DomainTooLarge, NonIntegralWeights, NotConservative, WidthTooSmall
+from landauer.rng import substream
 
 
 def binom_oracle(n: int, k: int) -> int:
@@ -103,6 +104,16 @@ def test_random_conservative_circuit_contracts():
         random_conservative_circuit(2, 5, seed=0)
 
 
+def test_random_conservative_circuit_draws_equal_random_sample():
+    # widths up to 21 take sample()'s pool branch, wider ones its set branch
+    for width in range(3, 41):
+        for seed in range(51):
+            gate_count = (seed + width) % 41
+            rng = substream(seed, "fredkin-circuit")
+            want = tuple(fredkin(*rng.sample(range(width), 3)) for _ in range(gate_count))
+            assert random_conservative_circuit(width, gate_count, seed).gates == want, (width, seed)
+
+
 @pytest.mark.parametrize("count", [-1, -3])
 def test_negative_gate_count_is_rejected(count):
     with pytest.raises(ValueError, match="gate count"):
@@ -158,7 +169,8 @@ def test_count_class_transitions_on_a_wide_non_fredkin_circuit():
 def test_count_class_transitions_wide_circuit_must_keep_class_weights():
     from landauer.circuits import ReversibleCircuit, not_gate, toffoli
 
-    with pytest.raises(NotConservative, match="111111111111000000000000"):
+    state = "111111111111000000000000"
+    with pytest.raises(NotConservative, match=rf"source-class state {state}, at gate 0 \(not on lines 23\)$"):
         count_class_transitions(ReversibleCircuit(24, (not_gate(23),)), WeightCouple(12, 12, 0), WeightCouple(12, 12, 1))
     # weight-changing only off the class: above the ceiling the class is all that is checked
     off_class = ReversibleCircuit(24, (toffoli(12, 13, 0),))
@@ -172,6 +184,18 @@ def test_count_class_transitions_within_ceiling_proves_the_whole_cube():
     off_class = ReversibleCircuit(4, (toffoli(2, 3, 0),))
     with pytest.raises(NotConservative):
         count_class_transitions(off_class, WeightCouple(2, 2, 0), WeightCouple(2, 2, 0))
+
+
+def test_whole_cube_refusal_names_the_first_state_and_gate():
+    from landauer.bitstring import BitString
+    from landauer.circuits import ReversibleCircuit, cnot, simulate
+
+    gates = random_conservative_circuit(8, 16, 3).gates
+    c = ReversibleCircuit(8, gates[:8] + (cnot(2, 5),) + gates[8:])
+    cube = (BitString(format(x, "08b")[::-1]) for x in range(256))  # line i is bit i of x
+    first = next(s for s in cube if str(simulate(c, s)).count("1") != str(s).count("1"))
+    with pytest.raises(NotConservative, match=rf"first offending state {first}, at gate 8 \(cnot on lines 2, 5\)$"):
+        count_class_transitions(c, WeightCouple(4, 2, 2), WeightCouple(4, 3, 1))
 
 
 def test_sweep_ceiling_counts_class_states_not_lines(monkeypatch):

@@ -155,6 +155,18 @@ def test_lz78_malformed_codes():
         LZ78.decompress(coded + BitString("0"), EMPTY)
 
 
+def test_lz78_refusals_name_the_bit_offset():
+    coded = LZ78.compress(BitString("10110100"), EMPTY)
+    # a 7-bit length header, then tokens at bits 7, 8, 10, 13 and 16
+    assert coded == BitString("0001001" "1" "00" "011" "101" "0100")
+    with pytest.raises(MalformedCode, match="^lz78: truncated token symbol at bit 19$"):
+        LZ78.decompress(coded[:19], EMPTY)  # the last token's index alone
+    with pytest.raises(MalformedCode, match="^lz78: truncated token index at bit 16$"):
+        LZ78.decompress(coded[:17], EMPTY)
+    with pytest.raises(MalformedCode, match="^lz78: index 7 out of range at bit 16$"):
+        LZ78.decompress(coded[:16] + BitString("1110"), EMPTY)  # 4 phrases so far
+
+
 # --- xor ------------------------------------------------------------------------
 
 
@@ -167,6 +179,13 @@ def test_xor_forced_examples():
     # tail beyond the helper is carried untouched
     coded = XOR.compress(BitString("110011"), BitString("10"))
     assert coded == BitString("1") + BitString("010011")
+
+
+def test_xor_refuses_trailing_bits_by_offset():
+    record = XOR.compress(BitString("0000"), EMPTY)
+    assert record == BitString("0" "00101")  # mode bit, then gamma(5)
+    with pytest.raises(MalformedCode, match="^xor: trailing bits after run-length record, from bit 6$"):
+        XOR.decompress(record + BitString("1"), EMPTY)
 
 
 def test_xor_run_length_pin_len_256():

@@ -236,15 +236,27 @@ def ref_class_states(couple: WeightCouple) -> list[BitString]:
     return [BitString(s) for s in sorted(halves, reverse=True) if (s[:n].count("1"), s[n:].count("1")) == weights]
 
 
+def ref_weight_change(c: ReversibleCircuit, state: BitString) -> str:
+    """The state, then the first gate after which the scalar interpreter,
+    run one gate at a time, gives it another weight."""
+    s = state
+    for i, g in enumerate(c.gates):
+        s = ref_simulate(ReversibleCircuit(c.width, (g,)), s)
+        if str(s).count("1") != str(state).count("1"):
+            return f"{state}, at gate {i} ({g.kind} on lines {', '.join(map(str, g.controls + g.targets))})"
+    raise AssertionError(f"{state} keeps its weight")
+
+
 def ref_count_class_transitions(c: ReversibleCircuit, source: WeightCouple, target: WeightCouple) -> int:
     """Simulate each class state and count the weights of its halves;
-    the first state whose image changes weight is named."""
+    the first state whose image changes weight is named, with its gate."""
     n, count = source.n, 0
     for state in ref_class_states(source):
         image = str(simulate(c, state))
         weights = image[:n].count("1"), image[n:].count("1")
         if sum(weights) != source.left_weight + source.right_weight:
-            raise NotConservative(f"circuit changes the Hamming weight of source-class state {state}")
+            offender = ref_weight_change(c, state)
+            raise NotConservative(f"circuit changes the Hamming weight of source-class state {offender}")
         count += weights == (target.left_weight, target.right_weight)
     return count
 

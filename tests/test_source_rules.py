@@ -29,10 +29,11 @@ float or to math.log, log2, exp or sqrt, and any / or /= appear only at
 the FLOAT_SITES, each a presentation boundary listed with its reason, and
 every listed site still makes a float.
 
-Only circuits imports numpy, at module level or inside a function: its
-permutation table is the one numpy path, and every other state batch is
-Python-int rows.  The modules that neither sweep states nor call one that
-does (bitstring, compress, irrev, thermo) import without numpy.
+Only circuits imports numpy, inside the functions of its permutation
+table, the one numpy path; every other state batch is Python-int rows.
+The modules that neither sweep states nor call one that does (bitstring,
+compress, irrev, thermo) import without numpy, and the CLI runs compile,
+simulate, compress, bounds, prbox and clausius without loading it.
 """
 
 import ast
@@ -407,18 +408,46 @@ def test_only_circuits_imports_numpy():
     assert found["circuits.py"], "circuits no longer imports numpy: drop this rule's exception"
 
 
-def test_the_numpy_free_modules_import_without_numpy():
-    code = (
-        "import sys\n"
-        "import landauer.bitstring, landauer.compress, landauer.irrev, landauer.thermo\n"
-        "print('numpy' in sys.modules)\n"
-    )
+def run_python(code: str, cwd=None) -> str:
+    """The stdout of `code` run in a fresh interpreter on this checkout's src/."""
     done = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=60,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_the_numpy_free_modules_import_without_numpy(tmp_path):
+    code = (
+        "import sys\n"
+        "import landauer.bitstring, landauer.compress, landauer.irrev, landauer.thermo\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert run_python(code) == "False"
+    # importing circuits (so the CLI) loads no numpy; only its permutation table needs it
+    code = (
+        "import contextlib, io, sys\n"
+        "from landauer.cli import main\n"
+        "from landauer.irrev import IrreversibleCircuit, LogicGate, save_netlist\n"
+        "save_netlist(IrreversibleCircuit(('a', 'b'), (LogicGate('g', 'and', ('a', 'b')),), ('g',)), 'net.json')\n"
+        "open('s.bits', 'w').write('0110' * 8)\n"
+        "sys.stdin = io.StringIO('0110100111001010')\n"
+        "runs = [\n"
+        "    ['compile', '--netlist', 'net.json', '--out', 'c.json'],\n"
+        "    ['compile', '--fig1', '--codec', 'xor', '--block', '4', '--helper', '10'],\n"
+        "    ['simulate', '--circuit', 'c.json', '--input', '1100', '--trajectory'],\n"
+        "    ['compress', '--codec', 'lz78'],\n"
+        "    ['bounds', '--s-file', 's.bits'],\n"
+        "    ['prbox', '--n', '256'],\n"
+        "    ['clausius', '--n', '4', '--delta', '1/4', '--circuits', '2'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in runs]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    assert run_python(code, cwd=tmp_path) == "[0, 0, 0, 0, 0, 0, 0] False"
