@@ -10,14 +10,15 @@ definitionally Toffoli gates with constant-1 controls: `normalize_to_toffoli`
 rewrites any circuit into Toffoli-only form over two appended CONST_ONE
 lines, so the "reversible gates only, no AND/OR" discipline is checkable.
 
-One kernel, `_apply`, holds the gate semantics.  A circuit is lowered
-while it is checked, in its constructor: the gates to line-index steps
-(`_prog`) and the CONST_ONE and ANCILLA_ZERO roles to line masks
-(`_const`).  The kernel applies the steps to a list of per-line rows.
-For one state the rows are the ints 0/1 of the bit string, character i
-being line i.  A batch (`run_states`) is one Python int per line, bit x
-being state x: one int operation on a few hundred bytes costs far less
-than one numpy call.
+One kernel, `_apply`, holds the gate semantics.  A gate is a plain
+record; its circuit's constructor, the one place that checks a gate,
+checks and lowers it once.  The constructor lowers the gates to
+line-index steps (`_prog`) and the CONST_ONE and ANCILLA_ZERO roles to
+line masks (`_const`).  The kernel applies the steps to a list of
+per-line rows.  For one state the rows are the ints 0/1 of the bit
+string, character i being line i.  A batch (`run_states`) is one Python
+int per line, bit x being state x: one int operation on a few hundred
+bytes costs far less than one numpy call.
 `reverse_circuit` is built once per circuit and cached on it.
 
 Exhaustive sweeps run as one batch at any width and are refused up front
@@ -43,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, NamedTuple, Sequence
 
 from .bitstring import _FROM_ROWS, _TO_ROWS, BitString, _trusted
 from .errors import (
@@ -74,8 +75,8 @@ LINE_ROLES = (INPUT, HELPER, ANCILLA_ZERO, CONST_ONE, OUTPUT_ALIAS)
 
 DEFAULT_MAX_WIDTH = 20
 
-# gate kind -> (controls, targets) arity
-_ARITY = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}
+# (gate kind, controls, targets): each kind with its arity
+_SHAPES = frozenset({(TOFFOLI, 2, 1), (CNOT, 1, 1), (NOT, 0, 1), (FREDKIN, 1, 2)})
 
 
 def max_sweep_width() -> int:
@@ -92,9 +93,9 @@ def max_sweep_width() -> int:
     return width
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One reversible gate over named line indices.
+class Gate(NamedTuple):
+    """One reversible gate over line indices: a plain record, which its
+    circuit checks and lowers once, in the circuit's constructor.
 
     controls/targets arities by kind: toffoli 2/1, cnot 1/1, not 0/1,
     fredkin 1/2 (the two targets are the swapped pair).
@@ -103,21 +104,6 @@ class Gate:
     kind: str
     controls: tuple[int, ...]
     targets: tuple[int, ...]
-
-    def __post_init__(self):
-        arity = _ARITY.get(self.kind)
-        if arity is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if (len(self.controls), len(self.targets)) != arity:
-            raise ValueError(
-                f"{self.kind} expects controls/targets {arity}, "
-                f"got {len(self.controls)}/{len(self.targets)}"
-            )
-        lines = self.controls + self.targets
-        if len(set(lines)) != len(lines):
-            raise ValueError(f"gate lines must be distinct: {lines}")
-        if min(lines) < 0:
-            raise ValueError("line indices must be non-negative")
 
 
 def toffoli(c1: int, c2: int, target: int) -> Gate:
@@ -158,13 +144,18 @@ class ReversibleCircuit:
         # (CONST_ONE lines, ANCILLA_ZERO lines) as masks: each role's marks, line i first
         marks = ("".join("1" if r == role else "0" for r in roles) for role in (CONST_ONE, ANCILLA_ZERO))
         object.__setattr__(self, "_const", tuple(map(_to_mask, marks)))
-        # `_apply` steps (kind, a, b, t): the gate's controls and targets right-aligned in three slots
+        # the one gate check: a known kind with its arity, on distinct lines in 0..width-1; then
+        # the `_apply` step (kind, a, b, t), the gate's controls and targets right-aligned in three slots
+        line_set = set(range(self.width))
         prog = []
-        for g in self.gates:
-            lines = g.controls + g.targets
-            if max(lines) >= self.width:
-                raise ValueError(f"gate {g} exceeds width {self.width}")
-            prog.append((g.kind,) + ((0,) * 3 + lines)[-3:])
+        for n, (kind, controls, targets) in enumerate(self.gates):
+            lines = controls + targets
+            if (kind, len(controls), len(targets)) not in _SHAPES or len(line_set.intersection(lines)) < len(lines):
+                raise ValueError(
+                    f"gate {n} {self.gates[n]} is not a known kind with its arity"
+                    f" on distinct lines below width {self.width}"
+                )
+            prog.append((kind,) + ((0,) * 3 + lines)[-3:])
         object.__setattr__(self, "_prog", tuple(prog))
 
     def gate_count(self) -> int:
@@ -462,7 +453,7 @@ def circuit_from_json(doc: dict) -> ReversibleCircuit:
         where = f"circuit gate {n}"
         kind = json_field(g, "kind", str, where)
         if kind not in _GATE_FIELDS:
-            raise ValueError(f"unknown gate kind {kind!r}")
+            raise ValueError(f"{where}: unknown gate kind {kind!r}")
         control_key, target_key = _GATE_FIELDS[kind]
         controls = _json_lines(g, control_key, where) if control_key else ()
         gates.append(Gate(kind, controls, _json_lines(g, target_key, where)))

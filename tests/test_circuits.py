@@ -57,13 +57,16 @@ def random_circuit(rng, width, gates):
     return ReversibleCircuit(width, tuple(out))
 
 
-def test_gate_arity_validation():
-    with pytest.raises(ValueError):
-        Gate("toffoli", (0,), (1,))
-    with pytest.raises(ValueError):
-        Gate("toffoli", (0, 0), (1,))  # duplicate lines
-    with pytest.raises(ValueError):
-        ReversibleCircuit(2, (toffoli(0, 1, 2),))  # exceeds width
+@pytest.mark.parametrize(
+    "gate",
+    [Gate("swap", (0,), (1,)), Gate("toffoli", (0,), (1,)), toffoli(0, 0, 1), cnot(-1, 0), toffoli(0, 1, 3)],
+    ids=["unknown-kind", "wrong-arity", "repeated-line", "negative-line", "line-at-width"],
+)
+def test_an_invalid_gate_is_refused_with_its_index(gate):
+    with pytest.raises(ValueError) as info:
+        ReversibleCircuit(3, (not_gate(0), cnot(0, 1), gate))
+    message = str(info.value)
+    assert message.startswith(f"gate 2 {gate} ") and message.endswith("width 3")
 
 
 def test_toffoli_truth_table():

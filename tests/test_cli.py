@@ -353,6 +353,24 @@ def test_malformed_document_is_a_structured_error(tmp_path, doc, command, field)
     assert error["type"] == "MalformedInput" and field in error["message"]
 
 
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        ({"kind": "swap", "targets": [0, 1]}, "circuit gate 1: unknown gate kind 'swap'"),
+        ({"kind": "cnot", "control": -1, "target": 0}, "gate 1 "),
+    ],
+    ids=["unknown-kind", "negative-line"],
+)
+def test_an_invalid_gate_in_a_circuit_file_is_named_by_its_index(tmp_path, gate, message):
+    doc = {"version": 1, "width": 2, "line_roles": ["input"] * 2, "gates": [{"kind": "not", "target": 0}, gate]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli(["simulate", "--circuit", str(path), "--input", "00"])
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "ValueError" and error["message"].startswith(message)
+
+
 def test_unwritable_output_file_is_a_structured_error(tmp_path):
     target = tmp_path / "missing-dir" / "c.json"
     code, text = run_cli(

@@ -209,6 +209,24 @@ def ref_simulate(c: ReversibleCircuit, input_bits: BitString) -> BitString:
     return ref_from_mask(mask, c.width)
 
 
+def ref_gate_ok(g: Gate, width: int) -> bool:
+    """The five gate checks, one at a time: a known kind, that kind's
+    arity, distinct lines, no negative line, no line at or past the width."""
+    arity = {TOFFOLI: (2, 1), CNOT: (1, 1), NOT: (0, 1), FREDKIN: (1, 2)}
+    if g.kind not in arity:
+        return False
+    if (len(g.controls), len(g.targets)) != arity[g.kind]:
+        return False
+    lines = g.controls + g.targets
+    if len(set(lines)) != len(lines):
+        return False
+    if min(lines) < 0:
+        return False
+    if max(lines) >= width:
+        return False
+    return True
+
+
 def ref_run_states(c: ReversibleCircuit, planes: np.ndarray) -> np.ndarray:
     p = np.array(planes, dtype=np.uint8)
     for g in c.gates:
@@ -767,6 +785,32 @@ def test_kinds_equal_to_the_constants_run_like_them(c, state):
     # a batch of eight copies of x, each line one byte
     out = run_states(c, [0xFF if bit else 0 for bit in x], 8)
     assert BitString("".join({0xFF: "1", 0: "0"}[row] for row in out)) == want
+
+
+gate_lines = st.lists(st.integers(-2, 6), max_size=3).map(tuple)
+
+
+@given(
+    st.builds(Gate, st.sampled_from((TOFFOLI, CNOT, NOT, FREDKIN, "swap")), gate_lines, gate_lines),
+    st.integers(0, 6),
+    st.integers(0, 2**6 - 1),
+)
+@example(toffoli(0, 1, 2), 3, 0b011)
+@example(cnot(5, 0), 6, 0b100001)
+@example(not_gate(0), 1, 0)
+@example(fredkin(2, 0, 1), 3, 0b101)
+@example(fredkin(2, 0, 3), 3, 0)
+@example(cnot(-1, 0), 2, 0)
+@settings(max_examples=500)
+def test_the_constructor_refuses_exactly_the_gates_the_five_checks_refuse(gate, width, state):
+    if not ref_gate_ok(gate, width):
+        with pytest.raises(ValueError) as info:
+            ReversibleCircuit(width, (gate,))
+        assert str(info.value).startswith(f"gate 0 {gate} ")
+        return
+    c = ReversibleCircuit(width, (gate,))
+    x = BitString.from_int(state % 2**width, width)
+    assert simulate(c, x) == ref_simulate(c, x)
 
 
 @st.composite
