@@ -2,8 +2,7 @@
 
 A circuit is a fixed-width ordered list of gates from {toffoli, cnot, not,
 fredkin}.  Each gate is an involution on {0,1}^width, so every circuit
-induces a bijection; `simulate(reverse_circuit(c), simulate(c, s)) == s`
-for all s.
+induces a bijection, and the same gates in reverse order invert it.
 
 NOT and CNOT are admitted as primitives for readability, but they are
 definitionally Toffoli gates with constant-1 controls: `normalize_to_toffoli`
@@ -19,7 +18,6 @@ per-line rows.  For one state the rows are the ints 0/1 of the bit
 string, character i being line i.  A batch (`run_states`) is one Python
 int per line, bit x being state x: one int operation on a few hundred
 bytes costs far less than one numpy call.
-`reverse_circuit` is built once per circuit and cached on it.
 
 Exhaustive sweeps run as one batch at any width and are refused up front
 beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  The full
@@ -223,17 +221,6 @@ def simulate_trajectory(c: ReversibleCircuit, input_bits: BitString) -> tuple[Bi
     """The input state, then the state after each gate in list order."""
     rows = _rows(c, input_bits)
     return (_state(rows),) + tuple(_state(_apply((step,), rows, 1)) for step in c._prog)
-
-
-def reverse_circuit(c: ReversibleCircuit) -> ReversibleCircuit:
-    """Gates in reversed order; every gate kind is its own inverse.
-
-    Built once per circuit, when first asked for, and cached on it.
-    """
-    r = c.__dict__.get("_reversed")
-    if r is None:
-        r = c.__dict__["_reversed"] = ReversibleCircuit(c.width, c.gates[::-1], c.line_roles)
-    return r
 
 
 def run_states(c: ReversibleCircuit, rows: Sequence[int], count: int) -> list[int]:

@@ -89,6 +89,8 @@ def _flatten(doc, prefix=""):
 
 
 def _base_report(args) -> dict:
+    # echo only a temperature that to_joules accepts: finite (JSON has no nan) and > 0 K
+    to_joules(0, args.temperature)
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -111,9 +113,9 @@ def _cmd_compile(args) -> dict:
     else:
         compiled = bennett_compile(_load(load_netlist, args.netlist))
         mode = "bennett"
+    report = _base_report(args)
     if args.out:
         _save(save_circuit, compiled.circuit, args.out)
-    report = _base_report(args)
     report.update(
         mode=mode,
         width=compiled.circuit.width,

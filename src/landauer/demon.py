@@ -23,7 +23,9 @@ instead.
 Every scenario returns a transcript of invertible steps; replaying the
 transcript backward from the final tape restores the initial tape
 bit-exactly (erase steps record what they removed, which is the
-information handed to the environment).
+information handed to the environment).  The xor-copy demon's Bennett
+circuit is an involution, so it uncomputes its copy by running the
+circuit that made it a second time.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .bitstring import BitString
 from .compress import CompressionCodec, decode_with_escape, encode_with_escape
 from .errors import GeneratorMismatch, InvariantViolated
 from .irrev import IrreversibleCircuit, evaluate
-from .synth import CompiledReversible, bennett_compile
+from .synth import bennett_compile
 from .thermo import EnergyLedger
-from .circuits import reverse_circuit, simulate
+from .circuits import ReversibleCircuit, simulate
 
 
 @dataclass(frozen=True)
@@ -106,24 +108,18 @@ class EraseStep:
 
 @dataclass(frozen=True)
 class CircuitStep:
-    """Apply a compiled reversible circuit across x_region ++ history_region."""
+    """Run a reversible circuit across x_region ++ history_region; its own
+    inverse, as the circuit is a Bennett circuit F.C.F^-1, an involution
+    (see synth.bennett_compile)."""
 
-    compiled: CompiledReversible
-    reverse: bool = False
-
-    def _run(self, tape: Tape, backward: bool) -> Tape:
-        circuit = self.compiled.circuit
-        if backward:
-            circuit = reverse_circuit(circuit)
-        k = len(tape.x_region)
-        state = simulate(circuit, tape.x_region + tape.history_region)
-        return replace(tape, x_region=state[:k], history_region=state[k:])
+    circuit: ReversibleCircuit
 
     def apply(self, tape: Tape) -> Tape:
-        return self._run(tape, self.reverse)
+        k = len(tape.x_region)
+        state = simulate(self.circuit, tape.x_region + tape.history_region)
+        return replace(tape, x_region=state[:k], history_region=state[k:])
 
-    def invert(self, tape: Tape) -> Tape:
-        return self._run(tape, not self.reverse)
+    invert = apply
 
 
 @dataclass(frozen=True)
@@ -243,9 +239,10 @@ def run_erase_then_extract(S: BitString, X: BitString, codec: CompressionCodec) 
 def run_xor_copy_extract(S: BitString, X: BitString, generator: IrreversibleCircuit) -> ScenarioResult:
     """Full-value extraction when X programs a copy of S.
 
-    Compiles the generator, computes the copy (history holds the junk),
-    XORs the copy into S producing 0^len(S), then uncomputes the copy so
-    history and ancillas return to zero.  wv_bits = len(S) exactly, the
+    Compiles the generator, runs its Bennett circuit to copy S into
+    history (the work lines end zero again), XORs the copy into S
+    producing 0^len(S), then runs the same circuit again, which uncomputes
+    the copy so history returns to zero.  wv_bits = len(S) exactly, the
     one ledger credit, in bits.
     """
     if evaluate(generator, X) != S:
@@ -255,17 +252,16 @@ def run_xor_copy_extract(S: BitString, X: BitString, generator: IrreversibleCirc
     out = len(compiled.output_lines)
     tape0 = _fresh_tape(S, X, history_bits=work + out)
 
-    forward = CircuitStep(compiled)
+    compute = CircuitStep(compiled.circuit)
     xor_in = XorRegionStep(start=work)
-    backward = CircuitStep(compiled, reverse=True)
-    tape1 = forward.apply(tape0)
+    tape1 = compute.apply(tape0)
     tape2 = xor_in.apply(tape1)
-    tape3 = backward.apply(tape2)
+    tape3 = compute.apply(tape2)  # the same circuit again uncomputes the copy
 
     ledger = EnergyLedger()
     ledger.credit("extract:xor_copy", len(S))
     _check_catalyst(tape0, tape3)
     _check_clean(tape3, "history_region", "s_region")
     return ScenarioResult(
-        "xor-copy", ledger, tape0, tape3, len(S), 0, (forward, xor_in, backward)
+        "xor-copy", ledger, tape0, tape3, len(S), 0, (compute, xor_in, compute)
     )

@@ -150,6 +150,11 @@ def bennett_compile(src: IrreversibleCircuit) -> CompiledReversible:
     One zero work line per source gate; outputs are CNOT-copied to fresh
     zero lines; the forward stage is then replayed in reverse, restoring
     every work line.  The circuit has inputs + gates + outputs lines.
+
+    The circuit F.C.F^-1 is its own inverse, which the xor-copy demon
+    relies on to uncompute its copy: run twice it is F.C.(F^-1.F).C.F^-1
+    = F.C.C.F^-1, and C.C is the identity because the copy CNOTs target
+    distinct output lines that none of them reads.
     """
     k, g, m = len(src.inputs), len(src.gates), len(src.outputs)
 

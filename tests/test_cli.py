@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from landauer import cli
 from landauer.bitstring import BitString, encode_uint
-from landauer.circuits import LINE_ROLES, ReversibleCircuit, circuit_from_json, load_circuit, simulate
+from landauer.circuits import LINE_ROLES, ReversibleCircuit, circuit_from_json, load_circuit, save_circuit, simulate
 from landauer.cli import main
 from landauer.compress import LZ78
 from landauer.errors import LandauerError
@@ -426,13 +426,36 @@ def test_clausius_with_zero_gates_is_the_identity_experiment():
     assert report["within_ceiling"] is True
 
 
-@pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
-def test_non_finite_temperature_is_a_domain_error(tmp_path, monkeypatch, temperature):
+# every subcommand that echoes --temperature in its report
+REPORT_ARGV = [
+    ["bounds", "--s-file", "s.bits"],
+    ["demon", "--scenario", "extract", "--s-file", "s.bits"],
+    ["compile", "--fig1", "--codec", "xor", "--block", "4", "--helper", "10", "--out", "out.json"],
+    ["simulate", "--circuit", "c.json", "--input", "0000"],
+    ["clausius", "--n", "4", "--delta", "1/4", "--circuits", "1"],
+    ["prbox", "--n", "256"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, temperature",
+    [
+        # bounds, the first subcommand that refused them, keeps the bare ids
+        pytest.param(argv, t, id=t if argv[0] == "bounds" else f"{argv[0]}-{t}")
+        for argv in REPORT_ARGV
+        for t in ("nan", "inf", "-inf", "0")
+    ],
+)
+def test_non_finite_temperature_is_a_domain_error(tmp_path, monkeypatch, argv, temperature):
     (tmp_path / "s.bits").write_text("0" * 16)
+    save_circuit(ReversibleCircuit(4), str(tmp_path / "c.json"))
     monkeypatch.chdir(tmp_path)
-    code, text = run_cli(["bounds", "--s-file", "s.bits", f"--temperature={temperature}"])
+    code, text = run_cli(argv + [f"--temperature={temperature}"])
     assert code == 1
-    assert json.loads(text)["error"]["type"] == "NonPositiveTemperature"
+    error = json.loads(text)["error"]
+    assert error["type"] == "NonPositiveTemperature"
+    assert error["message"] == f"temperature must be finite and > 0 K, got {float(temperature)}"
+    assert not (tmp_path / "out.json").exists()  # a refused compile writes no circuit
 
 
 @pytest.mark.parametrize("command", ["simulate", "compile"])
@@ -634,6 +657,7 @@ def run_cli_captured(argv, stdin_text):
 
 
 @given(cli_argv())
+@example((["clausius", "--n", "4", "--delta", "1/4", "--circuits", "1", "--temperature", "inf"], ""))
 @settings(max_examples=200, deadline=None)
 def test_any_argv_exits_0_1_or_2_and_the_shared_parser_keeps_no_state(cli_files, drawn):
     argv, stdin_text = drawn
@@ -645,6 +669,17 @@ def test_any_argv_exits_0_1_or_2_and_the_shared_parser_keeps_no_state(cli_files,
         m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
         fresh = run_cli_captured(argv, stdin_text)
     assert shared == fresh
+    code, out, _ = shared
+    # an error report, or a JSON report, is strict JSON: no NaN or Infinity
+    if code == 1 or (
+        code == 0 and argv[0] in REQUIRED and argv[0] not in ("compress", "decompress")
+        and cli.build_parser().parse_args(argv).report == "json"
+    ):
+        json.loads(out, parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 # --- any JSON document loads or raises an error the CLI reports ----------------------

@@ -33,7 +33,8 @@ Only circuits imports numpy, inside the functions of its permutation
 table, the one numpy path; every other state batch is Python-int rows.
 The modules that neither sweep states nor call one that does (bitstring,
 compress, irrev, thermo) import without numpy, and the CLI runs compile,
-simulate, compress, bounds, prbox and clausius without loading it.
+simulate, compress, bounds, the four demon scenarios, prbox and clausius
+without loading it.
 """
 
 import ast
@@ -79,7 +80,6 @@ FLOAT_MATH = {"log", "log2", "exp", "sqrt"}
 
 # Functions that cache a value on an object, built only when first asked for.
 OBJECT_CACHES = {
-    "circuits.reverse_circuit": "a reversed circuit built eagerly would build its own reverse, without end",
     "circuits.permutation_table": "a sweep of all 2^width states, which most circuits are never asked for",
 }
 
@@ -436,6 +436,7 @@ def test_the_numpy_free_modules_import_without_numpy(tmp_path):
         "from landauer.irrev import IrreversibleCircuit, LogicGate, save_netlist\n"
         "save_netlist(IrreversibleCircuit(('a', 'b'), (LogicGate('g', 'and', ('a', 'b')),), ('g',)), 'net.json')\n"
         "open('s.bits', 'w').write('0110' * 8)\n"
+        "open('x.bits', 'w').write('01')\n"
         "sys.stdin = io.StringIO('0110100111001010')\n"
         "runs = [\n"
         "    ['compile', '--netlist', 'net.json', '--out', 'c.json'],\n"
@@ -443,6 +444,10 @@ def test_the_numpy_free_modules_import_without_numpy(tmp_path):
         "    ['simulate', '--circuit', 'c.json', '--input', '1100', '--trajectory'],\n"
         "    ['compress', '--codec', 'lz78'],\n"
         "    ['bounds', '--s-file', 's.bits'],\n"
+        "    ['demon', '--scenario', 'extract', '--s-file', 's.bits', '--x-file', 'x.bits'],\n"
+        "    ['demon', '--scenario', 'extract-erase', '--s-file', 's.bits'],\n"
+        "    ['demon', '--scenario', 'erase-extract', '--s-file', 's.bits'],\n"
+        "    ['demon', '--scenario', 'xor-copy', '--s-file', 's.bits', '--x-file', 'x.bits'],\n"
         "    ['prbox', '--n', '256'],\n"
         "    ['clausius', '--n', '4', '--delta', '1/4', '--circuits', '2'],\n"
         "]\n"
@@ -450,4 +455,4 @@ def test_the_numpy_free_modules_import_without_numpy(tmp_path):
         "    codes = [main(argv) for argv in runs]\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
-    assert run_python(code, cwd=tmp_path) == "[0, 0, 0, 0, 0, 0, 0] False"
+    assert run_python(code, cwd=tmp_path) == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False"

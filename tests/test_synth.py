@@ -1,5 +1,7 @@
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from landauer.circuits import (
     ReversibleCircuit,
     check_injective_bruteforce,
     cnot,
+    permutation_table,
     simulate,
 )
 from landauer.compress import (
@@ -111,6 +114,17 @@ def test_compiler_soundness_random_netlists():
         comp = bennett_compile(src)
         report = verify_compiled(comp, lambda x, s=src: evaluate(s, x))
         assert report.ok, report
+
+
+@given(st.integers(1, 6), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_a_bennett_circuit_is_its_own_inverse_and_its_reversed_gate_list(k, data, seed):
+    # k inputs and g gates give at most (k + g) // 2 outputs: width <= 16
+    src = random_netlist(k, data.draw(st.integers(0, 11 - k)), random.Random(seed))
+    c = bennett_compile(src).circuit
+    t = permutation_table(c)
+    assert (t[t] == np.arange(1 << c.width)).all()
+    assert (t == permutation_table(ReversibleCircuit(c.width, c.gates[::-1], c.line_roles))).all()
 
 
 def test_verify_detects_one_deleted_gate():
@@ -602,9 +616,8 @@ def test_transposition_gadget_moves_exactly_two_states():
 def test_fig1_composed_with_reverse_restores_input():
     helper = BitString("10")
     comp = build_fig1_compressor(BOOKMARK8, 8, helper)
-    from landauer.circuits import reverse_circuit
-
-    rev = reverse_circuit(comp.circuit)
+    c = comp.circuit
+    rev = ReversibleCircuit(c.width, c.gates[::-1], c.line_roles)
     for v in (0, 1, 170, 213):
         s = BitString.from_int(v, 8)
         full = comp.run(s)
