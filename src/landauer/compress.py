@@ -18,14 +18,18 @@ decode_with_escape accepts only the zero-padded code encode_with_escape
 writes.  A decompress kernel refuses only a code it cannot decode, or
 one it can refuse before building a large output.
 
-Kernels must be pure functions of (data, helper), so compress outputs
-are reused: CompressionCodec.compress keeps its last 16 distinct (kernel,
-data, helper) calls and their codes alive, and nothing else.  That memo
-is the only place codes are reused; callers ask compress again rather
-than pass a code along, and decompress's re-encode of data just
-compressed is a memo hit.  A raising kernel is called again every time;
-decompress itself is not cached.  The Fig. 1 block pass, block_codes,
-calls each kernel once per block and keeps nothing.
+Kernels must be pure functions of (data, helper), so their work is
+reused, in two places only.  CompressionCodec.compress keeps its last 16
+distinct (kernel, data, helper) calls and their codes alive: callers ask
+compress again rather than pass a code along, and decompress's re-encode
+of data just compressed is a memo hit.  A raising kernel is called again
+every time; decompress itself is not cached.  Under the codes, lz78 keeps
+the parse of its last 4 distinct texts (_lz78_parse): a helper is walked
+once for the encoder and the decoder alike, and data under the empty
+helper is that same walk, so a string that is first a helper and then
+data is walked once.  The Fig. 1 block pass, block_codes, calls each
+kernel once per block outside the memo; its calls share only the
+helper's parse.
 
 Registered codecs:
 
@@ -49,9 +53,10 @@ implementations can reproduce it.  A phrase's index is its node id in
 the phrase trie (0 is the empty phrase, ids in order of creation, helper
 phrases first), which is the same numbering as a phrase dictionary built
 in parse order, so the bitstream is unchanged by the trie kernel.  The
-decoder replays the helper's trie into a phrase table and appends one
-phrase per token; a token that writes a phrase the table already holds
-decodes, and the re-encode in decompress refuses it.
+decoder builds its phrase table from the tokens of the helper's parse (a
+phrase's token comes after its parent's) and appends one phrase per code
+token; a token that writes a phrase the table already holds decodes, and
+the re-encode in decompress refuses it.
 """
 
 from __future__ import annotations
@@ -119,45 +124,53 @@ def _identity_decompress(code: str, helper: str) -> str:
 # --- LZ78 with dictionary warm-up ---------------------------------------------
 
 
-def _lz78_warmup(helper: str) -> tuple[list[int], int]:
-    """Phrase trie of the helper's parse: (child, dictionary size).
+def _lz78_walk(text: str, child: list[int]) -> tuple[list[int], int]:
+    """Parse `text` on the phrase trie `child`, growing it: the token
+    k = 2*index + bit of each new phrase, in order, and the final slot
+    (2 * the node of a final partial phrase, 0 when there is none).
 
     child[2*node + bit] is 2 * (id of that child phrase), 0 when absent:
     node 0 is the empty phrase, ids run in parse order, and a child's
     doubled id is where its own two child slots start.
     """
-    child = [0, 0]
-    size = 0
+    tokens = []
     slot = 0  # 2 * current node
-    for bit in helper.encode().translate(_TO_ROWS):
+    for bit in text.encode().translate(_TO_ROWS):
         k = slot + bit
         slot = child[k]
         if not slot:  # new phrase; the parse restarts at the empty phrase
-            size += 1
-            child[k] = 2 * size
+            tokens.append(k)
+            child[k] = len(child)
             child += (0, 0)
-    return child, size
+    return tokens, slot
+
+
+@functools.lru_cache(maxsize=4)
+def _lz78_parse(text: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(child, tokens, final slot) of `text` walked from the empty
+    dictionary, read-only: a helper's warm-up, and the whole lz78 parse
+    of data under the empty helper."""
+    child = [0, 0]
+    tokens, slot = _lz78_walk(text, child)
+    return tuple(child), tuple(tokens), slot
 
 
 def _lz78_compress(data: str, helper: str) -> str:
-    child, size = _lz78_warmup(helper)
+    if helper:
+        child = list(_lz78_parse(helper)[0])  # the walk grows its own copy
+        size = len(child) // 2 - 1
+        tokens, slot = _lz78_walk(data, child)
+    else:
+        size = 0
+        _, tokens, slot = _lz78_parse(data)
     out = [str(encode_uint(len(data)))]
     # token (index, bit) is k = 2*index + bit in size.bit_length() + 1 bits
     token = f"0{size.bit_length() + 1}b"
-    slot = 0
-    for bit in data.encode().translate(_TO_ROWS):
-        k = slot + bit
-        nxt = child[k]
-        if nxt:
-            slot = nxt
-            continue
+    for k in tokens:
         out.append(format(k, token))
         size += 1
         if not size & size - 1:  # a power of two: the index field widens
             token = f"0{size.bit_length() + 1}b"
-        child[k] = 2 * size
-        child += (0, 0)
-        slot = 0
     if slot:  # final partial phrase: index only, no next bit
         out.append(format(slot >> 1, f"0{size.bit_length()}b"))
     return "".join(out)
@@ -168,11 +181,10 @@ def _lz78_decompress(code: str, helper: str) -> str:
         n, pos = decode_uint(code)
     except MalformedCode:
         raise MalformedCode("lz78: bad length header")
-    child, size = _lz78_warmup(helper)
-    table = [""] * (size + 1)
-    for k, slot in enumerate(child):
-        if slot:  # a parent's id is below its child's, so its phrase is set
-            table[slot >> 1] = table[k >> 1] + "01"[k & 1]
+    table = [""]
+    for k in _lz78_parse(helper)[1]:  # a parent's token comes before its child's
+        table.append(table[k >> 1] + "01"[k & 1])
+    size = len(table) - 1
     produced: list[str] = []
     left = n  # bits still to produce
     end = len(code)

@@ -43,6 +43,19 @@ def test_rejects_non_bits():
         BitString.from_int(4, 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BitString("01").xor(BitString("1")), "xor requires equal lengths"),
+        (lambda: encode_uint(-1), "encode_uint takes a non-negative integer"),
+    ],
+    ids=["xor-lengths", "negative-uint"],
+)
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_encode_empty_is_header_only():
     assert encode_self_delimiting(BitString()) == BitString("1")
 

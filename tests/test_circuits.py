@@ -68,6 +68,23 @@ def test_an_invalid_gate_is_refused_with_its_index(gate):
     assert message.startswith(f"gate 2 {gate} ") and message.endswith("width 3")
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ReversibleCircuit(-1), ValueError, "width must be non-negative"),
+        (lambda: ReversibleCircuit(2, line_roles=(CONST_ONE,)), ValueError, "line_roles length must equal width"),
+        (lambda: ReversibleCircuit(1, line_roles=("bus",)), ValueError, "unknown line role 'bus'"),
+        (lambda: run_states(ReversibleCircuit(2), [0], 1), WidthMismatch, "batch has 1 lines, circuit width 2"),
+        (lambda: check_injective_bruteforce(ReversibleCircuit(3), 2), WidthMismatch, "circuit width 3, asked to sweep 2 bits"),
+        (lambda: complexity_drift_report((), len), ValueError, "trajectory must contain at least the initial state"),
+    ],
+    ids=["negative-width", "roles-length", "unknown-role", "batch-lines", "sweep-width", "empty-trajectory"],
+)
+def test_refusals_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_toffoli_truth_table():
     c = ReversibleCircuit(3, (toffoli(0, 1, 2),))
     assert simulate(c, BitString("110")) == BitString("111")

@@ -186,6 +186,17 @@ def test_count_class_transitions_within_ceiling_proves_the_whole_cube():
         count_class_transitions(off_class, WeightCouple(2, 2, 0), WeightCouple(2, 2, 0))
 
 
+def test_count_class_transitions_on_a_proved_non_fredkin_circuit():
+    from landauer.circuits import ReversibleCircuit, not_gate
+
+    # two NOTs on one line cancel: not all-Fredkin, but conservative over the whole cube
+    c = random_conservative_circuit(8, 32, 5)
+    padded = ReversibleCircuit(8, (not_gate(0), not_gate(0)) + c.gates)
+    assert not check_conservative(padded) and check_conservative(padded, exhaustive=True)
+    source, target = WeightCouple(4, 2, 2), WeightCouple(4, 3, 1)
+    assert count_class_transitions(padded, source, target) == count_class_transitions(c, source, target) == 11
+
+
 def test_whole_cube_refusal_names_the_first_state_and_gate():
     from landauer.bitstring import BitString
     from landauer.circuits import ReversibleCircuit, cnot, simulate

@@ -16,6 +16,8 @@ from landauer.compress import (
     LZ78,
     XOR,
     CompressionCodec,
+    _compressed,
+    _lz78_parse,
     default_family,
     encode_with_escape,
     decode_with_escape,
@@ -23,6 +25,7 @@ from landauer.compress import (
 )
 from landauer.demon import run_erase_then_extract, run_extract_then_erase
 from landauer.errors import MalformedCode
+from landauer.prbox import generate_pr_quadruple, pr_report
 from landauer.rng import random_bits, substream
 from landauer.thermo import erasure_cost_interval, wv_report
 
@@ -121,6 +124,22 @@ def test_lz78_bulk_roundtrip_long_strings():
         n = rng.randrange(1, 4097)
         s = random_bits(rng, n)
         assert LZ78.decompress(LZ78.compress(s, EMPTY), EMPTY) == s
+
+
+def test_lz78_parse_is_walked_once_per_text():
+    _compressed.cache_clear()
+    _lz78_parse.cache_clear()
+    # helpers a, pair_helper(a, b), b and the pair again; then data a, b, x, y, a + b
+    # under the empty helper, a and b each the same walk as their warm-up
+    pr_report(generate_pr_quadruple(1024, 3))
+    info = _lz78_parse.cache_info()
+    assert (info.misses, info.hits) == (6, 3)
+    _lz78_parse.cache_clear()
+    rng = substream(25, "reuse")
+    s, x = random_bits(rng, 512), random_bits(rng, 256)
+    assert LZ78.decompress(LZ78.compress(s, x), x) == s  # the decoder reuses x's walk
+    info = _lz78_parse.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_lz78_mismatched_helper_never_silently_succeeds():

@@ -63,6 +63,8 @@ from landauer.compress import (
     XOR,
     ComplexityEstimate,
     CompressionCodec,
+    _compressed,
+    _lz78_parse,
     default_family,
     encode_with_escape,
     estimate_complexity,
@@ -421,6 +423,21 @@ def test_lz78_trie_matches_dict_reference(pair):
     code = LZ78.compress(BitString(data), BitString(helper))
     assert str(code) == ref_lz78_compress(data, helper)
     assert LZ78.decompress(code, BitString(helper)) == BitString(data)
+
+
+bits64 = st.text(alphabet="01", max_size=64)
+
+
+@given(bits64, bits64, bits64)
+@example("0110", "01100", "01")
+@settings(max_examples=100)
+def test_lz78_compress_never_grows_the_cached_helper_parse(d1, d2, h):
+    _compressed.cache_clear()  # so the first compress runs its kernel
+    LZ78.compress(BitString(d1), BitString(h))
+    code = LZ78.compress(BitString(d2), BitString(h))
+    assert str(code) == ref_lz78_compress(d2, h)
+    assert LZ78.decompress(code, BitString(h)) == BitString(d2)
+    assert all(type(part) is tuple for part in _lz78_parse(h)[:2])
 
 
 @given(data_helper())
