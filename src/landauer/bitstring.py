@@ -34,9 +34,7 @@ class BitString:
     __slots__ = ("_s",)
 
     def __init__(self, bits: BitsLike = ""):
-        if isinstance(bits, BitString):
-            s = bits._s
-        elif isinstance(bits, str):
+        if isinstance(bits, str):
             s = bits
         else:
             s = "".join("1" if b else "0" for b in bits)

@@ -20,7 +20,9 @@ int per line, bit x being state x: one int operation on a few hundred
 bytes costs far less than one numpy call.
 
 Exhaustive sweeps run as one batch at any width and are refused up front
-beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  The full
+beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  `check_sweep`
+is the one ceiling check: every size refusal of the package, sweep or
+size argument, goes through it and reads one message form.  The full
 cube's rows come in closed form from their periodic bytes (`cube_rows`).
 `permutation_table`, the one numpy path, runs the kernel on uint8 views
 of those bytes, where numpy's per-byte speed wins at 2^width states, and
@@ -89,6 +91,15 @@ def max_sweep_width() -> int:
     if width < 0:
         raise ValueError(f"LANDAUER_MAX_WIDTH must be a non-negative integer, got {raw!r}")
     return width
+
+
+def check_sweep(what: str, *, states: int = 0, lines: int = 0) -> None:
+    """Refuse, before any work, `states` states or the cube of `lines`
+    lines above the 2**max_sweep_width() ceiling; `what` names what was
+    asked.  A width is compared as lines, never raised to a power."""
+    width = max_sweep_width()
+    if lines > width or states > 1 << width:
+        raise DomainTooLarge(f"{what} exceeds the 2^{width} sweep ceiling")
 
 
 class Gate(NamedTuple):
@@ -258,8 +269,7 @@ def permutation_table(c: ReversibleCircuit) -> np.ndarray:
     returned read-only thereafter; a width above the sweep ceiling is
     refused on every call, cached or not.  State integers use bit i = line i.
     """
-    if c.width > max_sweep_width():
-        raise DomainTooLarge(f"width {c.width} exceeds ceiling {max_sweep_width()}")
+    check_sweep(f"a circuit of {c.width} lines", lines=c.width)
     table = c.__dict__.get("_table")
     if table is None:
         import numpy as np
@@ -286,17 +296,17 @@ def check_injective_bruteforce(c: ReversibleCircuit, n: int) -> bool:
     """Exhaustively test a circuit's map on its n-bit states for collisions.
 
     One vectorized sweep; n must equal the circuit width (WidthMismatch
-    otherwise) and is capped at the sweep ceiling.
+    otherwise), and the table refuses a width above the sweep ceiling
+    before the 2^n marks are allocated.
     """
-    if n > max_sweep_width():
-        raise DomainTooLarge(f"{n} bits exceeds ceiling {max_sweep_width()}")
     if c.width != n:
         raise WidthMismatch(f"circuit width {c.width}, asked to sweep {n} bits")
     import numpy as np
 
+    table = permutation_table(c)
     # a map of the 2^n states into themselves is injective iff onto
     hit = np.zeros(1 << n, dtype=bool)
-    hit[permutation_table(c)] = True
+    hit[table] = True
     return bool(hit.all())
 
 

@@ -14,11 +14,12 @@ log2 trend.
 
 Conservative circuits are sampled as uniform random Fredkin gates, which
 preserve Hamming weight by construction (no filtering needed).  Each gate
-is the three lines random.Random.sample(range(width), 3) picks, drawn
-straight from the substream's getrandbits by CPython's own rule, so the
-circuits (and the golden files) are sample's without its per-call cost.  A class
-is swept as one run_states batch (`_class_rows`), and the half weights of
-its images are counted with exact-weight masks (`_weight_masks`).
+is the three lines random.Random.sample(range(width), 3) picks; up to
+width 21 they are drawn straight from the substream's getrandbits by
+CPython's own rule, so the circuits (and the golden files) are sample's
+without its per-call cost.  A class is swept as one run_states batch
+(`_class_rows`), and the half weights of its images are counted with
+exact-weight masks (`_weight_masks`).
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ from .circuits import (
     ReversibleCircuit,
     _to_mask,
     check_conservative,
+    check_sweep,
     fredkin,
     max_sweep_width,
     permutation_table,
     run_states,
     simulate_trajectory,
 )
-from .errors import DomainTooLarge, NonIntegralWeights, NotConservative, WidthTooSmall
+from .errors import NonIntegralWeights, NotConservative, WidthTooSmall
 from .rng import substream, substream_seed
 
 
@@ -106,20 +108,21 @@ def random_conservative_circuit(width: int, gate_count: int, seed: int) -> Rever
     """Uniformly random Fredkin gates; deterministic under the seed.
 
     Gate i is fredkin(*rng.sample(range(width), 3)), the i-th sample of
-    the substream, drawn here straight from its getrandbits as CPython's
-    sample draws it: each index below m is getrandbits(m.bit_length()),
-    redrawn until it is below m.  Up to width 21, sample picks from a
-    shrinking pool (j0 < width, j1 < width - 1, j2 < width - 2), each pick
-    replaced by the pool's last line; the two replacements resolve in
-    closed form.  From width 22 it redraws below width until the three
-    lines differ.  Zero gates give the identity circuit; a negative count
-    raises ValueError.
+    the substream.  Up to width 21 it is drawn here straight from the
+    substream's getrandbits as CPython's sample draws it: each index below
+    m is getrandbits(m.bit_length()), redrawn until it is below m, and
+    sample picks from a shrinking pool (j0 < width, j1 < width - 1,
+    j2 < width - 2), each pick replaced by the pool's last line; the two
+    replacements resolve in closed form.  From width 22 it is sample's own
+    draw.  Zero gates give the identity circuit; a negative count raises
+    ValueError.
     """
     if width < 3:
         raise WidthTooSmall(f"Fredkin gates need width >= 3, got {width}")
     if gate_count < 0:
         raise ValueError(f"gate count must be non-negative, got {gate_count}")
-    bits = substream(seed, "fredkin-circuit").getrandbits
+    rng = substream(seed, "fredkin-circuit")
+    bits = rng.getrandbits
     gates = []
     if width <= 21:  # sample()'s pool of lines
         k0, k1, k2 = (m.bit_length() for m in (width, width - 1, width - 2))
@@ -138,22 +141,9 @@ def random_conservative_circuit(width: int, gate_count: int, seed: int) -> Rever
             a = width - 1 if j1 == j0 else j1
             b = width - 2 if j2 == j1 else j2
             gates.append(fredkin(j0, a, width - 1 if b == j0 else b))
-    else:  # sample()'s set of picks
-        k = width.bit_length()
-        for _ in range(gate_count):
-            picks = []
-            while len(picks) < 3:
-                j = bits(k)
-                if j < width and j not in picks:
-                    picks.append(j)
-            gates.append(fredkin(*picks))
+    else:
+        gates = [fredkin(*rng.sample(range(width), 3)) for _ in range(gate_count)]
     return ReversibleCircuit(width, tuple(gates))
-
-
-def _check_class_sweep(source: WeightCouple) -> None:
-    """Refuse, before any work, a class larger than the sweep ceiling."""
-    if source.class_size() > 1 << max_sweep_width():
-        raise DomainTooLarge(f"{source.class_size()} class states exceeds 2^{max_sweep_width()} ceiling")
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,7 +202,7 @@ def count_class_transitions(
         raise ValueError(f"target n = {target.n} does not match source n = {n}")
     if c.width != 2 * n:
         raise ValueError(f"circuit width {c.width} does not match 2n = {2 * n}")
-    _check_class_sweep(source)
+    check_sweep(f"{source} of {source.class_size()} states", states=source.class_size())
     proved = check_conservative(c)
     if not proved and c.width <= max_sweep_width():
         if not check_conservative(c, exhaustive=True):
@@ -272,8 +262,8 @@ def clausius_experiment(
     numbers that class or any more extreme one; the ceiling inequality is
     a theorem, not a statistical claim.  The trend lists log2 of the point
     ceiling at n, 2n, 3n and 4n (floats appear only in this rendering).  Both
-    the source class and circuits x gate_count are capped at
-    2**max_sweep_width(), checked before any circuit is built.
+    the source class and circuits x gate_count are capped at the sweep
+    ceiling, checked before any circuit is built.
     """
     w = Fraction(w)
     delta = Fraction(delta)
@@ -282,14 +272,12 @@ def clausius_experiment(
         raise ValueError(f"circuits must be at least 1, got {circuits}")
     # on the grid 0 < wn < n, so the class holds at least n^2 states: a huge
     # n is refused before its binomials are computed
-    if n * n > 1 << max_sweep_width():
-        raise DomainTooLarge(f"n = {n} gives over 2^{max_sweep_width()} class states")
+    check_sweep(f"n = {n} with at least {n * n} class states", states=n * n)
     source = WeightCouple(n, wn, n - wn)
     target = WeightCouple(n, wdn, n - wdn)
-    _check_class_sweep(source)
+    check_sweep(f"{source} of {source.class_size()} states", states=source.class_size())
     gc = gate_count if gate_count is not None else 4 * 2 * n
-    if circuits * gc > 1 << max_sweep_width():
-        raise DomainTooLarge(f"{circuits} circuits x {gc} gates exceeds 2^{max_sweep_width()} ceiling")
+    check_sweep(f"{circuits} circuits x {gc} gates", states=circuits * gc)
     point_ceiling = imbalance_ratio_exact(n, w, delta)
     tail_ceiling = imbalance_tail_exact(n, w, delta)
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .bitstring import BitString, encode_self_delimiting
-from .circuits import max_sweep_width
+from .circuits import check_sweep
 from .compress import estimate_complexity
-from .errors import DomainTooLarge, StringTooShort
+from .errors import StringTooShort
 from .rng import random_bits, substream
 
 MIN_RATE_LENGTH = 64
@@ -42,12 +42,11 @@ class CorrelationQuadruple:
 def generate_pr_quadruple(n: int, seed: int) -> CorrelationQuadruple:
     """a, b, x pseudorandom; y forced by the box condition.
 
-    n is capped at 2**max_sweep_width() bits, checked before any draw.
+    n is capped at the sweep ceiling, checked before any draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 1 << max_sweep_width():
-        raise DomainTooLarge(f"n = {n} exceeds the 2^{max_sweep_width()} bit ceiling")
+    check_sweep(f"n = {n} bits", states=n)
     a = random_bits(substream(seed, "a"), n)
     b = random_bits(substream(seed, "b"), n)
     x = random_bits(substream(seed, "x"), n)

@@ -58,20 +58,16 @@ from .circuits import (
     Gate,
     ReversibleCircuit,
     _to_mask,
+    check_sweep,
     cnot,
     cube_rows,
-    max_sweep_width,
     not_gate,
     run_states,
     simulate,
     toffoli,
 )
 from .compress import CompressionCodec, block_codes
-from .errors import (
-    CodecNotInjective,
-    DomainTooLarge,
-    WidthMismatch,
-)
+from .errors import CodecNotInjective, WidthMismatch
 from .irrev import AND, NOT, OR, XOR, IrreversibleCircuit
 
 
@@ -333,8 +329,7 @@ def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> tuple
     """
     if block < 1:
         raise ValueError("block must be at least 1")
-    if block + 1 > max_sweep_width():
-        raise DomainTooLarge(f"block register of {block + 1} lines exceeds ceiling {max_sweep_width()}")
+    check_sweep(f"a block register of {block + 1} lines", lines=block + 1)
     return _fig1_table(codec, block, helper)
 
 
@@ -388,8 +383,7 @@ def verify_compiled(
     called once per input x, in order, on BitString.from_int(x, k).
     """
     k = len(compiled.input_lines)
-    if k > max_sweep_width():
-        raise DomainTooLarge(f"2^{k} inputs exceeds 2^{max_sweep_width()} ceiling")
+    check_sweep(f"an input register of {k} lines", lines=k)
     c = compiled.circuit
     count = 1 << k
     ones = (1 << count) - 1

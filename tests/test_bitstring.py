@@ -29,6 +29,7 @@ def test_basic_value_semantics():
     assert list(b) == [0, 1, 0, 1]
     assert b.weight() == 2
     assert b == BitString([0, 1, 0, 1])
+    assert BitString(b) == b
     assert hash(b) == hash(BitString("0101"))
     assert BitString.from_int(5, 4) == BitString("0101")
     assert b.to_int() == 5

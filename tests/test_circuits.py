@@ -179,13 +179,14 @@ def test_injective_bruteforce_on_circuit():
 
 
 def test_injective_bruteforce_domain_cap():
-    with pytest.raises(DomainTooLarge):
-        check_injective_bruteforce(ReversibleCircuit(24), 24)
+    for width in (24, 60):  # refused before the 2^width marks are allocated
+        with pytest.raises(DomainTooLarge):
+            check_injective_bruteforce(ReversibleCircuit(width), width)
 
 
 def test_max_width_env_override(monkeypatch):
     monkeypatch.setenv("LANDAUER_MAX_WIDTH", "4")
-    with pytest.raises(DomainTooLarge):
+    with pytest.raises(DomainTooLarge, match=r"^a circuit of 5 lines exceeds the 2\^4 sweep ceiling$"):
         check_injective_bruteforce(ReversibleCircuit(5), 5)
     assert check_injective_bruteforce(ReversibleCircuit(4), 4)
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,24 @@ def ratio_oracle(n, w, delta):
         binom_oracle(n, wdn) * binom_oracle(n, n - wdn),
         binom_oracle(n, wn) * binom_oracle(n, n - wn),
     )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WeightCouple(2, 3, 0), "weights must lie in [0, n]"),
+        (
+            lambda: count_class_transitions(
+                random_conservative_circuit(6, 4, 0), WeightCouple(4, 2, 2), WeightCouple(4, 3, 1)
+            ),
+            "circuit width 6 does not match 2n = 8",
+        ),
+    ],
+    ids=["weights-outside-0-n", "width-not-2n"],
+)
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_ratio_degenerate_delta_zero():
@@ -212,9 +231,10 @@ def test_whole_cube_refusal_names_the_first_state_and_gate():
 def test_sweep_ceiling_counts_class_states_not_lines(monkeypatch):
     monkeypatch.setenv("LANDAUER_MAX_WIDTH", "4")
     # 36 states > 2^4, although the circuit is only 8 lines wide
-    with pytest.raises(DomainTooLarge):
+    message = re.escape("WeightCouple(n=4, left_weight=2, right_weight=2) of 36 states exceeds the 2^4 sweep ceiling")
+    with pytest.raises(DomainTooLarge, match=f"^{message}$"):
         count_class_transitions(random_conservative_circuit(8, 8, 1), WeightCouple(4, 2, 2), WeightCouple(4, 3, 1))
-    with pytest.raises(DomainTooLarge):
+    with pytest.raises(DomainTooLarge, match=f"^{message}$"):
         clausius_experiment(4, Fraction(1, 2), Fraction(1, 4), circuits=1, seed=0)
     # the 8 states of the (8, 1) class of a 16-line circuit fit
     c = random_conservative_circuit(16, 40, 2)

@@ -185,6 +185,17 @@ def test_demon_scenarios(tmp_path, monkeypatch):
         assert "final_tape_digest" in report
 
 
+def test_xor_copy_needs_a_generator_or_a_non_empty_x(tmp_path, monkeypatch):
+    (tmp_path / "s.bits").write_text("0110")
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(["demon", "--scenario", "xor-copy", "--s-file", "s.bits"])
+    assert code == 1
+    assert json.loads(text)["error"] == {
+        "type": "GeneratorMismatch",
+        "message": "xor-copy needs --generator or a non-empty X",
+    }
+
+
 def test_demon_joules_are_the_ledger_bits_at_the_cli_temperature(tmp_path, monkeypatch):
     (tmp_path / "s.bits").write_text("0" * 64)
     monkeypatch.chdir(tmp_path)
@@ -230,7 +241,11 @@ def test_clausius_class_beyond_ceiling_is_refused_up_front():
     code, text = run_cli(["clausius", "--n", "20", "--delta", "1/10", "--circuits", "1"])
     assert time.perf_counter() - start < 1.0
     assert code == 1
-    assert json.loads(text)["error"]["type"] == "DomainTooLarge"
+    assert json.loads(text)["error"] == {
+        "type": "DomainTooLarge",
+        "message": "WeightCouple(n=20, left_weight=10, right_weight=10) of 34134779536 states"
+        " exceeds the 2^20 sweep ceiling",
+    }
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -381,13 +396,18 @@ def test_unwritable_output_file_is_a_structured_error(tmp_path):
     assert error["type"] == "UnwritableOutput" and str(target) in error["message"]
 
 
-def test_fig1_block_beyond_ceiling_is_refused_up_front():
-    # 2^40 blocks, then a 2^41-state register cube
+@pytest.mark.parametrize("block", ["40", "100000000000"])
+def test_fig1_block_beyond_ceiling_is_refused_up_front(block):
+    # 2^block blocks, then a 2^(block+1)-state register cube: the width is
+    # compared as lines, so a huge block allocates nothing either
     start = time.perf_counter()
-    code, text = run_cli(["compile", "--fig1", "--codec", "xor", "--block", "40", "--helper", "1"])
+    code, text = run_cli(["compile", "--fig1", "--codec", "xor", "--block", block, "--helper", "1"])
     assert time.perf_counter() - start < 1.0
     assert code == 1
-    assert json.loads(text)["error"]["type"] == "DomainTooLarge"
+    assert json.loads(text)["error"] == {
+        "type": "DomainTooLarge",
+        "message": f"a block register of {int(block) + 1} lines exceeds the 2^20 sweep ceiling",
+    }
 
 
 def test_fig1_block_ceiling_follows_landauer_max_width(monkeypatch):
@@ -473,19 +493,26 @@ def test_deeply_nested_document_is_a_structured_error(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, what",
     [
-        ["prbox", "--n", "100000000000"],
-        ["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "100000000000"],
-        ["clausius", "--n", "2000000", "--delta", "1/4", "--circuits", "1", "--gate-count", "1"],
+        (["prbox", "--n", "100000000000"], "n = 100000000000 bits"),
+        (
+            ["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "100000000000"],
+            "2 circuits x 100000000000 gates",
+        ),
+        (
+            ["clausius", "--n", "2000000", "--delta", "1/4", "--circuits", "1", "--gate-count", "1"],
+            "n = 2000000 with at least 4000000000000 class states",
+        ),
     ],
     ids=["prbox-n", "clausius-gate-count", "clausius-n"],
 )
-def test_runaway_size_argument_is_refused_up_front(argv):
+def test_runaway_size_argument_is_refused_up_front(argv, what):
     start = time.perf_counter()
     code, text = run_cli(argv)
     assert time.perf_counter() - start < 1.0
-    assert code == 1 and json.loads(text)["error"]["type"] == "DomainTooLarge"
+    assert code == 1
+    assert json.loads(text)["error"] == {"type": "DomainTooLarge", "message": f"{what} exceeds the 2^20 sweep ceiling"}
 
 
 @pytest.mark.parametrize(
@@ -554,7 +581,7 @@ VOCABULARY = {
         ("--netlist", FILE),
         ("--fig1", None),
         ("--codec", CODEC),
-        ("--block", st.one_of(st.integers(1, 9), st.integers(21, 64)).map(str)),
+        ("--block", st.one_of(st.integers(1, 9), st.integers(21, 64)).map(str) | HUGE),
         ("--helper", BITS),
         ("--out", st.sampled_from(["{out}", "{missing}/c.json"])),
     ],

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -24,6 +25,21 @@ def wire_through(n):
     """An n-input netlist whose outputs are its inputs, with no gates."""
     names = tuple(f"x{i}" for i in range(n))
     return IrreversibleCircuit(names, (), names)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IrreversibleCircuit(("a", "a"), (), ()), "duplicate input names"),
+        (lambda: IrreversibleCircuit(("a",), (gate("g", "and", "a"),), ()), "and takes 2 args, got 1"),
+        (lambda: IrreversibleCircuit(("a",), (gate("a", "not", "a"),), ()), "duplicate node id 'a'"),
+        (lambda: rom_circuit(BitString("1"), 0), "rom_circuit needs at least one input"),
+    ],
+    ids=["duplicate-inputs", "arity", "duplicate-node", "rom-no-inputs"],
+)
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_and_or_xor_not_truth_tables():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,22 @@ from landauer.prbox import (
     pr_report,
 )
 from landauer.rng import random_bits, substream
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: CorrelationQuadruple(BitString("1"), BitString("1"), BitString("1"), BitString()),
+            "quadruple strings must share one truncation length",
+        ),
+        (lambda: generate_pr_quadruple(0, 3), "n must be >= 1"),
+    ],
+    ids=["unequal-lengths", "n-zero"],
+)
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_condition_holds_on_generated_quadruples():

@@ -29,6 +29,10 @@ float or to math.log, log2, exp or sqrt, and any / or /= appear only at
 the FLOAT_SITES, each a presentation boundary listed with its reason, and
 every listed site still makes a float.
 
+Every size refusal goes through circuits.check_sweep, the only function
+that constructs DomainTooLarge, so the sweep ceiling is read, compared
+and worded in one place.
+
 Only circuits imports numpy, inside the functions of its permutation
 table, the one numpy path; every other state batch is Python-int rows.
 The modules that neither sweep states nor call one that does (bitstring,
@@ -199,6 +203,17 @@ def _statements(body, scope):
             yield from _statements(node.body, f"{scope}{node.name}.")
         else:
             yield scope, node
+
+
+def too_large_sites(tree: ast.Module) -> list[str]:
+    """'function', 'Class.method' or '<module>' for each top-level
+    statement that constructs DomainTooLarge, by name or as an attribute."""
+    found = []
+    for scope, node in _statements(tree.body, ""):
+        calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+        if any(getattr(f, "id", getattr(f, "attr", "")) == "DomainTooLarge" for f in calls):
+            found.append(scope + getattr(node, "name", "<module>"))
+    return found
 
 
 def _makes_float(node: ast.AST) -> bool:
@@ -390,6 +405,23 @@ def test_floats_appear_only_at_the_listed_presentation_sites():
     assert not stray, f"floats outside the listed sites (site: lines): {stray}"
     stale = sorted(FLOAT_SITES.keys() - found.keys())
     assert not stale, f"listed as making a float but makes none: {stale}"
+
+
+def test_the_ceiling_rule_flags_every_construction_of_domain_too_large():
+    tree = ast.parse(
+        "from . import errors\nfrom .errors import DomainTooLarge\n"
+        "def check(n):\n    raise DomainTooLarge(n)\n"
+        "def other(n):\n    return errors.DomainTooLarge(n)\n"
+        "def names():\n    return DomainTooLarge\n"
+        "class C:\n    def m(self):\n        raise DomainTooLarge('x')\n"
+        "E = DomainTooLarge('y')\n"
+    )
+    assert too_large_sites(tree) == ["check", "other", "C.m", "<module>"]
+
+
+def test_only_check_sweep_constructs_domain_too_large():
+    found = sorted(f"{p.stem}.{site}" for p in SOURCES for site in too_large_sites(parse(p)))
+    assert found == ["circuits.check_sweep"], f"DomainTooLarge built outside circuits.check_sweep: {found}"
 
 
 def test_the_numpy_rule_flags_imports_at_any_depth():

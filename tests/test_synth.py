@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,29 @@ def fig1_expected(codec, block, helper, data):
     else:
         coded = BitString("1") + data
     return coded + BitString.zeros(block + 1 - len(coded))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: bennett_compile(IrreversibleCircuit(("a", "b"), (), ("a",))).assemble_input(BitString("1")),
+            WidthMismatch,
+            "expected 2 data bits, got 1",
+        ),
+        (lambda: build_fig1_compressor(XOR, 0, BitString()), ValueError, "block must be at least 1"),
+        (
+            lambda: verify_compiled(bennett_compile(IrreversibleCircuit(tuple("abcde"), (), ("a",))), lambda d: d[:1]),
+            DomainTooLarge,
+            "an input register of 5 lines exceeds the 2^4 sweep ceiling",
+        ),
+    ],
+    ids=["assemble-width", "block-zero", "verify-above-ceiling"],
+)
+def test_refusals_name_what_is_wrong(monkeypatch, call, error, message):
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "4")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_single_and_gate_layout():
