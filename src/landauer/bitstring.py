@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
-from .errors import MalformedCode
+from .errors import LandauerError, MalformedCode
 
 BitsLike = Union[str, "BitString", Iterable[int]]
 
@@ -40,7 +40,7 @@ class BitString:
             s = "".join("1" if b else "0" for b in bits)
         # one C pass; "replace" maps non-ASCII (lone surrogates too) to "?"
         if s.encode("ascii", "replace").translate(None, b"01"):
-            raise ValueError(f"bit string may contain only '0'/'1': {s!r}")
+            raise LandauerError(f"bit string may contain only '0'/'1': {s!r}")
         self._s = s
 
     @classmethod
@@ -50,8 +50,8 @@ class BitString:
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
         """Most-significant-first rendering of `value` in `width` bits."""
-        if value < 0 or (width == 0 and value != 0) or value >= (1 << width):
-            raise ValueError(f"{value} does not fit in {width} bits")
+        if value < 0 or value.bit_length() > width:
+            raise LandauerError(f"{value} does not fit in {width} bits")
         return _trusted(format(value, f"0{width}b") if width else "")
 
     def to_int(self) -> int:
@@ -64,7 +64,7 @@ class BitString:
 
     def xor(self, other: "BitString") -> "BitString":
         if len(other) != len(self):
-            raise ValueError("xor requires equal lengths")
+            raise LandauerError("xor requires equal lengths")
         if not self._s:
             return self
         v = int(self._s, 2) ^ int(other._s, 2)
@@ -120,7 +120,7 @@ def _gamma(n: int) -> str:
 def encode_uint(n: int) -> BitString:
     """Prefix-free encoding of a non-negative integer (Elias gamma of n+1)."""
     if n < 0:
-        raise ValueError("encode_uint takes a non-negative integer")
+        raise LandauerError("encode_uint takes a non-negative integer")
     return _trusted(_gamma(n + 1))
 
 

@@ -41,7 +41,6 @@ weight-class rows use it.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, NamedTuple, Sequence
@@ -50,10 +49,12 @@ from .bitstring import _FROM_ROWS, _TO_ROWS, BitString, _trusted
 from .errors import (
     BadConstantLine,
     DomainTooLarge,
+    LandauerError,
     MalformedInput,
     WidthMismatch,
     json_field,
     load_json,
+    save_json,
 )
 
 if TYPE_CHECKING:
@@ -89,7 +90,7 @@ def max_sweep_width() -> int:
     except ValueError:
         width = -1
     if width < 0:
-        raise ValueError(f"LANDAUER_MAX_WIDTH must be a non-negative integer, got {raw!r}")
+        raise LandauerError(f"LANDAUER_MAX_WIDTH must be a non-negative integer, got {raw!r}")
     return width
 
 
@@ -141,14 +142,14 @@ class ReversibleCircuit:
 
     def __post_init__(self):
         if self.width < 0:
-            raise ValueError("width must be non-negative")
+            raise LandauerError("width must be non-negative")
         object.__setattr__(self, "gates", tuple(self.gates))
         roles = tuple(self.line_roles) if self.line_roles else (INPUT,) * self.width
         if len(roles) != self.width:
-            raise ValueError("line_roles length must equal width")
+            raise LandauerError("line_roles length must equal width")
         for r in roles:
             if r not in LINE_ROLES:
-                raise ValueError(f"unknown line role {r!r}")
+                raise LandauerError(f"unknown line role {r!r}")
         object.__setattr__(self, "line_roles", roles)
         # (CONST_ONE lines, ANCILLA_ZERO lines) as masks: each role's marks, line i first
         marks = ("".join("1" if r == role else "0" for r in roles) for role in (CONST_ONE, ANCILLA_ZERO))
@@ -160,7 +161,7 @@ class ReversibleCircuit:
         for n, (kind, controls, targets) in enumerate(self.gates):
             lines = controls + targets
             if (kind, len(controls), len(targets)) not in _SHAPES or len(line_set.intersection(lines)) < len(lines):
-                raise ValueError(
+                raise LandauerError(
                     f"gate {n} {self.gates[n]} is not a known kind with its arity"
                     f" on distinct lines below width {self.width}"
                 )
@@ -397,7 +398,7 @@ def complexity_drift_report(
     a flag never proves a violation of the underlying monotonicity bound.
     """
     if not trajectory:
-        raise ValueError("trajectory must contain at least the initial state")
+        raise LandauerError("trajectory must contain at least the initial state")
     base = estimator(trajectory[0])
     rows = []
     for t, state in enumerate(trajectory):
@@ -439,18 +440,16 @@ def circuit_to_json(c: ReversibleCircuit) -> dict:
 
 
 def circuit_from_json(doc: dict) -> ReversibleCircuit:
-    """Inverse of circuit_to_json; a missing or ill-typed field raises
-    MalformedInput."""
-    if not isinstance(doc, dict):
-        raise MalformedInput("circuit is not a JSON object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported circuit format version {doc.get('version')!r}")
+    """Inverse of circuit_to_json; a missing or ill-typed field, another
+    format version or an unknown gate kind raises MalformedInput."""
+    if json_field(doc, "version", int, "circuit") != FORMAT_VERSION:
+        raise MalformedInput(f"unsupported circuit format version {doc['version']!r}")
     gates = []
     for n, g in enumerate(json_field(doc, "gates", list, "circuit")):
         where = f"circuit gate {n}"
         kind = json_field(g, "kind", str, where)
         if kind not in _GATE_FIELDS:
-            raise ValueError(f"{where}: unknown gate kind {kind!r}")
+            raise MalformedInput(f"{where}: unknown gate kind {kind!r}")
         control_key, target_key = _GATE_FIELDS[kind]
         controls = _json_lines(g, control_key, where) if control_key else ()
         gates.append(Gate(kind, controls, _json_lines(g, target_key, where)))
@@ -469,9 +468,7 @@ def _json_lines(gate: dict, key: str, where: str) -> tuple[int, ...]:
 
 
 def save_circuit(c: ReversibleCircuit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_json(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(circuit_to_json(c), path)
 
 
 def load_circuit(path: str) -> ReversibleCircuit:

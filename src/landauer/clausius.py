@@ -42,7 +42,7 @@ from .circuits import (
     run_states,
     simulate_trajectory,
 )
-from .errors import NonIntegralWeights, NotConservative, WidthTooSmall
+from .errors import LandauerError, NonIntegralWeights, NotConservative, WidthTooSmall
 from .rng import substream, substream_seed
 
 
@@ -56,7 +56,7 @@ class WeightCouple:
 
     def __post_init__(self):
         if not (0 <= self.left_weight <= self.n and 0 <= self.right_weight <= self.n):
-            raise ValueError("weights must lie in [0, n]")
+            raise LandauerError("weights must lie in [0, n]")
 
     def class_size(self) -> int:
         return math.comb(self.n, self.left_weight) * math.comb(self.n, self.right_weight)
@@ -79,9 +79,9 @@ def _grid(n: int, w: Fraction, delta: Fraction) -> tuple[int, int]:
     wn = _integral(w * n, "w*n")
     wdn = _integral((w + delta) * n, "(w+delta)*n")
     if not Fraction(1, 2) <= w < 1:
-        raise ValueError(f"w must satisfy 1/2 <= w < 1, got {w}")
+        raise LandauerError(f"w must satisfy 1/2 <= w < 1, got {w}")
     if not 0 <= delta <= 1 - w:
-        raise ValueError(f"delta must satisfy 0 <= delta <= 1-w, got {delta}")
+        raise LandauerError(f"delta must satisfy 0 <= delta <= 1-w, got {delta}")
     return wn, wdn
 
 
@@ -115,12 +115,12 @@ def random_conservative_circuit(width: int, gate_count: int, seed: int) -> Rever
     j2 < width - 2), each pick replaced by the pool's last line; the two
     replacements resolve in closed form.  From width 22 it is sample's own
     draw.  Zero gates give the identity circuit; a negative count raises
-    ValueError.
+    LandauerError.
     """
     if width < 3:
         raise WidthTooSmall(f"Fredkin gates need width >= 3, got {width}")
     if gate_count < 0:
-        raise ValueError(f"gate count must be non-negative, got {gate_count}")
+        raise LandauerError(f"gate count must be non-negative, got {gate_count}")
     rng = substream(seed, "fredkin-circuit")
     bits = rng.getrandbits
     gates = []
@@ -195,13 +195,13 @@ def count_class_transitions(
     relies on.  Either failure raises NotConservative, naming the first
     offending state (in state-integer order over the cube, in sweep order
     over the class) and the first gate that changes its weight.  A target
-    of another n than the source's raises ValueError.
+    of another n than the source's raises LandauerError.
     """
     n = source.n
     if target.n != n:
-        raise ValueError(f"target n = {target.n} does not match source n = {n}")
+        raise LandauerError(f"target n = {target.n} does not match source n = {n}")
     if c.width != 2 * n:
-        raise ValueError(f"circuit width {c.width} does not match 2n = {2 * n}")
+        raise LandauerError(f"circuit width {c.width} does not match 2n = {2 * n}")
     check_sweep(f"{source} of {source.class_size()} states", states=source.class_size())
     proved = check_conservative(c)
     if not proved and c.width <= max_sweep_width():
@@ -269,7 +269,7 @@ def clausius_experiment(
     delta = Fraction(delta)
     wn, wdn = _grid(n, w, delta)
     if circuits < 1:
-        raise ValueError(f"circuits must be at least 1, got {circuits}")
+        raise LandauerError(f"circuits must be at least 1, got {circuits}")
     # on the grid 0 < wn < n, so the class holds at least n^2 states: a huge
     # n is refused before its binomials are computed
     check_sweep(f"n = {n} with at least {n * n} class states", states=n * n)

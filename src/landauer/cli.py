@@ -5,7 +5,7 @@ clausius, prbox.  Reports are JSON (default) or text; exact rationals are
 serialized as "p/q" strings so golden files never see float drift.  Every
 report echoes {tool_version, seed, config} for reproducibility.
 
-Exit codes: 0 success, 1 domain error or a result too large for memory
+Exit codes: 0 success, 1 a LandauerError or a result too large for memory
 (structured error report on stdout), 2 usage error.  compress/decompress
 are plain bit-string filters: stdin -> stdout, no report wrapper.
 
@@ -34,7 +34,7 @@ from .demon import (
     run_extract_then_erase,
     run_xor_copy_extract,
 )
-from .errors import GeneratorMismatch, LandauerError, UnreadableInput, UnwritableOutput
+from .errors import GeneratorMismatch, LandauerError, UnreadableInput, read_text
 from .irrev import load_netlist, rom_circuit
 from .prbox import generate_pr_quadruple, pr_report
 from .synth import bennett_compile, build_fig1_compressor
@@ -49,24 +49,7 @@ def _frac(value) -> str:
 
 
 def _read_bits(path: str) -> BitString:
-    with open(path, "r", encoding="utf-8") as fh:
-        return BitString("".join(fh.read().split()))
-
-
-def _load(loader, path: str):
-    """loader(path), with a file that cannot be read as a domain error."""
-    try:
-        return loader(path)
-    except OSError as exc:
-        raise UnreadableInput(f"cannot read {path!r}: {exc.strerror or exc}") from exc
-
-
-def _save(saver, value, path: str) -> None:
-    """saver(value, path), with a file that cannot be written as a domain error."""
-    try:
-        saver(value, path)
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    return BitString("".join(read_text(path).split()))
 
 
 def _emit(report: dict, args) -> None:
@@ -111,11 +94,11 @@ def _cmd_compile(args) -> dict:
         compiled = build_fig1_compressor(REGISTRY[args.codec], args.block, BitString(args.helper))
         mode = "fig1"
     else:
-        compiled = bennett_compile(_load(load_netlist, args.netlist))
+        compiled = bennett_compile(load_netlist(args.netlist))
         mode = "bennett"
     report = _base_report(args)
     if args.out:
-        _save(save_circuit, compiled.circuit, args.out)
+        save_circuit(compiled.circuit, args.out)
     report.update(
         mode=mode,
         width=compiled.circuit.width,
@@ -130,7 +113,7 @@ def _cmd_compile(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    circuit = _load(load_circuit, args.circuit)
+    circuit = load_circuit(args.circuit)
     bits = BitString(args.input)
     report = _base_report(args)
     if args.trajectory:
@@ -144,8 +127,11 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_compress(args) -> dict | None:
     codec = REGISTRY[args.codec]
-    helper = _load(_read_bits, args.helper_file) if args.helper_file else BitString()
-    data = BitString("".join(sys.stdin.read().split()))
+    helper = _read_bits(args.helper_file) if args.helper_file else BitString()
+    try:
+        data = BitString("".join(sys.stdin.read().split()))
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"cannot read stdin: {exc}") from None
     if args.decompress:
         print(codec.decompress(data, helper))
     else:
@@ -154,8 +140,8 @@ def _cmd_compress(args) -> dict | None:
 
 
 def _cmd_bounds(args) -> dict:
-    S = _load(_read_bits, args.s_file)
-    X = _load(_read_bits, args.x_file) if args.x_file else BitString()
+    S = _read_bits(args.s_file)
+    X = _read_bits(args.x_file) if args.x_file else BitString()
     codec = REGISTRY[args.codec]
     report = _base_report(args)
     report["len_s"] = len(S)
@@ -165,8 +151,8 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_demon(args) -> dict:
-    S = _load(_read_bits, args.s_file)
-    X = _load(_read_bits, args.x_file) if args.x_file else BitString()
+    S = _read_bits(args.s_file)
+    X = _read_bits(args.x_file) if args.x_file else BitString()
     codec = REGISTRY[args.codec]
     if args.scenario == "extract":
         result = run_extract(S, X, codec)
@@ -176,7 +162,7 @@ def _cmd_demon(args) -> dict:
         result = run_erase_then_extract(S, X, codec)
     else:  # xor-copy
         if args.generator:
-            generator = _load(load_netlist, args.generator)
+            generator = load_netlist(args.generator)
         elif len(X):
             generator = rom_circuit(S, len(X))
         else:
@@ -207,8 +193,8 @@ def _cmd_demon(args) -> dict:
 def _fraction(flag: str, text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise LandauerError(f"{flag} must be a fraction p/q with q != 0, got {text!r}") from None
 
 
 def _cmd_clausius(args) -> dict:
@@ -343,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (LandauerError, ValueError, MemoryError) as exc:
+    except (LandauerError, MemoryError) as exc:
         error = {
             "tool_version": __version__,
             "error": {"type": type(exc).__name__, "message": str(exc) or type(exc).__doc__},

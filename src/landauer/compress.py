@@ -74,7 +74,7 @@ from .bitstring import (
     decode_uint,
     encode_uint,
 )
-from .errors import CodecNotInjective, MalformedCode
+from .errors import CodecNotInjective, LandauerError, MalformedCode
 
 
 @dataclass(frozen=True)
@@ -380,7 +380,7 @@ def block_codes(codec: CompressionCodec, block: int, helper: BitString) -> list[
     """The escape code of each `block`-bit value under `helper`, as text in
     value order, after its round trip; each kernel runs once per value,
     outside the compress memo.  A kernel output other than bits raises
-    ValueError (a compress output before its decompress), and a failed
+    LandauerError (a compress output before its decompress), and a failed
     round trip CodecNotInjective."""
     compress, decompress = codec._compress, codec._decompress
     h = str(helper)
@@ -390,11 +390,11 @@ def block_codes(codec: CompressionCodec, block: int, helper: BitString) -> list[
         d = format(v, width)
         code = compress(d, h)
         if code.strip("01"):
-            raise ValueError(f"{codec.name} compress wrote other than bits: {code!r}")
+            raise LandauerError(f"{codec.name} compress wrote other than bits: {code!r}")
         back = decompress(code, h)
         if back != d:
             if back.strip("01"):
-                raise ValueError(f"{codec.name} decompress wrote other than bits: {back!r}")
+                raise LandauerError(f"{codec.name} decompress wrote other than bits: {back!r}")
             raise CodecNotInjective(f"{codec.name} fails round-trip on {d}")
         codes.append(_escape(code, d))
     return codes

@@ -1,11 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and every file open.
 
-Every domain error raised by the library derives from LandauerError so the
-CLI can map the whole family onto exit code 1 with a structured report.
-json_field reads one field of a circuit or netlist document, so a missing
-or ill-typed field is a MalformedInput rather than a KeyError; load_json
-reads the document itself, so one nested too deeply to parse is a
-MalformedInput rather than a RecursionError.
+Every refusal is a LandauerError, itself a ValueError, so the CLI maps
+this family alone, with MemoryError, onto exit code 1 and a structured
+report.  read_text raises UnreadableInput for a file that cannot be read
+or is not UTF-8; load_json, on top of it, MalformedInput for text that is
+not JSON or is nested too deeply to parse; save_json UnwritableOutput.
+json_field makes a missing or ill-typed document field a MalformedInput.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 
-class LandauerError(Exception):
+class LandauerError(ValueError):
     """Base class for all domain errors."""
 
 
@@ -97,11 +97,31 @@ def json_field(doc, key: str, kind: type, where: str, items: type | None = None)
     return value
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at path; raises UnreadableInput."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput(f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_json(path: str, what: str):
-    """The JSON document in the file at path; nesting too deep for the
-    parser raises MalformedInput."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise MalformedInput(f"{what} JSON is nested too deeply to parse") from None
+    """The JSON document in the file at path; text that is not JSON, or
+    nesting too deep for the parser, raises MalformedInput."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise MalformedInput(f"{what} is not JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput(f"{what} JSON is nested too deeply to parse") from None
+
+
+def save_json(doc, path: str) -> None:
+    """Write doc to the file at path as indented JSON; raises UnwritableOutput."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path!r}: {exc.strerror or exc}") from exc

@@ -19,12 +19,11 @@ JSON form:
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
 from .bitstring import _FROM_ROWS, _TO_ROWS, BitString, _trusted
-from .errors import WidthMismatch, json_field, load_json
+from .errors import LandauerError, WidthMismatch, json_field, load_json, save_json
 
 AND = "and"
 OR = "or"
@@ -53,24 +52,24 @@ class IrreversibleCircuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if len(set(self.inputs)) != len(self.inputs):
-            raise ValueError("duplicate input names")
+            raise LandauerError("duplicate input names")
         index = {name: i for i, name in enumerate(self.inputs)}
         steps = []
         for g in self.gates:
             if g.op not in OPS:
-                raise ValueError(f"unknown op {g.op!r}")
+                raise LandauerError(f"unknown op {g.op!r}")
             if len(g.args) != _ARITY[g.op]:
-                raise ValueError(f"{g.op} takes {_ARITY[g.op]} args, got {len(g.args)}")
+                raise LandauerError(f"{g.op} takes {_ARITY[g.op]} args, got {len(g.args)}")
             if g.gate_id in index:
-                raise ValueError(f"duplicate node id {g.gate_id!r}")
+                raise LandauerError(f"duplicate node id {g.gate_id!r}")
             for a in g.args:
                 if a not in index:
-                    raise ValueError(f"gate {g.gate_id!r} references unknown node {a!r}")
+                    raise LandauerError(f"gate {g.gate_id!r} references unknown node {a!r}")
             steps.append((g.op, index[g.args[0]], index[g.args[-1]]))
             index[g.gate_id] = len(index)
         for o in self.outputs:
             if o not in index:
-                raise ValueError(f"output references unknown node {o!r}")
+                raise LandauerError(f"output references unknown node {o!r}")
         object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "output_nodes", tuple(index[o] for o in self.outputs))
 
@@ -106,7 +105,7 @@ def rom_circuit(output_bits: BitString, num_inputs: int) -> IrreversibleCircuit:
     so at least one input line is required.
     """
     if num_inputs < 1:
-        raise ValueError("rom_circuit needs at least one input")
+        raise LandauerError("rom_circuit needs at least one input")
     names = tuple(f"x{i}" for i in range(num_inputs))
     gates = (
         LogicGate("zero", XOR, (names[0], names[0])),
@@ -156,9 +155,7 @@ def netlist_from_json(doc: dict) -> IrreversibleCircuit:
 
 
 def save_netlist(c: IrreversibleCircuit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(netlist_to_json(c), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(netlist_to_json(c), path)
 
 
 def load_netlist(path: str) -> IrreversibleCircuit:

@@ -17,7 +17,7 @@ from typing import ClassVar
 from .bitstring import BitString, encode_self_delimiting
 from .circuits import check_sweep
 from .compress import estimate_complexity
-from .errors import StringTooShort
+from .errors import LandauerError, StringTooShort
 from .rng import random_bits, substream
 
 MIN_RATE_LENGTH = 64
@@ -32,7 +32,7 @@ class CorrelationQuadruple:
 
     def __post_init__(self):
         if not (len(self.a) == len(self.b) == len(self.x) == len(self.y)):
-            raise ValueError("quadruple strings must share one truncation length")
+            raise LandauerError("quadruple strings must share one truncation length")
 
     @property
     def n(self) -> int:
@@ -45,7 +45,7 @@ def generate_pr_quadruple(n: int, seed: int) -> CorrelationQuadruple:
     n is capped at the sweep ceiling, checked before any draw.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise LandauerError("n must be >= 1")
     check_sweep(f"n = {n} bits", states=n)
     a = random_bits(substream(seed, "a"), n)
     b = random_bits(substream(seed, "b"), n)

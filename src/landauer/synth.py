@@ -67,7 +67,7 @@ from .circuits import (
     toffoli,
 )
 from .compress import CompressionCodec, block_codes
-from .errors import CodecNotInjective, WidthMismatch
+from .errors import CodecNotInjective, LandauerError, WidthMismatch
 from .irrev import AND, NOT, OR, XOR, IrreversibleCircuit
 
 
@@ -328,7 +328,7 @@ def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> tuple
     on every call before the cache and before any codec call.
     """
     if block < 1:
-        raise ValueError("block must be at least 1")
+        raise LandauerError("block must be at least 1")
     check_sweep(f"a block register of {block + 1} lines", lines=block + 1)
     return _fig1_table(codec, block, helper)
 

@@ -9,7 +9,7 @@ from landauer.bitstring import (
     encode_self_delimiting,
     encode_uint,
 )
-from landauer.errors import MalformedCode
+from landauer.errors import LandauerError, MalformedCode
 
 bitstrings = st.text(alphabet="01", max_size=4096).map(BitString)
 
@@ -32,6 +32,7 @@ def test_basic_value_semantics():
     assert BitString(b) == b
     assert hash(b) == hash(BitString("0101"))
     assert BitString.from_int(5, 4) == BitString("0101")
+    assert BitString.from_int(0, 0) == BitString() and BitString.from_int(2**70 - 1, 70) == BitString("1" * 70)
     assert b.to_int() == 5
     assert BitString.zeros(3) == BitString("000")
     assert b.xor(BitString("0011")) == BitString("0110")
@@ -49,11 +50,15 @@ def test_rejects_non_bits():
     [
         (lambda: BitString("01").xor(BitString("1")), "xor requires equal lengths"),
         (lambda: encode_uint(-1), "encode_uint takes a non-negative integer"),
+        (lambda: BitString.from_int(0, -1), "0 does not fit in -1 bits"),
+        (lambda: BitString.from_int(1, 0), "1 does not fit in 0 bits"),
+        (lambda: BitString.from_int(2**70, 70), f"{2**70} does not fit in 70 bits"),
+        (lambda: BitString.from_int(-1, 4), "-1 does not fit in 4 bits"),
     ],
-    ids=["xor-lengths", "negative-uint"],
+    ids=["xor-lengths", "negative-uint", "negative-width", "past-width-0", "past-width-70", "negative-value"],
 )
 def test_refusals_name_what_is_wrong(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(LandauerError, match=f"^{message}$"):
         call()
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from landauer.circuits import (
     ANCILLA_ZERO,
     CONST_ONE,
     DEFAULT_DRIFT_SLACK,
+    HELPER,
+    INPUT,
     Gate,
     ReversibleCircuit,
     check_conservative,
@@ -32,6 +35,8 @@ from landauer.compress import estimate_complexity
 from landauer.errors import (
     BadConstantLine,
     DomainTooLarge,
+    LandauerError,
+    MalformedInput,
     WidthMismatch,
 )
 from landauer.rng import random_bits, substream
@@ -71,17 +76,20 @@ def test_an_invalid_gate_is_refused_with_its_index(gate):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: ReversibleCircuit(-1), ValueError, "width must be non-negative"),
-        (lambda: ReversibleCircuit(2, line_roles=(CONST_ONE,)), ValueError, "line_roles length must equal width"),
-        (lambda: ReversibleCircuit(1, line_roles=("bus",)), ValueError, "unknown line role 'bus'"),
+        (lambda: ReversibleCircuit(-1), LandauerError, "width must be non-negative"),
+        (lambda: ReversibleCircuit(2, line_roles=(CONST_ONE,)), LandauerError, "line_roles length must equal width"),
+        (lambda: ReversibleCircuit(1, line_roles=("bus",)), LandauerError, "unknown line role 'bus'"),
         (lambda: run_states(ReversibleCircuit(2), [0], 1), WidthMismatch, "batch has 1 lines, circuit width 2"),
         (lambda: check_injective_bruteforce(ReversibleCircuit(3), 2), WidthMismatch, "circuit width 3, asked to sweep 2 bits"),
-        (lambda: complexity_drift_report((), len), ValueError, "trajectory must contain at least the initial state"),
+        (lambda: complexity_drift_report((), len), LandauerError, "trajectory must contain at least the initial state"),
+        (lambda: circuit_from_json({"version": 2}), MalformedInput, "unsupported circuit format version 2"),
+        (lambda: circuit_from_json({"version": "1"}), MalformedInput, "circuit: 'version' must be int"),
+        (lambda: circuit_from_json({"gates": []}), MalformedInput, "circuit has no 'version'"),
     ],
-    ids=["negative-width", "roles-length", "unknown-role", "batch-lines", "sweep-width", "empty-trajectory"],
+    ids=["negative-width", "roles-length", "unknown-role", "batch-lines", "sweep-width", "empty-trajectory", "other-version", "string-version", "no-version"],
 )
 def test_refusals_name_what_is_wrong(call, error, message):
-    with pytest.raises(error, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 
@@ -264,6 +272,15 @@ def test_normalize_to_toffoli_preserves_semantics():
         for _ in range(20):
             s = random_bits(rng, width)
             assert simulate(n, s + BitString("11"))[:width] == simulate(c, s)
+
+
+def test_normalize_to_toffoli_returns_a_toffoli_only_circuit_itself():
+    for c in (
+        ReversibleCircuit(3, (toffoli(0, 1, 2), toffoli(2, 0, 1)), (INPUT, HELPER, ANCILLA_ZERO)),
+        ReversibleCircuit(2),
+    ):
+        n = normalize_to_toffoli(c)
+        assert n is c and n.width == c.width and CONST_ONE not in n.line_roles
 
 
 def test_json_roundtrip_bit_exact():

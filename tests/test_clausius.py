@@ -12,7 +12,7 @@ from landauer.clausius import (
     imbalance_tail_exact,
     random_conservative_circuit,
 )
-from landauer.errors import DomainTooLarge, NonIntegralWeights, NotConservative, WidthTooSmall
+from landauer.errors import DomainTooLarge, LandauerError, NonIntegralWeights, NotConservative, WidthTooSmall
 from landauer.rng import substream
 
 
@@ -46,11 +46,13 @@ def ratio_oracle(n, w, delta):
             ),
             "circuit width 6 does not match 2n = 8",
         ),
+        (lambda: imbalance_ratio_exact(4, Fraction(1, 4), Fraction(1, 4)), "w must satisfy 1/2 <= w < 1, got 1/4"),
+        (lambda: imbalance_ratio_exact(4, Fraction(3, 4), Fraction(1, 2)), "delta must satisfy 0 <= delta <= 1-w, got 1/2"),
     ],
-    ids=["weights-outside-0-n", "width-not-2n"],
+    ids=["weights-outside-0-n", "width-not-2n", "w-outside-range", "delta-outside-range"],
 )
 def test_refusals_name_what_is_wrong(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(LandauerError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import runpy
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landauer import cli
+from landauer import cli, errors
 from landauer.bitstring import BitString, encode_uint
 from landauer.circuits import LINE_ROLES, ReversibleCircuit, circuit_from_json, load_circuit, save_circuit, simulate
 from landauer.cli import main
@@ -253,7 +254,7 @@ def test_clausius_rejects_fewer_than_one_circuit(count):
     code, text = run_cli(["clausius", "--n", "4", "--delta", "1/4", "--circuits", count])
     assert code == 1
     error = json.loads(text)["error"]
-    assert error["type"] == "ValueError" and "circuits" in error["message"]
+    assert error == {"type": "LandauerError", "message": f"circuits must be at least 1, got {count}"}
 
 
 @pytest.mark.parametrize(
@@ -315,6 +316,65 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+@pytest.mark.filterwarnings("ignore:'landauer.cli' found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code, report",
+    [
+        (["--version"], 0, None),
+        (["prbox", "--n", "0"], 1, {"type": "LandauerError", "message": "n must be >= 1"}),
+    ],
+    ids=["version", "refusal"],
+)
+def test_the_module_run_as_main_exits_with_the_code_main_returns(monkeypatch, argv, code, report):
+    monkeypatch.setattr(sys, "argv", ["landauer", *argv])
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        runpy.run_module("landauer.cli", run_name="__main__")
+    assert exc.value.code == code
+    if report is None:
+        assert out.getvalue().strip() == cli.__version__
+    else:
+        assert json.loads(out.getvalue())["error"] == report
+
+
+NOT_UTF8 = b"01\xff10\n"
+NOT_UTF8_REPORT = ("UnreadableInput", "cannot read {path!r}: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte")
+
+
+@pytest.mark.parametrize(
+    "argv, content, report",
+    [
+        (["bounds", "--s-file", "{path}"], NOT_UTF8, NOT_UTF8_REPORT),
+        (["compress", "--codec", "identity", "--helper-file", "{path}"], NOT_UTF8, NOT_UTF8_REPORT),
+        (["simulate", "--circuit", "{path}", "--input", "0"], NOT_UTF8, NOT_UTF8_REPORT),
+        (["simulate", "--circuit", "{path}", "--input", "0"], b"{\"version\": 1,", ("MalformedInput", "circuit is not JSON: Expecting property name enclosed in double quotes: line 1 column 15 (char 14)")),
+        (["compile", "--netlist", "{path}"], b"netlist", ("MalformedInput", "netlist is not JSON: Expecting value: line 1 column 1 (char 0)")),
+        (["compile", "--netlist", "{path}"], b"[" + b"1" * 5000 + b"]", ("MalformedInput", "netlist is not JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit")),
+        (["clausius", "--n", "4", "--delta", "1/4", "--w", "abc"], b"", ("LandauerError", "--w must be a fraction p/q with q != 0, got 'abc'")),
+    ],
+    ids=["s-file-not-utf8", "helper-not-utf8", "circuit-not-utf8", "circuit-not-json", "netlist-not-json", "netlist-int-past-digit-limit", "w-not-a-fraction"],
+)
+def test_input_that_does_not_parse_is_refused_with_its_type(tmp_path, argv, content, report):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, text = run_cli([arg.format(path=path) for arg in argv])
+    assert code == 1
+    kind, message = report
+    assert json.loads(text)["error"] == {"type": kind, "message": message.format(path=str(path))}
+
+
+def test_stdin_that_is_not_utf8_is_unreadable_input(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="strict"))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["compress", "--codec", "identity"])
+    assert code == 1
+    assert json.loads(out.getvalue())["error"] == {
+        "type": "UnreadableInput",
+        "message": "cannot read stdin: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    }
+
+
 def test_reports_carry_reproducibility_fields():
     code, text = run_cli(["prbox", "--n", "512", "--seed", "5"])
     assert code == 0
@@ -369,21 +429,21 @@ def test_malformed_document_is_a_structured_error(tmp_path, doc, command, field)
 
 
 @pytest.mark.parametrize(
-    "gate, message",
+    "gate, kind, message",
     [
-        ({"kind": "swap", "targets": [0, 1]}, "circuit gate 1: unknown gate kind 'swap'"),
-        ({"kind": "cnot", "control": -1, "target": 0}, "gate 1 "),
+        ({"kind": "swap", "targets": [0, 1]}, "MalformedInput", "circuit gate 1: unknown gate kind 'swap'"),
+        ({"kind": "cnot", "control": -1, "target": 0}, "LandauerError", "gate 1 "),
     ],
     ids=["unknown-kind", "negative-line"],
 )
-def test_an_invalid_gate_in_a_circuit_file_is_named_by_its_index(tmp_path, gate, message):
+def test_an_invalid_gate_in_a_circuit_file_is_named_by_its_index(tmp_path, gate, kind, message):
     doc = {"version": 1, "width": 2, "line_roles": ["input"] * 2, "gates": [{"kind": "not", "target": 0}, gate]}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, text = run_cli(["simulate", "--circuit", str(path), "--input", "00"])
     assert code == 1
     error = json.loads(text)["error"]
-    assert error["type"] == "ValueError" and error["message"].startswith(message)
+    assert error["type"] == kind and error["message"].startswith(message)
 
 
 def test_unwritable_output_file_is_a_structured_error(tmp_path):
@@ -426,7 +486,7 @@ def test_a_bad_landauer_max_width_is_named_in_the_error(monkeypatch, value):
     code, text = run_cli(["clausius", "--n", "2", "--delta", "1/2", "--circuits", "1"])
     assert code == 1
     error = json.loads(text)["error"]
-    assert error["type"] == "ValueError"
+    assert error["type"] == "LandauerError"
     assert error["message"] == f"LANDAUER_MAX_WIDTH must be a non-negative integer, got {value!r}"
 
 
@@ -434,7 +494,7 @@ def test_clausius_rejects_a_negative_gate_count():
     code, text = run_cli(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "-3"])
     assert code == 1
     error = json.loads(text)["error"]
-    assert error["type"] == "ValueError" and "gate count" in error["message"]
+    assert error == {"type": "LandauerError", "message": "gate count must be non-negative, got -3"}
 
 
 def test_clausius_with_zero_gates_is_the_identity_experiment():
@@ -538,7 +598,7 @@ def test_clausius_zero_denominator_is_a_domain_error(flag):
     code, text = run_cli(argv)
     assert code == 1
     error = json.loads(text)["error"]
-    assert error["type"] == "ValueError" and flag in error["message"]
+    assert error == {"type": "LandauerError", "message": f"{flag} must be a fraction p/q with q != 0, got '1/0'"}
 
 
 # --- one parser per process ---------------------------------------------------------
@@ -566,7 +626,7 @@ def test_usage_error_then_valid_command_on_the_shared_parser():
 # ceilings that follow from it (prbox 256 bits, 256 class states, 3 circuits
 # x 85 gates, a 7-bit block); --circuits <= 3, so no draw starts a long run
 BITS = st.text(alphabet="01", max_size=10)
-FILE = st.sampled_from(["{s}", "{x}", "{net}", "{circ}", "{missing}", "{dir}"])
+FILE = st.sampled_from(["{s}", "{x}", "{net}", "{circ}", "{missing}", "{dir}", "{binary}"])
 CODEC = st.sampled_from(["lz78", "xor", "bookmark8", "identity", "gzip"])
 FRACTION = st.sampled_from(["1/2", "3/4", "1/4", "1/6", "0", "1", "-1/2", "1/0", "x"])
 SMALL = st.integers(-2, 6).map(str)
@@ -654,6 +714,7 @@ def cli_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("argv")
     (root / "s").write_text("0110" * 8 + "\n")
     (root / "x").write_text("0111\n")
+    (root / "binary").write_bytes(NOT_UTF8)
     save_netlist(
         IrreversibleCircuit(("a", "b"), (LogicGate("g", "xor", ("a", "b")),), ("g", "a")),
         str(root / "net"),
@@ -664,6 +725,7 @@ def cli_files(tmp_path_factory):
     return {
         "s": str(root / "s"), "x": str(root / "x"), "net": str(root / "net"), "circ": str(root / "circ"),
         "missing": str(root / "missing"), "dir": str(root), "out": str(root / "out.json"),
+        "binary": str(root / "binary"),
     }
 
 
@@ -697,12 +759,20 @@ def test_any_argv_exits_0_1_or_2_and_the_shared_parser_keeps_no_state(cli_files,
         fresh = run_cli_captured(argv, stdin_text)
     assert shared == fresh
     code, out, _ = shared
+    # a refusal is a LandauerError, or a result too large for memory
+    if code == 1:
+        assert json.loads(out)["error"]["type"] in REFUSALS, (argv, out)
     # an error report, or a JSON report, is strict JSON: no NaN or Infinity
     if code == 1 or (
         code == 0 and argv[0] in REQUIRED and argv[0] not in ("compress", "decompress")
         and cli.build_parser().parse_args(argv).report == "json"
     ):
         json.loads(out, parse_constant=_refuse_constant)
+
+
+REFUSALS = {"MemoryError"} | {
+    name for name, kind in vars(errors).items() if isinstance(kind, type) and issubclass(kind, LandauerError)
+}
 
 
 def _refuse_constant(name):
@@ -728,7 +798,7 @@ json_documents = st.recursive(
 def assert_loads_or_reports(load, doc):
     try:
         loaded = load(doc)
-    except (LandauerError, ValueError):
+    except LandauerError:
         return
     assert isinstance(loaded, (ReversibleCircuit, IrreversibleCircuit))
 

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from landauer.bitstring import BitString
-from landauer.errors import WidthMismatch
+from landauer.errors import LandauerError, WidthMismatch
 from landauer.irrev import (
     IrreversibleCircuit,
     LogicGate,
@@ -38,7 +38,7 @@ def wire_through(n):
     ids=["duplicate-inputs", "arity", "duplicate-node", "rom-no-inputs"],
 )
 def test_refusals_name_what_is_wrong(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(LandauerError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from landauer.bitstring import BitString
-from landauer.errors import StringTooShort
+from landauer.errors import LandauerError, StringTooShort
 from landauer.prbox import (
     CorrelationQuadruple,
     check_pr_condition,
@@ -28,7 +28,7 @@ from landauer.rng import random_bits, substream
     ids=["unequal-lengths", "n-zero"],
 )
 def test_refusals_name_what_is_wrong(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(LandauerError, match=f"^{re.escape(message)}$"):
         call()
 
 

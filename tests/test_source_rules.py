@@ -33,6 +33,12 @@ Every size refusal goes through circuits.check_sweep, the only function
 that constructs DomainTooLarge, so the sweep ceiling is read, compared
 and worded in one place.
 
+Every refusal is a LandauerError: no module raises a bare ValueError or
+TypeError, so the CLI, which reports only the LandauerError family and
+MemoryError, never mistakes a fault of the program for a refusal.  Every
+file is opened in errors, the one place that turns an unreadable input
+or unwritable output into a LandauerError.
+
 Only circuits imports numpy, inside the functions of its permutation
 table, the one numpy path; every other state batch is Python-int rows.
 The modules that neither sweep states nor call one that does (bitstring,
@@ -214,6 +220,25 @@ def too_large_sites(tree: ast.Module) -> list[str]:
         if any(getattr(f, "id", getattr(f, "attr", "")) == "DomainTooLarge" for f in calls):
             found.append(scope + getattr(node, "name", "<module>"))
     return found
+
+
+def bare_raises(tree: ast.Module) -> list[int]:
+    """Lines that raise ValueError or TypeError, called or not, by name or
+    as an attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", "")) in ("ValueError", "TypeError"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def open_calls(tree: ast.Module) -> list[int]:
+    """Lines that call open, by name or as an attribute (io.open, os.open,
+    Path.open)."""
+    calls = (n for n in ast.walk(tree) if isinstance(n, ast.Call))
+    return sorted(n.lineno for n in calls if getattr(n.func, "id", getattr(n.func, "attr", "")) == "open")
 
 
 def _makes_float(node: ast.AST) -> bool:
@@ -422,6 +447,41 @@ def test_the_ceiling_rule_flags_every_construction_of_domain_too_large():
 def test_only_check_sweep_constructs_domain_too_large():
     found = sorted(f"{p.stem}.{site}" for p in SOURCES for site in too_large_sites(parse(p)))
     assert found == ["circuits.check_sweep"], f"DomainTooLarge built outside circuits.check_sweep: {found}"
+
+
+def test_the_refusal_rule_flags_every_bare_value_or_type_error():
+    tree = ast.parse(
+        "import builtins\nfrom .errors import LandauerError\n"
+        "def f(x):\n    if x:\n        raise ValueError(x)\n    raise TypeError\n"
+        "def g(x):\n    raise builtins.ValueError(x)\n"
+        "def h(x):\n    try:\n        return int(x)\n    except ValueError:\n        raise\n"
+        "def k(x):\n    raise LandauerError(x) from None\n"
+        "class C:\n    def m(self):\n        raise TypeError('x')\n"
+    )
+    assert bare_raises(tree) == [5, 6, 8, 18]
+
+
+def test_every_refusal_is_a_landauer_error():
+    found = {p.name: bare_raises(parse(p)) for p in SOURCES}
+    stray = {name: lines for name, lines in found.items() if lines}
+    assert not stray, f"bare ValueError/TypeError raised (module: lines); raise a LandauerError: {stray}"
+
+
+def test_the_open_rule_flags_every_call_to_open():
+    tree = ast.parse(
+        "import io, os\nfrom pathlib import Path\n"
+        "def f(p):\n    with open(p) as fh:\n        return fh.read()\n"
+        "def g(p):\n    return io.open(p), os.open(p, 0), Path(p).open()\n"
+        "def h(opener, p):\n    return opener(p), reopen(p), open\n"
+    )
+    assert open_calls(tree) == [4, 7, 7, 7]
+
+
+def test_only_errors_opens_files():
+    found = {p.name: open_calls(parse(p)) for p in SOURCES}
+    stray = {name: lines for name, lines in found.items() if lines and name != "errors.py"}
+    assert not stray, f"open called outside errors (module: lines); use read_text, load_json or save_json: {stray}"
+    assert found["errors.py"], "errors no longer opens a file: drop this rule's exception"
 
 
 def test_the_numpy_rule_flags_imports_at_any_depth():

@@ -31,6 +31,7 @@ from landauer.compress import (
 from landauer.errors import (
     CodecNotInjective,
     DomainTooLarge,
+    LandauerError,
     WidthMismatch,
 )
 from landauer.irrev import (
@@ -77,7 +78,7 @@ def fig1_expected(codec, block, helper, data):
             WidthMismatch,
             "expected 2 data bits, got 1",
         ),
-        (lambda: build_fig1_compressor(XOR, 0, BitString()), ValueError, "block must be at least 1"),
+        (lambda: build_fig1_compressor(XOR, 0, BitString()), LandauerError, "block must be at least 1"),
         (
             lambda: verify_compiled(bennett_compile(IrreversibleCircuit(tuple("abcde"), (), ("a",))), lambda d: d[:1]),
             DomainTooLarge,
