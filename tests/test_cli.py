@@ -186,6 +186,30 @@ def test_demon_scenarios(tmp_path, monkeypatch):
         assert "final_tape_digest" in report
 
 
+DEMON_PAIRS = {
+    # the mode-bit lz78 encoding of 0^128 takes 99 bits, so extraction frees 29 zeros
+    "compressible": ("0" * 128, "1011"),
+    # the lz78 code overflows 8 bits: the raw escape spills its mode bit into the zero cell
+    "spill": ("10110011", "0110"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(DEMON_PAIRS))
+def test_demon_reports_golden(tmp_path, monkeypatch, pair):
+    # the whole report of every scenario: ledger labels, order and values,
+    # the transcript, the final tape digest and the conservation fields
+    s, x = DEMON_PAIRS[pair]
+    (tmp_path / "s.bits").write_text(s)
+    (tmp_path / "x.bits").write_text(x)
+    monkeypatch.chdir(tmp_path)
+    reports = {}
+    for scenario in ("extract", "extract-erase", "erase-extract", "xor-copy"):
+        code, text = run_cli(["demon", "--scenario", scenario, "--s-file", "s.bits", "--x-file", "x.bits"])
+        assert code == 0, text
+        reports[scenario] = json.loads(text)
+    assert reports == json.loads((GOLDEN / f"demon_{pair}.json").read_text())
+
+
 def test_xor_copy_needs_a_generator_or_a_non_empty_x(tmp_path, monkeypatch):
     (tmp_path / "s.bits").write_text("0110")
     monkeypatch.chdir(tmp_path)
