@@ -26,7 +26,7 @@ from . import __version__
 from .bitstring import BitString
 from .circuits import load_circuit, save_circuit, simulate, simulate_trajectory
 from .clausius import clausius_experiment
-from .compress import REGISTRY
+from .compress import REGISTRY, CompressionCodec
 from .demon import (
     replay_backward,
     run_erase_then_extract,
@@ -50,6 +50,10 @@ def _frac(value) -> str:
 
 def _read_bits(path: str) -> BitString:
     return BitString("".join(read_text(path).split()))
+
+
+def _read_s_x_codec(args) -> tuple[BitString, BitString, CompressionCodec]:
+    return _read_bits(args.s_file), _read_bits(args.x_file) if args.x_file else BitString(), REGISTRY[args.codec]
 
 
 def _emit(report: dict, args) -> None:
@@ -140,9 +144,7 @@ def _cmd_compress(args) -> dict | None:
 
 
 def _cmd_bounds(args) -> dict:
-    S = _read_bits(args.s_file)
-    X = _read_bits(args.x_file) if args.x_file else BitString()
-    codec = REGISTRY[args.codec]
+    S, X, codec = _read_s_x_codec(args)
     report = _base_report(args)
     report["len_s"] = len(S)
     reports = (wv_report(S, X, codec), erasure_cost_interval(S, X, codec))
@@ -151,9 +153,7 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_demon(args) -> dict:
-    S = _read_bits(args.s_file)
-    X = _read_bits(args.x_file) if args.x_file else BitString()
-    codec = REGISTRY[args.codec]
+    S, X, codec = _read_s_x_codec(args)
     if args.scenario == "extract":
         result = run_extract(S, X, codec)
     elif args.scenario == "extract-erase":

@@ -14,25 +14,29 @@ Extraction rewrites S in place into its mode-bit block encoding (see
 compress.encode_with_escape; the raw escape is always on).  Because 2^n
 strings cannot be packed injectively into n bits with room to spare, an
 incompressible S costs one bit of overhead: the encoding spills a single
-mode bit into the zero region and the scenario's work value is then -1.  The conservation law
-wv + ec = len(S) holds exactly in every case.  Full scenarios
-(extract-then-erase, erase-then-extract, xor-copy) end with the zero
-region entirely zero; a bare extraction documents its code footprint
+mode bit into the zero region and the scenario's work value is then -1.
+The conservation law wv + ec = len(S) holds exactly in every case.  Full
+scenarios (extract-then-erase, erase-then-extract, xor-copy) end with the
+zero region entirely zero; a bare extraction documents its code footprint
 instead.
 
-Every scenario returns a transcript of invertible steps; replaying the
+Each scenario is its list of steps, which one runner applies to the fresh
+tape (S, X, one zero cell, a zero history): it checks that X is unchanged
+and that the regions the scenario clears end all zero, books the ledger
+entries in order, and keeps the steps as the transcript.  Replaying the
 transcript backward from the final tape restores the initial tape
-bit-exactly (erase steps record what they removed, which is the
-information handed to the environment).  The xor-copy demon's Bennett
-circuit is an involution, so it uncomputes its copy by running the
-circuit that made it a second time.
+bit-exactly.  An erase step records the len(S)+1 bits of S and the spill
+cell that it removes (the information handed to the environment): S's
+block encoding zero-padded after extraction, S and a zero before it.  The
+xor-copy demon's Bennett circuit is an involution, so it uncomputes its
+copy by running the circuit that made it a second time.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Callable, Union
 
 from .bitstring import BitString
 from .compress import CompressionCodec, decode_with_escape, encode_with_escape
@@ -57,6 +61,11 @@ class Tape:
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+def _pad(coded: BitString, n: int) -> BitString:
+    """A block code of n bits of S zero-padded to n+1 bits: S's cells, then the spill cell."""
+    return coded + BitString.zeros(n + 1 - len(coded))
+
+
 @dataclass(frozen=True)
 class BlockEncodeStep:
     """In-place rewrite of S into its block encoding (spill bit into the
@@ -66,44 +75,30 @@ class BlockEncodeStep:
 
     def apply(self, tape: Tape) -> Tape:
         n = len(tape.s_region)
-        coded = encode_with_escape(self.codec, tape.s_region, tape.x_region)
-        padded = coded + BitString.zeros(n + 1 - len(coded))
-        return replace(
-            tape,
-            s_region=padded[:n],
-            zero_region=padded[n:] + tape.zero_region[1:],
-        )
+        padded = _pad(encode_with_escape(self.codec, tape.s_region, tape.x_region), n)
+        return replace(tape, s_region=padded[:n], zero_region=padded[n:] + tape.zero_region[1:])
 
     def invert(self, tape: Tape) -> Tape:
         n = len(tape.s_region)
-        coded = tape.s_region + tape.zero_region[:1]
-        data = decode_with_escape(self.codec, coded, n, tape.x_region)
-        return replace(
-            tape,
-            s_region=data,
-            zero_region=BitString.zeros(1) + tape.zero_region[1:],
-        )
+        data = decode_with_escape(self.codec, tape.s_region + tape.zero_region[:1], n, tape.x_region)
+        return replace(tape, s_region=data, zero_region=BitString.zeros(1) + tape.zero_region[1:])
 
 
 @dataclass(frozen=True)
 class EraseStep:
-    """Reset the recorded bits to zero; the record is what the environment
-    absorbed, and is exactly what backward replay restores."""
+    """Reset S and the spill cell to zero.  The record `erased` holds their
+    len(S)+1 bits, S's cells then the spill cell: what the environment
+    absorbed, and exactly what backward replay restores."""
 
-    erased_s: BitString
-    erased_spill: BitString  # "" or the single spill bit
+    erased: BitString
 
     def apply(self, tape: Tape) -> Tape:
-        zero = tape.zero_region
-        if len(self.erased_spill):
-            zero = BitString.zeros(1) + zero[1:]
-        return replace(tape, s_region=BitString.zeros(len(self.erased_s)), zero_region=zero)
+        n = len(self.erased) - 1
+        return replace(tape, s_region=BitString.zeros(n), zero_region=BitString.zeros(1) + tape.zero_region[1:])
 
     def invert(self, tape: Tape) -> Tape:
-        zero = tape.zero_region
-        if len(self.erased_spill):
-            zero = self.erased_spill + zero[1:]
-        return replace(tape, s_region=self.erased_s, zero_region=zero)
+        n = len(self.erased) - 1
+        return replace(tape, s_region=self.erased[:n], zero_region=self.erased[n:] + tape.zero_region[1:])
 
 
 @dataclass(frozen=True)
@@ -158,20 +153,26 @@ def replay_backward(result: ScenarioResult) -> Tape:
     return tape
 
 
-def _fresh_tape(S: BitString, X: BitString, history_bits: int = 0) -> Tape:
-    return Tape(S, X, BitString.zeros(1), BitString.zeros(history_bits))
-
-
-def _check_catalyst(initial: Tape, final: Tape) -> None:
-    if initial.x_region != final.x_region:
+def _run(
+    scenario: str, S: BitString, X: BitString, steps: tuple[Step, ...], entries: tuple[tuple[Callable, str, int], ...],
+    wv: int, ec: int, clears: tuple[str, ...] = (), history_bits: int = 0,
+) -> ScenarioResult:
+    """Apply the steps in order to the fresh tape (S, X, one zero cell, a
+    zero history of history_bits), check that X is unchanged and that each
+    region in `clears` ends all zero, and book the ledger entries, each an
+    EnergyLedger.credit or .debit with its label and bits, in order."""
+    tape = initial = Tape(S, X, BitString.zeros(1), BitString.zeros(history_bits))
+    for step in steps:
+        tape = step.apply(tape)
+    if tape.x_region != X:
         raise InvariantViolated("catalyst X changed during a scenario")
-
-
-def _check_clean(tape: Tape, *regions: str) -> None:
-    """The named tape regions must end all zero."""
-    for region in regions:
+    for region in clears:
         if getattr(tape, region).weight():
             raise InvariantViolated(f"{region} not zero at the end of the scenario")
+    ledger = EnergyLedger()
+    for book, label, bits in entries:
+        book(ledger, label, bits)
+    return ScenarioResult(scenario, ledger, initial, tape, wv, ec, steps)
 
 
 def run_extract(S: BitString, X: BitString, codec: CompressionCodec) -> ScenarioResult:
@@ -181,15 +182,9 @@ def run_extract(S: BitString, X: BitString, codec: CompressionCodec) -> Scenario
     spills its mode bit (incompressible S).  The code, including any
     spill bit, stays on the tape.
     """
-    tape0 = _fresh_tape(S, X)
-    step = BlockEncodeStep(codec)
-    tape1 = step.apply(tape0)
-    code_len = len(encode_with_escape(codec, S, X))
-    wv = len(S) - code_len
-    ledger = EnergyLedger()
-    ledger.credit("extract:zeros", wv)
-    _check_catalyst(tape0, tape1)
-    return ScenarioResult("extract", ledger, tape0, tape1, wv, 0, (step,))
+    wv = len(S) - len(encode_with_escape(codec, S, X))
+    credit = (EnergyLedger.credit, "extract:zeros", wv)
+    return _run("extract", S, X, (BlockEncodeStep(codec),), (credit,), wv, 0)
 
 
 def run_extract_then_erase(S: BitString, X: BitString, codec: CompressionCodec) -> ScenarioResult:
@@ -197,21 +192,11 @@ def run_extract_then_erase(S: BitString, X: BitString, codec: CompressionCodec) 
 
     wv_bits + ec_bits = len(S) exactly; the ledger holds both phases in bits.
     """
-    tape0 = _fresh_tape(S, X)
-    encode = BlockEncodeStep(codec)
-    tape1 = encode.apply(tape0)
-    code_len = len(encode_with_escape(codec, S, X))
-    erase = EraseStep(erased_s=tape1.s_region, erased_spill=tape1.zero_region[:1] if code_len > len(S) else BitString())
-    tape2 = erase.apply(tape1)
-    wv = len(S) - code_len
-    ledger = EnergyLedger()
-    ledger.credit("extract:zeros", wv)
-    ledger.debit("erase:code", code_len)
-    _check_catalyst(tape0, tape2)
-    _check_clean(tape2, "zero_region", "s_region")
-    return ScenarioResult(
-        "extract-erase", ledger, tape0, tape2, wv, code_len, (encode, erase)
-    )
+    coded = encode_with_escape(codec, S, X)
+    wv = len(S) - len(coded)
+    steps = (BlockEncodeStep(codec), EraseStep(_pad(coded, len(S))))
+    entries = ((EnergyLedger.credit, "extract:zeros", wv), (EnergyLedger.debit, "erase:code", len(coded)))
+    return _run("extract-erase", S, X, steps, entries, wv, len(coded), clears=("zero_region", "s_region"))
 
 
 def run_erase_then_extract(S: BitString, X: BitString, codec: CompressionCodec) -> ScenarioResult:
@@ -221,19 +206,11 @@ def run_erase_then_extract(S: BitString, X: BitString, codec: CompressionCodec) 
     the reported work value is the net len(S) - ec_bits.  Totals match
     extract-then-erase with the ledger entries, in bits, in swapped order.
     """
-    tape0 = _fresh_tape(S, X)
     code_len = len(encode_with_escape(codec, S, X))
-    erase = EraseStep(erased_s=S, erased_spill=BitString())
-    tape1 = erase.apply(tape0)
     wv = len(S) - code_len
-    ledger = EnergyLedger()
-    ledger.debit("erase:code", code_len)
-    ledger.credit("extract:zeros", wv)
-    _check_catalyst(tape0, tape1)
-    _check_clean(tape1, "zero_region", "s_region")
-    return ScenarioResult(
-        "erase-extract", ledger, tape0, tape1, wv, code_len, (erase,)
-    )
+    entries = ((EnergyLedger.debit, "erase:code", code_len), (EnergyLedger.credit, "extract:zeros", wv))
+    erase = EraseStep(S + BitString.zeros(1))
+    return _run("erase-extract", S, X, (erase,), entries, wv, code_len, clears=("zero_region", "s_region"))
 
 
 def run_xor_copy_extract(S: BitString, X: BitString, generator: IrreversibleCircuit) -> ScenarioResult:
@@ -249,19 +226,10 @@ def run_xor_copy_extract(S: BitString, X: BitString, generator: IrreversibleCirc
         raise GeneratorMismatch("generator(X) does not produce S")
     compiled = bennett_compile(generator)
     work = len(compiled.ancilla_lines)
-    out = len(compiled.output_lines)
-    tape0 = _fresh_tape(S, X, history_bits=work + out)
-
     compute = CircuitStep(compiled.circuit)
-    xor_in = XorRegionStep(start=work)
-    tape1 = compute.apply(tape0)
-    tape2 = xor_in.apply(tape1)
-    tape3 = compute.apply(tape2)  # the same circuit again uncomputes the copy
-
-    ledger = EnergyLedger()
-    ledger.credit("extract:xor_copy", len(S))
-    _check_catalyst(tape0, tape3)
-    _check_clean(tape3, "history_region", "s_region")
-    return ScenarioResult(
-        "xor-copy", ledger, tape0, tape3, len(S), 0, (compute, xor_in, compute)
+    steps = (compute, XorRegionStep(start=work), compute)  # the same circuit again uncomputes the copy
+    credit = (EnergyLedger.credit, "extract:xor_copy", len(S))
+    return _run(
+        "xor-copy", S, X, steps, (credit,), len(S), 0,
+        clears=("history_region", "s_region"), history_bits=work + len(compiled.output_lines),
     )

@@ -215,14 +215,18 @@ def _skip_uncompute(monkeypatch):
     monkeypatch.setattr(CircuitStep, "apply", first_only)
 
 
-def _touch_catalyst(monkeypatch):
-    apply = BlockEncodeStep.apply
+def _touch_catalyst(step_class):
+    # sets every X cell, so the xor-copy's second circuit run cannot undo it
+    def patch(monkeypatch):
+        apply = step_class.apply
 
-    def flip_x(self, tape):
-        tape = apply(self, tape)
-        return replace(tape, x_region=tape.x_region.xor(BitString("1" * len(tape.x_region))))
+        def set_x(self, tape):
+            tape = apply(self, tape)
+            return replace(tape, x_region=BitString("1" * len(tape.x_region)))
 
-    monkeypatch.setattr(BlockEncodeStep, "apply", flip_x)
+        monkeypatch.setattr(step_class, "apply", set_x)
+
+    return patch
 
 
 def test_block_invert_accepts_only_the_genuine_tape():
@@ -300,11 +304,14 @@ S8, X4 = BitString("10110011"), BitString("0110")
         (_skip_erase, lambda: run_erase_then_extract(S8, X4, LZ78), "s_region"),
         (_skip_xor, lambda: run_xor_copy_extract(S8, X4, rom_circuit(S8, 4)), "s_region"),
         (_skip_uncompute, lambda: run_xor_copy_extract(S8, X4, rom_circuit(S8, 4)), "history_region"),
-        (_touch_catalyst, lambda: run_extract(S8, X4, LZ78), "catalyst"),
-        (_touch_catalyst, lambda: run_extract_then_erase(S8, X4, LZ78), "catalyst"),
+        (_touch_catalyst(BlockEncodeStep), lambda: run_extract(S8, X4, LZ78), "catalyst"),
+        (_touch_catalyst(BlockEncodeStep), lambda: run_extract_then_erase(S8, X4, LZ78), "catalyst"),
+        (_touch_catalyst(EraseStep), lambda: run_erase_then_extract(S8, X4, LZ78), "catalyst"),
+        # the Bennett circuit runs over the X lines
+        (_touch_catalyst(CircuitStep), lambda: run_xor_copy_extract(S8, X4, rom_circuit(S8, 4)), "catalyst"),
     ],
     ids=["extract-erase-dirty", "erase-extract-dirty", "xor-copy-s", "xor-copy-history",
-         "extract-catalyst", "extract-erase-catalyst"],
+         "extract-catalyst", "extract-erase-catalyst", "erase-extract-catalyst", "xor-copy-catalyst"],
 )
 def test_broken_invariants_raise_invariant_violated(monkeypatch, break_step, scenario, message):
     # explicit checks, so they also hold under python -O

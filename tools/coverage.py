@@ -6,7 +6,9 @@ every executable statement that never ran.  A statement is executable when
 its first lines (a compound statement's header, a simple statement whole)
 carry bytecode; it ran when a line event fired on one of them.  What an
 `if TYPE_CHECKING:` block holds never runs by design and is left out.
-Standard library only, besides pytest itself.
+Hypothesis runs with --hypothesis-seed=0, so its draws, and with them the
+statements listed, are the same from run to run.  Standard library only,
+besides pytest itself.
 
 The trace slows the suite several-fold (minutes, not seconds), so this is
 a tool run on demand, not a tier-1 test:
@@ -88,7 +90,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     sys.settrace(trace)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *argv])
     finally:
         sys.settrace(None)
     total = 0
