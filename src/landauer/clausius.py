@@ -8,9 +8,11 @@ from couple (wn, (1-w)n) to ((w+d)n, (1-w-d)n) is at most
 
     C(n,(w+d)n) C(n,(1-w-d)n) / [ C(n,wn) C(n,(1-w)n) ],
 
-a ratio that decays exponentially in n.  Everything here is exact big
-integer / rational arithmetic; floats appear only when rendering the
-log2 trend.
+a ratio that decays exponentially in n.  Every ceiling and trend point
+is a sum or ratio of class sizes C(n,k) C(n,n-k) (`_class_size`), divided
+once; an experiment keeps its maxima as counts, and caps circuits x gates
+counting each circuit as at least one gate.  Everything here is exact big
+integer / rational arithmetic; floats appear only in the log2 trend.
 
 Conservative circuits are sampled as uniform random Fredkin gates, which
 preserve Hamming weight by construction (no filtering needed).  Each gate
@@ -85,23 +87,22 @@ def _grid(n: int, w: Fraction, delta: Fraction) -> tuple[int, int]:
     return wn, wdn
 
 
+def _class_size(n: int, k: int) -> int:
+    """Size of the class with half weights (k, n - k)."""
+    return math.comb(n, k) * math.comb(n, n - k)
+
+
 def imbalance_ratio_exact(n: int, w, delta) -> Fraction:
     """Target-over-source class-size ratio for one imbalance step, exact."""
-    wn, wdn = _grid(n, Fraction(w), Fraction(delta))
-    num = math.comb(n, wdn) * math.comb(n, n - wdn)
-    den = math.comb(n, wn) * math.comb(n, n - wn)
-    return Fraction(num, den)
+    wn, wdn = _grid(n, w, delta)
+    return Fraction(_class_size(n, wdn), _class_size(n, wn))
 
 
 def imbalance_tail_exact(n: int, w, delta) -> Fraction:
     """Total size of all classes at least `delta` more imbalanced, relative
     to the source class ("... or more extremely")."""
-    wn, wdn = _grid(n, Fraction(w), Fraction(delta))
-    den = math.comb(n, wn) * math.comb(n, n - wn)
-    total = 0
-    for k in range(wdn, n + 1):
-        total += math.comb(n, k) * math.comb(n, n - k)
-    return Fraction(total, den)
+    wn, wdn = _grid(n, w, delta)
+    return Fraction(sum(_class_size(n, k) for k in range(wdn, n + 1)), _class_size(n, wn))
 
 
 def random_conservative_circuit(width: int, gate_count: int, seed: int) -> ReversibleCircuit:
@@ -260,10 +261,13 @@ def clausius_experiment(
 
     The point numbers concern exactly the (w+delta) class, the tail
     numbers that class or any more extreme one; the ceiling inequality is
-    a theorem, not a statistical claim.  The trend lists log2 of the point
-    ceiling at n, 2n, 3n and 4n (floats appear only in this rendering).  Both
-    the source class and circuits x gate_count are capped at the sweep
-    ceiling, checked before any circuit is built.
+    a theorem, not a statistical claim.  Each circuit's point and tail
+    counts are kept as integers, and the maxima are divided by the class
+    size once.  The trend lists log2 of the point ceiling at n, 2n, 3n and
+    4n, each a ratio of class sizes at weights k*(w*n) and k*((w+delta)*n),
+    which are on the grid (floats appear only in this rendering).  Both the
+    source class and circuits x gate_count are capped at the sweep ceiling,
+    each circuit counted as at least one gate, before any circuit is built.
     """
     w = Fraction(w)
     delta = Fraction(delta)
@@ -274,36 +278,32 @@ def clausius_experiment(
     # n is refused before its binomials are computed
     check_sweep(f"n = {n} with at least {n * n} class states", states=n * n)
     source = WeightCouple(n, wn, n - wn)
-    target = WeightCouple(n, wdn, n - wdn)
-    check_sweep(f"{source} of {source.class_size()} states", states=source.class_size())
-    gc = gate_count if gate_count is not None else 4 * 2 * n
-    check_sweep(f"{circuits} circuits x {gc} gates", states=circuits * gc)
-    point_ceiling = imbalance_ratio_exact(n, w, delta)
-    tail_ceiling = imbalance_tail_exact(n, w, delta)
-
     size = source.class_size()
-    rows = _class_rows(source)
-    max_point = Fraction(0)
-    max_tail = Fraction(0)
+    check_sweep(f"{source} of {size} states", states=size)
+    gc = gate_count if gate_count is not None else 4 * 2 * n
+    check_sweep(f"{circuits} circuits x {gc} gates", states=circuits * max(gc, 1))
+
+    rows, ones = _class_rows(source), (1 << size) - 1
+    max_point = max_tail = 0
     for i in range(circuits):
         circuit = random_conservative_circuit(2 * n, gc, substream_seed(seed, "circuit", i))
-        left = _weight_masks(run_states(circuit, rows, size)[:n], (1 << size) - 1)
-        max_point = max(max_point, Fraction(left[target.left_weight].bit_count(), size))
-        max_tail = max(max_tail, Fraction(sum(m.bit_count() for m in left[target.left_weight :]), size))
+        left = _weight_masks(run_states(circuit, rows, size)[:n], ones)
+        max_point = max(max_point, left[wdn].bit_count())
+        max_tail = max(max_tail, sum(m.bit_count() for m in left[wdn:]))
 
     trend = []
-    for m in range(n, 4 * n + 1, n):  # multiples of n are on the (w, delta) grid
-        ratio = imbalance_ratio_exact(m, w, delta)
-        trend.append((m, math.log2(ratio.numerator) - math.log2(ratio.denominator)))
+    for k in range(1, 5):
+        ratio = Fraction(_class_size(k * n, k * wdn), _class_size(k * n, k * wn))
+        trend.append((k * n, math.log2(ratio.numerator) - math.log2(ratio.denominator)))
 
     return ClausiusReport(
         n=n,
         w=w,
         delta=delta,
         gate_count=gc,
-        point_ceiling=point_ceiling,
-        tail_ceiling=tail_ceiling,
-        max_point_fraction=max_point,
-        max_tail_fraction=max_tail,
+        point_ceiling=imbalance_ratio_exact(n, w, delta),
+        tail_ceiling=imbalance_tail_exact(n, w, delta),
+        max_point_fraction=Fraction(max_point, size),
+        max_tail_fraction=Fraction(max_tail, size),
         per_n_trend=tuple(trend),
     )

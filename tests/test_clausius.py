@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from landauer.clausius import (
     random_conservative_circuit,
 )
 from landauer.errors import DomainTooLarge, LandauerError, NonIntegralWeights, NotConservative, WidthTooSmall
-from landauer.rng import substream
+from landauer.rng import substream, substream_seed
 
 
 def binom_oracle(n: int, k: int) -> int:
@@ -141,6 +142,18 @@ def test_negative_gate_count_is_rejected(count):
         random_conservative_circuit(8, count, seed=1)
     with pytest.raises(ValueError, match="gate count"):
         clausius_experiment(4, Fraction(1, 2), Fraction(1, 4), circuits=2, seed=0, gate_count=count)
+
+
+def test_zero_gate_circuits_still_count_toward_the_sweep_ceiling():
+    # each circuit counts as at least one gate, so a huge count is refused, not run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LANDAUER_MAX_WIDTH", "4")  # the (1, 1) class of n = 2 holds 4 states
+        with pytest.raises(DomainTooLarge, match=r"^17 circuits x 0 gates exceeds the 2\^4 sweep ceiling$"):
+            clausius_experiment(2, Fraction(1, 2), Fraction(1, 2), circuits=17, seed=0, gate_count=0)
+        assert clausius_experiment(2, Fraction(1, 2), Fraction(1, 2), circuits=16, seed=0, gate_count=0).within_ceiling
+    message = re.escape(f"{2**20 + 1} circuits x 0 gates exceeds the 2^20 sweep ceiling")
+    with pytest.raises(DomainTooLarge, match=f"^{message}$"):
+        clausius_experiment(4, Fraction(1, 2), Fraction(1, 4), circuits=2**20 + 1, seed=0, gate_count=0)
 
 
 def test_zero_gates_is_the_identity_experiment():
@@ -296,3 +309,37 @@ def test_trend_decreases_by_at_least_one_bit():
     ratios = [imbalance_ratio_exact(n, Fraction(1, 2), Fraction(1, 4)) for n in (4, 8, 12, 16)]
     for earlier, later in zip(ratios, ratios[1:]):
         assert 2 * later <= earlier  # log2 difference <= -1, checked exactly
+
+
+# every on-grid (w, delta) with w in {1/2, 2/3, 3/4}: w*n integral and delta = k/n up to 1 - w
+CROSS_CHECK_GRID = [
+    (n, w, Fraction(k, n))
+    for n in (2, 4, 6)
+    for w in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
+    if (w * n).denominator == 1
+    for k in range(int((1 - w) * n) + 1)
+]
+
+
+@pytest.mark.parametrize("n, w, delta", CROSS_CHECK_GRID, ids=[f"n{n}-w{w}-d{d}" for n, w, d in CROSS_CHECK_GRID])
+def test_experiment_report_agrees_with_the_public_functions(n, w, delta):
+    wn, wdn = int(w * n), int((w + delta) * n)
+    source = WeightCouple(n, wn, n - wn)
+    trend = []
+    for k in range(1, 5):
+        ratio = imbalance_ratio_exact(k * n, w, delta)
+        trend.append((k * n, math.log2(ratio.numerator) - math.log2(ratio.denominator)))
+    for seed in (0, 3):
+        for gate_count in (0, 1, 9, None):
+            report = clausius_experiment(n, w, delta, circuits=3, seed=seed, gate_count=gate_count)
+            assert report.point_ceiling == imbalance_ratio_exact(n, w, delta)
+            assert report.tail_ceiling == imbalance_tail_exact(n, w, delta)
+            assert report.per_n_trend == tuple(trend)
+            points, tails = [], []
+            for i in range(3):
+                c = random_conservative_circuit(2 * n, report.gate_count, substream_seed(seed, "circuit", i))
+                counts = [count_class_transitions(c, source, WeightCouple(n, t, n - t)) for t in range(wdn, n + 1)]
+                points.append(counts[0])
+                tails.append(sum(counts))
+            assert report.max_point_fraction == Fraction(max(points), source.class_size())
+            assert report.max_tail_fraction == Fraction(max(tails), source.class_size())

@@ -588,8 +588,12 @@ def test_deeply_nested_document_is_a_structured_error(tmp_path, command):
             ["clausius", "--n", "2000000", "--delta", "1/4", "--circuits", "1", "--gate-count", "1"],
             "n = 2000000 with at least 4000000000000 class states",
         ),
+        (
+            ["clausius", "--n", "4", "--delta", "1/4", "--circuits", str(2**20 + 1), "--gate-count", "0"],
+            f"{2**20 + 1} circuits x 0 gates",
+        ),
     ],
-    ids=["prbox-n", "clausius-gate-count", "clausius-n"],
+    ids=["prbox-n", "clausius-gate-count", "clausius-n", "clausius-zero-gates"],
 )
 def test_runaway_size_argument_is_refused_up_front(argv, what):
     start = time.perf_counter()
