@@ -281,7 +281,7 @@ def clausius_experiment(
     size = source.class_size()
     check_sweep(f"{source} of {size} states", states=size)
     gc = gate_count if gate_count is not None else 4 * 2 * n
-    check_sweep(f"{circuits} circuits x {gc} gates", states=circuits * max(gc, 1))
+    check_sweep(f"{circuits} circuits x {gc} gates, each circuit counted as at least one gate,", states=circuits * max(gc, 1))
 
     rows, ones = _class_rows(source), (1 << size) - 1
     max_point = max_tail = 0

@@ -53,10 +53,13 @@ implementations can reproduce it.  A phrase's index is its node id in
 the phrase trie (0 is the empty phrase, ids in order of creation, helper
 phrases first), which is the same numbering as a phrase dictionary built
 in parse order, so the bitstream is unchanged by the trie kernel.  The
-decoder builds its phrase table from the tokens of the helper's parse (a
-phrase's token comes after its parent's) and appends one phrase per code
-token; a token that writes a phrase the table already holds decodes, and
-the re-encode in decompress refuses it.
+index field widens only when D reaches a power of two, so the encoder
+writes the tokens in runs of equal width, one format call for them all;
+the token format is unchanged by that.  The decoder builds its phrase
+table from the tokens of the helper's parse (a phrase's token comes
+after its parent's) and appends one phrase per code token; a token that
+writes a phrase the table already holds decodes, and the re-encode in
+decompress refuses it.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from typing import Callable, ClassVar
 from .bitstring import (
     _TO_ROWS,
     BitString,
+    _gamma,
     _trusted,
     decode_self_delimiting,
     decode_uint,
@@ -163,17 +167,20 @@ def _lz78_compress(data: str, helper: str) -> str:
     else:
         size = 0
         _, tokens, slot = _lz78_parse(data)
-    out = [str(encode_uint(len(data)))]
-    # token (index, bit) is k = 2*index + bit in size.bit_length() + 1 bits
-    token = f"0{size.bit_length() + 1}b"
-    for k in tokens:
-        out.append(format(k, token))
-        size += 1
-        if not size & size - 1:  # a power of two: the index field widens
-            token = f"0{size.bit_length() + 1}b"
+    # token (index, bit) is k = 2*index + bit in size.bit_length() + 1 bits;
+    # the width changes only when size reaches a power of two, so the
+    # template holds one repeated field per run of equal width
+    template = [_gamma(len(data) + 1)]
+    left = len(tokens)
+    while left:
+        w = size.bit_length()
+        run = min((1 << w) - size, left)
+        template.append(f"{{:0{w + 1}b}}" * run)
+        size += run
+        left -= run
     if slot:  # final partial phrase: index only, no next bit
-        out.append(format(slot >> 1, f"0{size.bit_length()}b"))
-    return "".join(out)
+        template.append(f"{{:0{size.bit_length()}b}}")
+    return "".join(template).format(*tokens, slot >> 1)  # format ignores an unused last argument
 
 
 def _lz78_decompress(code: str, helper: str) -> str:

@@ -148,10 +148,10 @@ def test_zero_gate_circuits_still_count_toward_the_sweep_ceiling():
     # each circuit counts as at least one gate, so a huge count is refused, not run
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("LANDAUER_MAX_WIDTH", "4")  # the (1, 1) class of n = 2 holds 4 states
-        with pytest.raises(DomainTooLarge, match=r"^17 circuits x 0 gates exceeds the 2\^4 sweep ceiling$"):
+        with pytest.raises(DomainTooLarge, match=r"^17 circuits x 0 gates, each circuit counted as at least one gate, exceeds the 2\^4 sweep ceiling$"):
             clausius_experiment(2, Fraction(1, 2), Fraction(1, 2), circuits=17, seed=0, gate_count=0)
         assert clausius_experiment(2, Fraction(1, 2), Fraction(1, 2), circuits=16, seed=0, gate_count=0).within_ceiling
-    message = re.escape(f"{2**20 + 1} circuits x 0 gates exceeds the 2^20 sweep ceiling")
+    message = re.escape(f"{2**20 + 1} circuits x 0 gates, each circuit counted as at least one gate, exceeds the 2^20 sweep ceiling")
     with pytest.raises(DomainTooLarge, match=f"^{message}$"):
         clausius_experiment(4, Fraction(1, 2), Fraction(1, 4), circuits=2**20 + 1, seed=0, gate_count=0)
 

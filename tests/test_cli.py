@@ -582,7 +582,7 @@ def test_deeply_nested_document_is_a_structured_error(tmp_path, command):
         (["prbox", "--n", "100000000000"], "n = 100000000000 bits"),
         (
             ["clausius", "--n", "4", "--delta", "1/4", "--circuits", "2", "--gate-count", "100000000000"],
-            "2 circuits x 100000000000 gates",
+            "2 circuits x 100000000000 gates, each circuit counted as at least one gate,",
         ),
         (
             ["clausius", "--n", "2000000", "--delta", "1/4", "--circuits", "1", "--gate-count", "1"],
@@ -590,7 +590,7 @@ def test_deeply_nested_document_is_a_structured_error(tmp_path, command):
         ),
         (
             ["clausius", "--n", "4", "--delta", "1/4", "--circuits", str(2**20 + 1), "--gate-count", "0"],
-            f"{2**20 + 1} circuits x 0 gates",
+            f"{2**20 + 1} circuits x 0 gates, each circuit counted as at least one gate,",
         ),
     ],
     ids=["prbox-n", "clausius-gate-count", "clausius-n", "clausius-zero-gates"],

@@ -366,21 +366,24 @@ def circuits_of_width(draw, widths=st.integers(1, 17)):
 
 
 def lz78_width_examples(test):
-    """Examples at every lz78 index-width change up to 7 bits.
+    """Examples at every lz78 index-width change up to 12 bits, the width
+    a 4096-bit prbox report reaches.
 
     The helper is the first D phrases in breadth-first order (each is a
     known phrase plus one bit), so its warm-up dictionary has exactly D
-    entries, for D = 2^k - 1 and 2^k, k = 0..6.  The data then starts with
+    entries, for D = 2^k - 1 and 2^k, k = 0..11.  The data then starts with
     a fused (index, bit) token at width D.bit_length() and another at the
-    width of D + 1, or is one known phrase: a lone index-only token.
+    width of D + 1, or is one known phrase: a lone index-only token.  One
+    more example is 4096 seeded random bits under the empty helper, whose
+    code crosses every run of equal width from the empty dictionary on.
     """
-    phrases = [format(v, "b")[1:] for v in range(2, 2**8)]
-    for D in sorted({d for k in range(7) for d in (2**k - 1, 2**k)}):
+    phrases = [format(v, "b")[1:] for v in range(2, 2**13)]
+    for D in sorted({d for k in range(12) for d in (2**k - 1, 2**k)}):
         helper = "".join(phrases[:D])
         test = example(("".join(phrases[D : D + 2]), helper))(test)
         if D:
             test = example((phrases[D - 1], helper))(test)
-    return test
+    return example((format(random.Random(0).getrandbits(4096), "04096b"), ""))(test)
 
 
 # bookmarks of five 8-bit blocks with 1-3 bit codes, so the compressed

@@ -70,6 +70,7 @@ PAPER_FACING = {
 # Private names that sibling modules may import.
 SHARED_PRIVATE = {
     "bitstring._trusted": "wraps text a kernel already built from '0'/'1' without checking it again",
+    "bitstring._gamma": "the one Elias-gamma writer; lz78 writes its length header as text with it, without a BitString round trip",
     "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check, the Fig. 1 build and the weight-class rows",
     "bitstring._TO_ROWS": "the one '0'/'1' text -> 0/1 int row table, for the gate kernel, the netlist evaluator and lz78",
     "bitstring._FROM_ROWS": "the one 0/1 int row -> '0'/'1' text table, for the gate kernel and the netlist evaluator",

@@ -150,6 +150,13 @@ MUTANTS = (
         ("tests/test_compress.py::test_lz78_parse_is_walked_once_per_text",),
     ),
     Mutant(
+        "lz78-run-one-token-too-long",
+        "compress.py",
+        "(1 << w) - size",
+        "(1 << w) - size + 1",
+        ("tests/test_reference_kernels.py::test_lz78_trie_matches_dict_reference",),
+    ),
+    Mutant(
         "read-text-passes-unicode-errors",
         "errors.py",
         "except (OSError, UnicodeDecodeError) as exc:",
