@@ -8,8 +8,12 @@ target forbids, hence what the compiler must eliminate.
 A netlist numbers its nodes while it is checked, in its constructor:
 the inputs 0..k-1, then gate j as k+j.  `steps` holds one (op, argument
 index, argument index) triple per gate and `output_nodes` the index of
-each output.  `evaluate` runs the steps in that order over one row of
-0/1 ints, one per node, as `circuits` runs gates over a state's lines.
+each output.  `cone` holds the steps of the output cone, the gates some
+output reads directly or through other gates, as (op, argument index,
+argument index, node index) in netlist order.  `evaluate` runs only the
+cone, over one row of 0/1 ints with one slot per node, as `circuits`
+runs gates over a state's lines.  `steps` keeps every gate, since the
+compiler gives each its own line.
 
 JSON form:
     {"inputs": ["a", "b"],
@@ -70,28 +74,44 @@ class IrreversibleCircuit:
         for o in self.outputs:
             if o not in index:
                 raise LandauerError(f"output references unknown node {o!r}")
+        output_nodes = tuple(index[o] for o in self.outputs)
+        # The output cone in one backward pass: a gate is live when an
+        # output or a live gate reads it.
+        live = set(output_nodes)
+        cone = []
+        t = len(index)
+        for op, a, b in reversed(steps):
+            t -= 1
+            if t in live:
+                live.add(a)
+                live.add(b)
+                cone.append((op, a, b, t))
+        cone.reverse()
         object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "output_nodes", tuple(index[o] for o in self.outputs))
+        object.__setattr__(self, "cone", tuple(cone))
+        object.__setattr__(self, "_zeros", (0,) * len(steps))  # evaluate's blank gate slots
+        object.__setattr__(self, "output_nodes", output_nodes)
 
 
 def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
     """Standard boolean semantics; returns the output bits in order.
     Node values are 0/1 ints, so NOT is ^ 1."""
-    if len(input_bits) != len(c.inputs):
-        raise WidthMismatch(
-            f"{len(c.inputs)} inputs expected, got {len(input_bits)} bits"
-        )
-    value = list(str(input_bits).encode().translate(_TO_ROWS))
+    text = str(input_bits)
+    if len(text) != len(c.inputs):
+        raise WidthMismatch(f"{len(c.inputs)} inputs expected, got {len(text)} bits")
+    # One slot per node, so a node's index stays its place in the row; a
+    # gate outside the output cone is never run and keeps its 0.
+    value = [*text.encode().translate(_TO_ROWS), *c._zeros]
     and_, or_, xor_ = AND, OR, XOR  # locals load faster than module globals
-    for op, a, b in c.steps:
+    for op, a, b, t in c.cone:
         if op == and_:
-            value.append(value[a] & value[b])
+            value[t] = value[a] & value[b]
         elif op == or_:
-            value.append(value[a] | value[b])
+            value[t] = value[a] | value[b]
         elif op == xor_:
-            value.append(value[a] ^ value[b])
+            value[t] = value[a] ^ value[b]
         else:
-            value.append(value[a] ^ 1)
+            value[t] = value[a] ^ 1
     return _trusted(bytes([value[o] for o in c.output_nodes]).translate(_FROM_ROWS).decode())
 
 
@@ -117,6 +137,8 @@ def rom_circuit(output_bits: BitString, num_inputs: int) -> IrreversibleCircuit:
 
 def random_netlist(num_inputs: int, num_gates: int, rng: random.Random) -> IrreversibleCircuit:
     """Random topologically ordered netlist for compiler stress tests."""
+    if num_inputs < 1:
+        raise LandauerError("random_netlist needs at least one input")
     names = [f"x{i}" for i in range(num_inputs)]
     gates = []
     pool = list(names)

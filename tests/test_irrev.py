@@ -34,8 +34,9 @@ def wire_through(n):
         (lambda: IrreversibleCircuit(("a",), (gate("g", "and", "a"),), ()), "and takes 2 args, got 1"),
         (lambda: IrreversibleCircuit(("a",), (gate("a", "not", "a"),), ()), "duplicate node id 'a'"),
         (lambda: rom_circuit(BitString("1"), 0), "rom_circuit needs at least one input"),
+        (lambda: random_netlist(0, 3, substream(0, "netlist")), "random_netlist needs at least one input"),
     ],
-    ids=["duplicate-inputs", "arity", "duplicate-node", "rom-no-inputs"],
+    ids=["duplicate-inputs", "arity", "duplicate-node", "rom-no-inputs", "random-no-inputs"],
 )
 def test_refusals_name_what_is_wrong(call, message):
     with pytest.raises(LandauerError, match=f"^{re.escape(message)}$"):

@@ -860,12 +860,29 @@ NOT_CHAIN = irrev.IrreversibleCircuit(
 )
 
 
+def _net(inputs, gates, outputs):
+    """A netlist from (id, op, args...) rows."""
+    gates = tuple(irrev.LogicGate(g[0], g[1], tuple(g[2:])) for g in gates)
+    return irrev.IrreversibleCircuit(tuple(inputs), gates, tuple(outputs))
+
+
 @given(netlists(), st.data())
 @example(irrev.rom_circuit(BitString("0110"), 2), None)
 @example(wire_through(3), None)
 @example(NOT_CHAIN, None)
 @example(irrev.IrreversibleCircuit(("a",), (), ()), None)
 @example(irrev.IrreversibleCircuit((), (), ()), None)
+# every gate dead: the outputs are inputs only
+@example(_net("ab", [("g0", "and", "a", "b"), ("g1", "not", "g0")], ("b", "a")), None)
+# the only output is the first gate, which later gates read
+@example(_net("ab", [("g0", "xor", "a", "b"), ("g1", "or", "g0", "a"), ("g2", "not", "g1")], ("g0",)), None)
+# a live gate reached only through a chain of NOTs, and g0 only as its second argument
+@example(
+    _net("ab", [("g0", "and", "a", "b"), ("g1", "xor", "a", "g0"), ("n0", "not", "g1"), ("n1", "not", "n0")], ("n1",)),
+    None,
+)
+# one node listed twice as an output
+@example(_net("ab", [("g0", "or", "a", "b"), ("g1", "and", "a", "b")], ("g1", "a", "g1")), None)
 @settings(max_examples=200)
 def test_lowered_evaluate_equals_dict_reference(net, data):
     k = len(net.inputs)

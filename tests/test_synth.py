@@ -152,6 +152,18 @@ def test_a_bennett_circuit_is_its_own_inverse_and_its_reversed_gate_list(k, data
     assert (t == permutation_table(ReversibleCircuit(c.width, c.gates[::-1], c.line_roles))).all()
 
 
+def test_bennett_compile_gives_every_gate_a_line_even_outside_the_output_cone():
+    src = IrreversibleCircuit(
+        ("a", "b"),
+        (LogicGate("dead", "and", ("a", "b")), LogicGate("live", "xor", ("a", "b")), LogicGate("tail", "not", ("live",))),
+        ("live",),
+    )
+    assert len(src.cone) == 1
+    comp = bennett_compile(src)
+    assert len(comp.ancilla_lines) == len(src.gates)
+    assert verify_compiled(comp, lambda x: evaluate(src, x)).ok
+
+
 def test_verify_detects_one_deleted_gate():
     src = IrreversibleCircuit(
         ("a", "b"),

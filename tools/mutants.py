@@ -157,6 +157,20 @@ MUTANTS = (
         ("tests/test_reference_kernels.py::test_lz78_trie_matches_dict_reference",),
     ),
     Mutant(
+        "cone-drops-second-argument",
+        "irrev.py",
+        "                live.add(a)\n                live.add(b)\n",
+        "                live.add(a)\n",
+        ("tests/test_reference_kernels.py::test_lowered_evaluate_equals_dict_reference",),
+    ),
+    Mutant(
+        "random-netlist-without-inputs",
+        "irrev.py",
+        '    if num_inputs < 1:\n        raise LandauerError("random_netlist needs at least one input")\n',
+        "",
+        ("tests/test_irrev.py::test_refusals_name_what_is_wrong[random-no-inputs]",),
+    ),
+    Mutant(
         "read-text-passes-unicode-errors",
         "errors.py",
         "except (OSError, UnicodeDecodeError) as exc:",
