@@ -3,7 +3,11 @@
 Subcommands: compile, simulate, compress, decompress, bounds, demon,
 clausius, prbox.  Reports are JSON (default) or text; exact rationals are
 serialized as "p/q" strings so golden files never see float drift.  Every
-report echoes {tool_version, seed, config} for reproducibility.
+report echoes {tool_version, seed, config} for reproducibility.  `main`
+builds that base report, which refuses a bad --temperature, before it
+runs the subcommand's handler, and then merges in the fields the handler
+returns; the bounds and demon handlers are the only code that turns bits
+into joules.
 
 Exit codes: 0 success, 1 a LandauerError or a result too large for memory
 (structured error report on stdout), 2 usage error.  compress/decompress
@@ -65,10 +69,11 @@ def _emit(report: dict, args) -> None:
 
 
 def _flatten(doc, prefix=""):
-    if isinstance(doc, dict):
+    # an empty list or dict prints as a leaf, `key: []` or `key: {}`
+    if isinstance(doc, dict) and doc:
         for key in sorted(doc):
             yield from _flatten(doc[key], f"{prefix}{key}.")
-    elif isinstance(doc, list):
+    elif isinstance(doc, list) and doc:
         for i, item in enumerate(doc):
             yield from _flatten(item, f"{prefix}{i}.")
     else:
@@ -85,7 +90,7 @@ def _base_report(args) -> dict:
     }
     return {
         "tool_version": __version__,
-        "seed": getattr(args, "seed", DEFAULT_SEED),
+        "seed": args.seed,
         "config": config,
     }
 
@@ -100,10 +105,9 @@ def _cmd_compile(args) -> dict:
     else:
         compiled = bennett_compile(load_netlist(args.netlist))
         mode = "bennett"
-    report = _base_report(args)
     if args.out:
         save_circuit(compiled.circuit, args.out)
-    report.update(
+    return dict(
         mode=mode,
         width=compiled.circuit.width,
         gate_count=compiled.circuit.gate_count(),
@@ -113,23 +117,18 @@ def _cmd_compile(args) -> dict:
         helper_lines=list(compiled.helper_lines),
         out=args.out,
     )
-    return report
 
 
 def _cmd_simulate(args) -> dict:
     circuit = load_circuit(args.circuit)
     bits = BitString(args.input)
-    report = _base_report(args)
     if args.trajectory:
         traj = simulate_trajectory(circuit, bits)
-        report["trajectory"] = [str(s) for s in traj]
-        report["output"] = str(traj[-1])
-    else:
-        report["output"] = str(simulate(circuit, bits))
-    return report
+        return {"trajectory": [str(s) for s in traj], "output": str(traj[-1])}
+    return {"output": str(simulate(circuit, bits))}
 
 
-def _cmd_compress(args) -> dict | None:
+def _cmd_compress(args) -> None:
     codec = REGISTRY[args.codec]
     helper = _read_bits(args.helper_file) if args.helper_file else BitString()
     try:
@@ -140,16 +139,18 @@ def _cmd_compress(args) -> dict | None:
         print(codec.decompress(data, helper))
     else:
         print(codec.compress(data, helper))
-    return None
 
 
 def _cmd_bounds(args) -> dict:
     S, X, codec = _read_s_x_codec(args)
-    report = _base_report(args)
-    report["len_s"] = len(S)
+    T = args.temperature
     reports = (wv_report(S, X, codec), erasure_cost_interval(S, X, codec))
-    report["quantities"] = [r.to_dict(args.temperature) for r in reports]
-    return report
+    return {
+        "len_s": len(S),
+        "quantities": [
+            {**r.to_dict(), "joules": {"T": T, "value": to_joules(r.certified_bits(), T)}} for r in reports
+        ],
+    }
 
 
 def _cmd_demon(args) -> dict:
@@ -168,8 +169,7 @@ def _cmd_demon(args) -> dict:
         else:
             raise GeneratorMismatch("xor-copy needs --generator or a non-empty X")
         result = run_xor_copy_extract(S, X, generator)
-    report = _base_report(args)
-    report.update(
+    fields = dict(
         scenario=result.scenario,
         len_s=len(S),
         wv_bits=result.wv_bits,
@@ -184,10 +184,10 @@ def _cmd_demon(args) -> dict:
     if result.scenario == "extract":
         # the code (and wv may be negative) stays on the tape; conservation
         # concerns the erased combinations
-        report["residual_code_bits"] = len(S) - result.wv_bits
+        fields["residual_code_bits"] = len(S) - result.wv_bits
     else:
-        report["conservation_ok"] = result.wv_bits + result.ec_bits == len(S)
-    return report
+        fields["conservation_ok"] = result.wv_bits + result.ec_bits == len(S)
+    return fields
 
 
 def _fraction(flag: str, text: str) -> Fraction:
@@ -198,7 +198,7 @@ def _fraction(flag: str, text: str) -> Fraction:
 
 
 def _cmd_clausius(args) -> dict:
-    report_data = clausius_experiment(
+    data = clausius_experiment(
         n=args.n,
         w=_fraction("--w", args.w),
         delta=_fraction("--delta", args.delta),
@@ -206,29 +206,24 @@ def _cmd_clausius(args) -> dict:
         seed=args.seed,
         gate_count=args.gate_count,
     )
-    report = _base_report(args)
-    report.update(
-        n=report_data.n,
-        w=_frac(report_data.w),
-        delta=_frac(report_data.delta),
-        gate_count=report_data.gate_count,
-        ceiling=_frac(report_data.point_ceiling),  # exact target class only
-        tail_ceiling=_frac(report_data.tail_ceiling),  # target or more extreme
-        max_fraction=_frac(report_data.max_point_fraction),
-        max_tail_fraction=_frac(report_data.max_tail_fraction),
-        within_ceiling=report_data.within_ceiling,
-        per_n_trend=[
-            {"n": m, "log2_ceiling": value} for m, value in report_data.per_n_trend
-        ],
+    return dict(
+        n=data.n,
+        w=_frac(data.w),
+        delta=_frac(data.delta),
+        gate_count=data.gate_count,
+        ceiling=_frac(data.point_ceiling),  # exact target class only
+        tail_ceiling=_frac(data.tail_ceiling),  # target or more extreme
+        max_fraction=_frac(data.max_point_fraction),
+        max_tail_fraction=_frac(data.max_tail_fraction),
+        within_ceiling=data.within_ceiling,
+        per_n_trend=[{"n": m, "log2_ceiling": value} for m, value in data.per_n_trend],
     )
-    return report
 
 
 def _cmd_prbox(args) -> dict:
     q = generate_pr_quadruple(args.n, args.seed)
     data = pr_report(q)
-    report = _base_report(args)
-    report.update(
+    return dict(
         n=data.n,
         pr_condition=data.pr_condition,
         rates={
@@ -248,7 +243,6 @@ def _cmd_prbox(args) -> dict:
         },
         caveat=data.caveat,
     )
-    return report
 
 
 # --- parser ----------------------------------------------------------------------
@@ -325,10 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        if args.func is _cmd_compress:  # a plain filter: no report, no --temperature
+            _cmd_compress(args)
+            return 0
+        report = _base_report(args)  # refuses a bad --temperature before any work
+        report.update(args.func(args))
     except (LandauerError, MemoryError) as exc:
         error = {
             "tool_version": __version__,
@@ -336,8 +333,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(error, indent=2, sort_keys=True))
         return 1
-    if report is not None:
-        _emit(report, args)
+    _emit(report, args)
     return 0
 
 

@@ -2,11 +2,10 @@
 
 All quantities are kept as exact integers/rationals in units of kT*ln2 per
 bit, and no ledger or report holds a temperature.  Joules appear only at
-presentation time, via to_joules at the CLI's --temperature (for bounds,
-through BoundReport.to_dict).  Sides of a bound that rely on the
-compressor-family estimator are flagged `estimated`: the estimator
-upper-bounds true description length, so an estimated lower bound may
-exceed the true one.  No numeric fudge factors are ever applied; every
+presentation time, via to_joules at the CLI's --temperature.  Sides of a
+bound that rely on the compressor-family estimator are flagged
+`estimated`: the estimator upper-bounds true description length, so an
+estimated lower bound may exceed the true one.  No numeric fudge factors are ever applied; every
 report carries the achieving codec.
 
 Length convention: whenever a coded length enters a bound, it is the
@@ -104,17 +103,13 @@ class BoundReport:
     upper_codec: str = ""
     note: str = ""
 
-    def to_dict(self, temperature: float) -> dict:
+    def to_dict(self) -> dict:
         return {
             "quantity": self.quantity,
             "lower_bits": self.lower_bits,
             "upper_bits": self.upper_bits,
             "estimated": {"lower": self.lower_estimated, "upper": self.upper_estimated},
             "codec": {"lower": self.lower_codec, "upper": self.upper_codec},
-            "joules": {
-                "T": temperature,
-                "value": to_joules(self.certified_bits(), temperature),
-            },
             "note": self.note,
         }
 

@@ -151,6 +151,20 @@ def test_bounds_golden(tmp_path, monkeypatch):
     assert json.loads(text) == json.loads((GOLDEN / "bounds_lz78.json").read_text())
 
 
+def test_bound_joules_are_the_certified_bits_at_the_cli_temperature(tmp_path, monkeypatch):
+    (tmp_path / "s.bits").write_text("0" * 64)
+    (tmp_path / "x.bits").write_text("1011")
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(["bounds", "--s-file", "s.bits", "--x-file", "x.bits", "--temperature", "150"])
+    assert code == 0, text
+    quantities = {q["quantity"]: q for q in json.loads(text)["quantities"]}
+    # WV certifies the side its codec achieves, EC the cost its codec achieves
+    for name, certified in (("WV", "lower_bits"), ("EC", "upper_bits")):
+        q = quantities[name]
+        assert q[certified] != 0
+        assert q["joules"] == {"T": 150.0, "value": to_joules(q[certified], 150)}
+
+
 def test_clausius_golden():
     code, text = run_cli(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "10", "--seed", "42"])
     assert code == 0
@@ -560,6 +574,72 @@ def test_non_finite_temperature_is_a_domain_error(tmp_path, monkeypatch, argv, t
     assert error["type"] == "NonPositiveTemperature"
     assert error["message"] == f"temperature must be finite and > 0 K, got {float(temperature)}"
     assert not (tmp_path / "out.json").exists()  # a refused compile writes no circuit
+
+
+# the library calls through which a report command reads its input or does its work
+WORK = (
+    "_read_bits", "load_circuit", "load_netlist", "build_fig1_compressor",
+    "bennett_compile", "clausius_experiment", "generate_pr_quadruple",
+)
+
+
+def _no_work(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran before --temperature was checked")
+
+    return refuse
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGV, ids=[argv[0] for argv in REPORT_ARGV])
+def test_bad_temperature_is_refused_before_any_work(tmp_path, monkeypatch, argv):
+    (tmp_path / "s.bits").write_text("0" * 16)
+    save_circuit(ReversibleCircuit(4), str(tmp_path / "c.json"))
+    monkeypatch.chdir(tmp_path)
+    for name in WORK:
+        monkeypatch.setattr(cli, name, _no_work(name))
+    for temperature in ("nan", "0"):
+        code, text = run_cli(argv + [f"--temperature={temperature}"])
+        assert code == 1
+        assert json.loads(text)["error"]["type"] == "NonPositiveTemperature"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clausius", "--n", "4", "--delta", "1/0"],
+        ["demon", "--scenario", "xor-copy", "--s-file", "s.bits"],  # no generator and an empty X
+        ["bounds", "--s-file", "missing.bits"],
+    ],
+    ids=["bad-fraction", "no-generator", "missing-file"],
+)
+def test_a_bad_temperature_is_the_refusal_reported_beside_another_fault(tmp_path, monkeypatch, argv):
+    (tmp_path / "s.bits").write_text("0110")
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(argv + ["--temperature=-1"])
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "NonPositiveTemperature"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # compile --fig1 at block 3 without a helper has no ancilla and no helper lines
+    [*REPORT_ARGV, ["compile", "--fig1", "--codec", "xor", "--block", "3"]],
+    ids=[*(argv[0] for argv in REPORT_ARGV), "compile-empty-lists"],
+)
+def test_the_text_report_has_the_top_level_keys_of_the_json_report(tmp_path, monkeypatch, argv):
+    (tmp_path / "s.bits").write_text("0" * 16)
+    save_circuit(ReversibleCircuit(4), str(tmp_path / "c.json"))
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_cli(argv)
+    assert code == 0, doc
+    code, text = run_cli(argv + ["--report", "text"])
+    assert code == 0
+    lines = text.splitlines()
+    assert {line.split(": ")[0].split(".")[0] for line in lines} == set(json.loads(doc))
+    report = json.loads(doc)
+    for key, value in report.items():
+        if value in ([], {}):
+            assert f"{key}: {value}" in lines
 
 
 @pytest.mark.parametrize("command", ["simulate", "compile"])

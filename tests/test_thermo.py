@@ -178,6 +178,6 @@ def test_wv_report_flags():
     rep = wv_report(s, BitString(), LZ78)
     assert not rep.lower_estimated and rep.upper_estimated
     assert rep.lower_bits <= rep.upper_bits
-    d = rep.to_dict(300.0)
+    d = rep.to_dict()
     assert d["estimated"] == {"lower": False, "upper": True}
-    assert d["joules"]["T"] == 300.0
+    assert "joules" not in d  # only the CLI turns bits into joules

@@ -171,6 +171,21 @@ MUTANTS = (
         ("tests/test_irrev.py::test_refusals_name_what_is_wrong[random-no-inputs]",),
     ),
     Mutant(
+        "temperature-check-dropped",
+        "cli.py",
+        "    to_joules(0, args.temperature)\n",
+        "",
+        ("tests/test_cli.py::test_non_finite_temperature_is_a_domain_error",),
+    ),
+    Mutant(
+        "base-report-after-the-work",
+        "cli.py",
+        "report = _base_report(args)  # refuses a bad --temperature before any work\n"
+        "        report.update(args.func(args))\n",
+        "fields = args.func(args)\n        report = _base_report(args)\n        report.update(fields)\n",
+        ("tests/test_cli.py::test_bad_temperature_is_refused_before_any_work",),
+    ),
+    Mutant(
         "read-text-passes-unicode-errors",
         "errors.py",
         "except (OSError, UnicodeDecodeError) as exc:",
