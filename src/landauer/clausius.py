@@ -71,15 +71,18 @@ def _integral(x: Fraction, what: str) -> int:
 
 
 def _grid(n: int, w: Fraction, delta: Fraction) -> tuple[int, int]:
-    """Validate the (w, delta) grid; returns (wn, (w+delta)n) as integers.
+    """Validate n and the (w, delta) grid; returns (wn, (w+delta)n) as
+    integers.
 
-    Integrality is checked before the range so that off-grid parameters
+    Integrality is checked before the ranges so that off-grid parameters
     always surface as NonIntegralWeights.
     """
     w = Fraction(w)
     delta = Fraction(delta)
     wn = _integral(w * n, "w*n")
     wdn = _integral((w + delta) * n, "(w+delta)*n")
+    if n < 0:
+        raise LandauerError(f"n must be non-negative, got {n}")
     if not Fraction(1, 2) <= w < 1:
         raise LandauerError(f"w must satisfy 1/2 <= w < 1, got {w}")
     if not 0 <= delta <= 1 - w:

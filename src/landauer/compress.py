@@ -24,12 +24,18 @@ distinct (kernel, data, helper) calls and their codes alive: callers ask
 compress again rather than pass a code along, and decompress's re-encode
 of data just compressed is a memo hit.  A raising kernel is called again
 every time; decompress itself is not cached.  Under the codes, lz78 keeps
-the parse of its last 4 distinct texts (_lz78_parse): a helper is walked
-once for the encoder and the decoder alike, and data under the empty
-helper is that same walk, so a string that is first a helper and then
-data is walked once.  The Fig. 1 block pass, block_codes, calls each
-kernel once per block outside the memo; its calls share only the
-helper's parse.
+the parse of its last 8 distinct (data, helper) pairs (_lz78_parse): a
+helper is walked once, as data under the empty helper, for the encoder
+and the decoder alike, so a string that is first a helper and then data
+is walked once.  The Fig. 1 block pass, block_codes, calls each kernel
+once per block outside the memo; its calls share the helper's parse.
+
+An estimate reads only a code's length, so it asks each codec for
+code_length, which is len(compress(...)) unless the codec sets _length:
+a function of (data, helper) that must equal that length on every input.
+Only lz78 sets it, and computes the length from the cached parse without
+writing a token.  encode_with_escape and the tape scenarios write codes,
+so they call compress.
 
 Registered codecs:
 
@@ -91,15 +97,24 @@ class CompressionCodec:
     _compress and _decompress must be pure functions of (data, helper):
     compress reuses the codes of its last 16 distinct (kernel, data,
     helper) calls, and keeps those triples and their kernels alive.
+    _length, when set, must equal len(_compress(data, helper)) on every
+    input: code_length returns it without writing the code.
     """
 
     name: str
     id_bits: str
     _compress: Callable[[str, str], str]
     _decompress: Callable[[str, str], str]
+    _length: Callable[[str, str], int] | None = None
 
     def compress(self, data: BitString, helper: BitString) -> BitString:
         return _compressed(self._compress, str(data), str(helper))
+
+    def code_length(self, data: BitString, helper: BitString) -> int:
+        """len(self.compress(data, helper)), written only when _length is unset."""
+        if self._length is not None:
+            return self._length(str(data), str(helper))
+        return len(self.compress(data, helper))
 
     def decompress(self, code: BitString, helper: BitString) -> BitString:
         data = BitString(self._decompress(str(code), str(helper)))
@@ -149,24 +164,38 @@ def _lz78_walk(text: str, child: list[int]) -> tuple[list[int], int]:
     return tokens, slot
 
 
-@functools.lru_cache(maxsize=4)
-def _lz78_parse(text: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(child, tokens, final slot) of `text` walked from the empty
-    dictionary, read-only: a helper's warm-up, and the whole lz78 parse
-    of data under the empty helper."""
-    child = [0, 0]
-    tokens, slot = _lz78_walk(text, child)
-    return tuple(child), tuple(tokens), slot
+@functools.lru_cache(maxsize=8)
+def _lz78_parse(data: str, helper: str) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """(child, tokens, final slot, helper dictionary size) of the lz78
+    parse of `data` under `helper`, read-only.  The trie is kept only
+    under the empty helper: it is the warm-up that a walk under `data` as
+    helper starts from.  Under any other helper child is ()."""
+    child = list(_lz78_parse(helper, "")[0]) if helper else [0, 0]  # the walk grows its own copy
+    size = len(child) // 2 - 1
+    tokens, slot = _lz78_walk(data, child)
+    return () if helper else tuple(child), tuple(tokens), slot, size
+
+
+def _lz78_length(data: str, helper: str) -> int:
+    """len(_lz78_compress(data, helper)) from the parse alone: the gamma
+    header, then each token's index field and next bit, then the index of
+    a final partial phrase."""
+    _, tokens, slot, size = _lz78_parse(data, helper)
+    end = size + len(tokens)
+    # gamma(n + 1) has 2 * (n + 1).bit_length() - 1 bits; a token written at
+    # dictionary size D has D.bit_length() + 1, and over D in range(size, end)
+    # the index widths sum to S(end) - S(size), where S(n) = b*n - 2^b + 1 with
+    # b = (n - 1).bit_length() for n >= 1, and S(0) = S(1) = 0
+    e, z = end or 1, size or 1
+    b, c = (e - 1).bit_length(), (z - 1).bit_length()
+    length = 2 * (len(data) + 1).bit_length() - 1 + len(tokens) + b * e - (1 << b) - c * z + (1 << c)
+    if slot:
+        length += end.bit_length()
+    return length
 
 
 def _lz78_compress(data: str, helper: str) -> str:
-    if helper:
-        child = list(_lz78_parse(helper)[0])  # the walk grows its own copy
-        size = len(child) // 2 - 1
-        tokens, slot = _lz78_walk(data, child)
-    else:
-        size = 0
-        _, tokens, slot = _lz78_parse(data)
+    _, tokens, slot, size = _lz78_parse(data, helper)
     # token (index, bit) is k = 2*index + bit in size.bit_length() + 1 bits;
     # the width changes only when size reaches a power of two, so the
     # template holds one repeated field per run of equal width
@@ -189,7 +218,7 @@ def _lz78_decompress(code: str, helper: str) -> str:
     except MalformedCode:
         raise MalformedCode("lz78: bad length header")
     table = [""]
-    for k in _lz78_parse(helper)[1]:  # a parent's token comes before its child's
+    for k in _lz78_parse(helper, "")[1]:  # a parent's token comes before its child's
         table.append(table[k >> 1] + "01"[k & 1])
     size = len(table) - 1
     produced: list[str] = []
@@ -285,7 +314,7 @@ def _bookmark_decompress(code: str, helper: str) -> str:
 # --- registry -----------------------------------------------------------------
 
 IDENTITY = CompressionCodec("identity", "", _identity_compress, _identity_decompress)
-LZ78 = CompressionCodec("lz78", "0", _lz78_compress, _lz78_decompress)
+LZ78 = CompressionCodec("lz78", "0", _lz78_compress, _lz78_decompress, _lz78_length)
 XOR = CompressionCodec("xor", "1", _xor_compress, _xor_decompress)
 BOOKMARK8 = CompressionCodec("bookmark8", "00", _bookmark_compress, _bookmark_decompress)
 
@@ -320,7 +349,7 @@ def estimate_complexity(data: BitString, helper: BitString) -> ComplexityEstimat
     best = None
     for c in default_family():
         # the tag is charged self-delimited: gamma(len + 1) then the tag
-        cost = len(encode_uint(len(c.id_bits))) + len(c.id_bits) + len(c.compress(data, helper))
+        cost = len(encode_uint(len(c.id_bits))) + len(c.id_bits) + c.code_length(data, helper)
         if best is None or cost < best.bits:
             best = ComplexityEstimate(cost, c.name)
     return best

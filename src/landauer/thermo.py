@@ -65,8 +65,8 @@ class EnergyLedger:
 
 def coded_length(codec: CompressionCodec, data: BitString, helper: BitString) -> int:
     """Self-delimited length of the codec's output on (data, helper)."""
-    code = codec.compress(data, helper)
-    return len(encode_uint(len(code))) + len(code)
+    n = codec.code_length(data, helper)
+    return len(encode_uint(n)) + n
 
 
 def wv_lower_bound(S: BitString, X: BitString, codec: CompressionCodec) -> int:

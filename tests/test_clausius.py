@@ -49,8 +49,19 @@ def ratio_oracle(n, w, delta):
         ),
         (lambda: imbalance_ratio_exact(4, Fraction(1, 4), Fraction(1, 4)), "w must satisfy 1/2 <= w < 1, got 1/4"),
         (lambda: imbalance_ratio_exact(4, Fraction(3, 4), Fraction(1, 2)), "delta must satisfy 0 <= delta <= 1-w, got 1/2"),
+        (lambda: imbalance_ratio_exact(-4, Fraction(1, 2), Fraction(1, 4)), "n must be non-negative, got -4"),
+        (lambda: imbalance_tail_exact(-4, Fraction(1, 2), Fraction(1, 4)), "n must be non-negative, got -4"),
+        (lambda: clausius_experiment(-4, Fraction(1, 2), Fraction(1, 4), 1, 0), "n must be non-negative, got -4"),
     ],
-    ids=["weights-outside-0-n", "width-not-2n", "w-outside-range", "delta-outside-range"],
+    ids=[
+        "weights-outside-0-n",
+        "width-not-2n",
+        "w-outside-range",
+        "delta-outside-range",
+        "negative-n-ratio",
+        "negative-n-tail",
+        "negative-n-experiment",
+    ],
 )
 def test_refusals_name_what_is_wrong(call, message):
     with pytest.raises(LandauerError, match=f"^{re.escape(message)}$"):

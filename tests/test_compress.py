@@ -5,10 +5,13 @@ oracles below (plain phrase-parse arithmetic, no library imports) and are
 frozen as literals next to the oracle calls that reproduce them.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from landauer import compress
 from landauer.bitstring import BitString, decode_uint, encode_self_delimiting
 from landauer.compress import (
     BOOKMARK8,
@@ -17,7 +20,9 @@ from landauer.compress import (
     XOR,
     CompressionCodec,
     _compressed,
+    _lz78_compress,
     _lz78_parse,
+    _lz78_walk,
     default_family,
     encode_with_escape,
     decode_with_escape,
@@ -126,20 +131,31 @@ def test_lz78_bulk_roundtrip_long_strings():
         assert LZ78.decompress(LZ78.compress(s, EMPTY), EMPTY) == s
 
 
-def test_lz78_parse_is_walked_once_per_text():
+def test_lz78_texts_are_walked_once_and_estimates_write_no_code(monkeypatch):
+    walks, writes = [], []
+
+    def walk(text, child):
+        walks.append(text)
+        return _lz78_walk(text, child)
+
+    def write(data, helper):
+        writes.append((data, helper))
+        return _lz78_compress(data, helper)
+
+    monkeypatch.setattr(compress, "_lz78_walk", walk)
+    monkeypatch.setattr(compress, "LZ78", dataclasses.replace(LZ78, _compress=write))
     _compressed.cache_clear()
     _lz78_parse.cache_clear()
-    # helpers a, pair_helper(a, b), b and the pair again; then data a, b, x, y, a + b
-    # under the empty helper, a and b each the same walk as their warm-up
+    # helpers a, pair_helper(a, b) and b, with x and y under them; then x, y
+    # and a + b under the empty helper, a and b each its warm-up's walk
     pr_report(generate_pr_quadruple(1024, 3))
-    info = _lz78_parse.cache_info()
-    assert (info.misses, info.hits) == (6, 3)
+    assert (len(walks), len(writes)) == (10, 0)
     _lz78_parse.cache_clear()
+    walks.clear()
     rng = substream(25, "reuse")
     s, x = random_bits(rng, 512), random_bits(rng, 256)
-    assert LZ78.decompress(LZ78.compress(s, x), x) == s  # the decoder reuses x's walk
-    info = _lz78_parse.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert compress.LZ78.decompress(compress.LZ78.compress(s, x), x) == s  # the decoder reuses x's walk
+    assert (len(walks), len(writes)) == (2, 1)
 
 
 def test_lz78_mismatched_helper_never_silently_succeeds():

@@ -64,6 +64,8 @@ from landauer.compress import (
     ComplexityEstimate,
     CompressionCodec,
     _compressed,
+    _lz78_compress,
+    _lz78_length,
     _lz78_parse,
     default_family,
     encode_with_escape,
@@ -440,7 +442,29 @@ def test_lz78_compress_never_grows_the_cached_helper_parse(d1, d2, h):
     code = LZ78.compress(BitString(d2), BitString(h))
     assert str(code) == ref_lz78_compress(d2, h)
     assert LZ78.decompress(code, BitString(h)) == BitString(d2)
-    assert all(type(part) is tuple for part in _lz78_parse(h)[:2])
+    assert all(type(part) is tuple for part in _lz78_parse(h, "")[:2])
+
+
+@given(data_helper())
+@example(("", ""))
+@example(("", "0110"))
+@example(("010", ""))  # a final partial phrase "0"
+@example(("0", "0"))  # data that is all one helper phrase: an index-only token
+@lz78_width_examples  # helper dictionaries of 2^k - 1 and 2^k phrases
+@settings(max_examples=300)
+def test_lz78_length_is_the_length_of_the_written_code(pair):
+    data, helper = pair
+    assert _lz78_length(data, helper) == len(_lz78_compress(data, helper))
+
+
+@pytest.mark.parametrize("codec", default_family() + (MARKS,), ids=lambda c: c.name)
+@given(data_helper())
+@example(("", ""))
+@example(("00000000", "0"))
+@settings(max_examples=100)
+def test_code_length_is_the_length_of_the_code(codec, pair):
+    data, helper = BitString(pair[0]), BitString(pair[1])
+    assert codec.code_length(data, helper) == len(codec.compress(data, helper))
 
 
 @given(data_helper())

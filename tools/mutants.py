@@ -122,6 +122,13 @@ MUTANTS = (
         ("tests/test_clausius.py::test_random_conservative_circuit_draws_equal_random_sample",),
     ),
     Mutant(
+        "grid-accepts-negative-n",
+        "clausius.py",
+        '    if n < 0:\n        raise LandauerError(f"n must be non-negative, got {n}")\n',
+        "",
+        ("tests/test_clausius.py::test_refusals_name_what_is_wrong[negative-n-ratio]",),
+    ),
+    Mutant(
         "states-refused-at-the-ceiling",
         "circuits.py",
         "states > 1 << width",
@@ -143,11 +150,18 @@ MUTANTS = (
         ("tests/test_circuits.py::test_normalize_to_toffoli_returns_a_toffoli_only_circuit_itself",),
     ),
     Mutant(
-        "lz78-parse-cache-of-2",
+        "lz78-parse-cache-of-4",
         "compress.py",
+        "@functools.lru_cache(maxsize=8)\ndef _lz78_parse",
         "@functools.lru_cache(maxsize=4)\ndef _lz78_parse",
-        "@functools.lru_cache(maxsize=2)\ndef _lz78_parse",
-        ("tests/test_compress.py::test_lz78_parse_is_walked_once_per_text",),
+        ("tests/test_compress.py::test_lz78_texts_are_walked_once_and_estimates_write_no_code",),
+    ),
+    Mutant(
+        "lz78-length-without-final-slot",
+        "compress.py",
+        "    if slot:\n        length += end.bit_length()\n",
+        "",
+        ("tests/test_reference_kernels.py::test_lz78_length_is_the_length_of_the_written_code",),
     ),
     Mutant(
         "lz78-run-one-token-too-long",
