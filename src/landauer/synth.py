@@ -21,13 +21,16 @@ absorbs the mode bit, which is what makes the padded map a bijection.
 Synthesis strategy: the block map, extended to a permutation of the
 register cube by matching leftover points to their mode-flipped partners,
 differs from the bare mode-bit flip only where the codec actually
-compresses.  That sparse residue is decomposed into transpositions of
-basis states, each realized exactly as a CNOT/NOT-conjugated
-multi-controlled flip built from Toffoli gates over a small bank of
-reusable zero ancillas.  Gate count therefore scales with the number of
-compressible blocks, not with 2^block, and the whole line set stays small
-enough for exhaustive bijectivity sweeps.  The helper is baked into the
-encoding table and carried on inert HELPER lines, unchanged by every gate.
+compresses.  The build computes only that sparse residue, from the
+compressed blocks alone, and decomposes it into transpositions of basis
+states, each realized exactly as a CNOT/NOT-conjugated multi-controlled
+flip built from Toffoli gates over a small bank of reusable zero
+ancillas.  Gate count and the build's own work therefore scale with the
+number of compressible blocks, not with 2^block (the block pass still
+runs the kernels on all 2^block blocks, and the checks sweep the
+register), and the whole line set stays small enough for exhaustive
+bijectivity sweeps.  The helper is baked into the encoding table and
+carried on inert HELPER lines, unchanged by every gate.
 
 The build and fig1_block_oracle read one checked block table: one text
 pass of compress.block_codes runs the kernels on each of the 2^block blocks
@@ -216,11 +219,12 @@ def _transposition_gates(u: int, v: int, register: Sequence[int], chain: Sequenc
 
 
 def _cycles(perm: dict[int, int]) -> list[list[int]]:
+    """The cycles of a permutation whose every key moves (it holds no
+    fixed point), each from its least point, in ascending order of it."""
     seen: set[int] = set()
     out = []
     for start in sorted(perm):
-        if start in seen or perm[start] == start:
-            seen.add(start)
+        if start in seen:
             continue
         cyc = [start]
         seen.add(start)
@@ -248,38 +252,26 @@ def build_fig1_compressor(
     injective by construction and can be swept exhaustively.
 
     Raises CodecNotInjective when the codec fails the round trip on the
-    block domain.  The build enumerates the register cube, so a register
-    of block+1 lines above the sweep ceiling raises DomainTooLarge before
-    any codec call.
+    block domain.  The block pass runs the codec on all 2^block blocks and
+    the checks sweep the register, so a register of block+1 lines above
+    the sweep ceiling raises DomainTooLarge before any codec call; past
+    that pass, the build's work scales with the compressed blocks.
     """
-    # The data sits on lines 1..block and line 0 takes the mode bit, so the
-    # raw branch is a bare flip of line 0.
+    # The data sits on lines 1..block and line 0 takes the mode bit.  A raw
+    # code is key | 1, which the final flip of line 0 undoes, so only a
+    # compressed block moves: key x goes to c | 1 for its code mask c, and
+    # those points take back the keys, each list in ascending order.
     codes = _fig1_codes(codec, block, helper)
-    table = {_to_mask(format(v, f"0{block}b")) << 1: _to_mask(code) for v, code in enumerate(codes)}
-    used = set(table.values())
+    sigma = {
+        _to_mask(format(v, f"0{block}b")) << 1: _to_mask(code) | 1
+        for v, code in enumerate(codes)
+        if code[0] == "0"
+    }
+    sigma |= zip(sorted(sigma.values()), sorted(sigma))
     reg_width = block + 1
 
-    # Extend to a permutation: leftover points prefer their mode-flipped
-    # partner, which makes the residue permutation sparse.
-    deferred: list[int] = []
-    for v in range(1 << reg_width):
-        if v in table:
-            continue
-        pref = v ^ 1
-        if pref not in used:
-            table[v] = pref
-            used.add(pref)
-        else:
-            deferred.append(v)
-    leftover_images = sorted(set(range(1 << reg_width)) - used)
-    for v, img in zip(deferred, leftover_images):
-        table[v] = img
-
-    sigma = {x: y ^ 1 for x, y in table.items()}  # the final flip of line 0 absorbs the raw branch
-    moved = {x for x, y in sigma.items() if y != x}
-
     register = tuple(range(reg_width))
-    chain_count = max(0, reg_width - 3) if moved else 0
+    chain_count = max(0, reg_width - 3) if sigma else 0
     chain = tuple(range(reg_width, reg_width + chain_count))
 
     gates: list[Gate] = []
@@ -340,7 +332,9 @@ def _fig1_table(codec: CompressionCodec, block: int, helper: BitString) -> tuple
     # fails the checks fails on every call.  A pure codec never trips the
     # collision check (block_codes round-trips each block, and escape codes
     # are prefix-free); it stays because an impure kernel or a patched block
-    # pass would otherwise hang build_fig1_compressor in _cycles.
+    # pass could give two blocks one code.  Two compressed blocks sharing a
+    # code would leave the build's sigma no permutation, and _cycles, which
+    # takes every key to move, would hang on it.
     codes = tuple(code.ljust(block + 1, "0") for code in block_codes(codec, block, helper))
     seen: set[str] = set()
     for v, code in enumerate(codes):

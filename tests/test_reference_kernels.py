@@ -6,7 +6,8 @@ condition, per-line state packing and table assembly, sort-based
 injectivity, per-bit mask conversions, a scalar gate interpreter over
 bit masks, 2-D-indexed gate sweep, per-role constant-line check,
 dict-walking netlist evaluation, a name-map Bennett compile loop, the
-per-block BitString loop of the Fig. 1 table).  Every
+per-block BitString loop of the Fig. 1 table and the point-by-point walk
+of the register cube that extends it to a permutation).  Every
 kernel must return exactly the reference's output.  A cached structure (a circuit's
 permutation table, a weight class's rows) must equal a fresh build, be
 the same object on a second call, and refuse writes.
@@ -73,7 +74,7 @@ from landauer.compress import (
 )
 from landauer.errors import BadConstantLine, CodecNotInjective, DomainTooLarge, NotConservative
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
-from landauer.synth import _fig1_codes
+from landauer.synth import _fig1_codes, _transposition_gates, build_fig1_compressor
 
 # --- references ------------------------------------------------------------------
 
@@ -128,6 +129,42 @@ def ref_fig1_table(codec, block: int, helper: BitString) -> dict[int, int]:
         used.add(e)
         table[_to_mask(data) << 1] = e
     return table
+
+
+def ref_fig1_permutation(codec, block: int, helper: BitString) -> dict[int, int]:
+    """The Fig. 1 block table extended point by point over the whole
+    (block+1)-line register cube: a leftover point takes its mode-flipped
+    partner when no block took it, the rest take the free points in order;
+    then the final flip of line 0 is factored out of every image."""
+    table = ref_fig1_table(codec, block, helper)
+    cube = range(1 << (block + 1))
+    used = set(table.values())
+    deferred = []
+    for v in cube:
+        if v in table:
+            continue
+        if v ^ 1 in used:
+            deferred.append(v)
+        else:
+            table[v] = v ^ 1
+            used.add(v ^ 1)
+    table.update(zip(deferred, sorted(set(cube) - used)))
+    return {x: y ^ 1 for x, y in table.items()}
+
+
+def ref_cycles(perm: dict[int, int]) -> list[list[int]]:
+    """The cycles of perm that move, each from its least point, in order."""
+    seen: set[int] = set()
+    out = []
+    for start in sorted(perm):
+        if start in seen or perm[start] == start:
+            continue
+        cyc = [start]
+        while perm[cyc[-1]] != start:
+            cyc.append(perm[cyc[-1]])
+        seen.update(cyc)
+        out.append(cyc)
+    return out
 
 
 def ref_gamma(m: int) -> str:
@@ -410,6 +447,18 @@ def _marks_decompress(code: str, helper: str) -> str:
 
 MARKS = CompressionCodec("marks", "10", _marks_compress, _marks_decompress)
 
+# fifteen scattered 8-bit blocks written as the 15 strings of at most 3
+# bits, in shortlex order, so that the compressed branch moves many blocks
+# of one register; every other block is tagged
+_RANKED = [format((37 * r + 11) % 256, "08b") for r in range(15)]
+_RANK = {d: r for r, d in enumerate(_RANKED)}
+RANKS = CompressionCodec(
+    "ranks",
+    "10",
+    lambda d, h: format(_RANK[d] + 1, "b")[1:] if d in _RANK else "1111" + d,
+    lambda c, h: _RANKED[int("1" + c, 2) - 1] if len(c) < 4 else c[4:],
+)
+
 HELPERS = [format(v, f"0{n}b") if n else "" for n in range(5) for v in range(1 << n)]
 
 
@@ -489,6 +538,24 @@ def test_fig1_table_equals_the_per_block_reference(codec):
             assert table == list(ref_fig1_table(codec, block, helper).items())
     if codec is MARKS:  # the compressed branch, at three code lengths
         assert {len(encode_with_escape(MARKS, BitString(m), BitString())) for m in _MARKS} == {5, 6, 9}
+
+
+@pytest.mark.parametrize("codec", default_family() + (MARKS, RANKS), ids=lambda c: c.name)
+def test_fig1_build_transposes_the_cycles_of_the_dense_permutation(codec):
+    longest = 0
+    for helper, block in product(map(BitString, ("", "1", "10", "011", "0110", "10110100")), range(1, 9)):
+        sigma = ref_fig1_permutation(codec, block, helper)
+        assert sorted(sigma.values()) == sorted(sigma) == list(range(1 << (block + 1)))
+        cycles = ref_cycles(sigma)
+        register = tuple(range(block + 1))
+        chain = tuple(range(block + 1, 2 * block - 1)) if cycles else ()
+        want = [g for cyc in cycles for v in cyc[1:] for g in _transposition_gates(cyc[0], v, register, chain)]
+        circuit = build_fig1_compressor(codec, block, helper).circuit
+        assert circuit.gates == (*want, not_gate(0))
+        assert circuit.width == block + 1 + len(chain) + len(helper)
+        longest = max([longest, *map(len, cycles)])
+    if codec in (MARKS, RANKS):  # cycles longer than a swap
+        assert longest > 2
 
 
 @pytest.mark.parametrize("codec", default_family() + (MARKS,), ids=lambda c: c.name)

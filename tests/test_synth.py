@@ -19,6 +19,7 @@ from landauer.circuits import (
     ReversibleCircuit,
     check_injective_bruteforce,
     cnot,
+    not_gate,
     permutation_table,
     simulate,
 )
@@ -355,6 +356,16 @@ def test_fig1_lz78_all_raw_at_block8():
     assert verify_compiled(comp, oracle).ok
     assert comp.circuit.gate_count() == 1
     assert check_injective_bruteforce(comp.circuit, comp.circuit.width)
+
+
+@pytest.mark.parametrize("helper", ["10", "011", "0110"])
+@pytest.mark.parametrize("codec", [XOR, LZ78, IDENTITY], ids=lambda c: c.name)
+def test_fig1_all_raw_block8_is_one_mode_flip_without_chain_ancillas(codec, helper):
+    # no block compresses, so nothing moves but the mode line
+    comp = build_fig1_compressor(codec, 8, BitString(helper))
+    assert comp.circuit.gates == (not_gate(0),)
+    assert comp.ancilla_lines == ()
+    assert comp.circuit.width == 9 + len(helper)
 
 
 def test_fig1_xor_matches_its_oracle():

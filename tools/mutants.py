@@ -129,6 +129,34 @@ MUTANTS = (
         ("tests/test_clausius.py::test_refusals_name_what_is_wrong[negative-n-ratio]",),
     ),
     Mutant(
+        "fig1-pairs-keys-in-reverse",
+        "synth.py",
+        "zip(sorted(sigma.values()), sorted(sigma))",
+        "zip(sorted(sigma.values()), sorted(sigma, reverse=True))",
+        ("tests/test_reference_kernels.py::test_fig1_build_transposes_the_cycles_of_the_dense_permutation",),
+    ),
+    Mutant(
+        "fig1-pairs-keys-in-block-order",
+        "synth.py",
+        "zip(sorted(sigma.values()), sorted(sigma))",
+        "zip(sorted(sigma.values()), list(sigma))",
+        ("tests/test_reference_kernels.py::test_fig1_build_transposes_the_cycles_of_the_dense_permutation",),
+    ),
+    Mutant(
+        "fig1-pairs-codes-in-block-order",
+        "synth.py",
+        "zip(sorted(sigma.values()), sorted(sigma))",
+        "zip(list(sigma.values()), sorted(sigma))",
+        ("tests/test_reference_kernels.py::test_fig1_build_transposes_the_cycles_of_the_dense_permutation",),
+    ),
+    Mutant(
+        "fig1-chain-when-nothing-moves",
+        "synth.py",
+        "max(0, reg_width - 3) if sigma else 0",
+        "max(0, reg_width - 3)",
+        ("tests/test_synth.py::test_fig1_all_raw_block8_is_one_mode_flip_without_chain_ancillas",),
+    ),
+    Mutant(
         "states-refused-at-the-ceiling",
         "circuits.py",
         "states > 1 << width",
