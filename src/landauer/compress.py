@@ -27,8 +27,8 @@ every time; decompress itself is not cached.  Under the codes, lz78 keeps
 the parse of its last 8 distinct (data, helper) pairs (_lz78_parse): a
 helper is walked once, as data under the empty helper, for the encoder
 and the decoder alike, so a string that is first a helper and then data
-is walked once.  The Fig. 1 block pass, block_codes, calls each kernel
-once per block outside the memo; its calls share the helper's parse.
+is walked once.  The Fig. 1 block pass, block_codes, runs outside the
+memo: one _codes call (lz78, xor) and one decompress call per block.
 
 An estimate reads only a code's length, so it asks each codec for
 code_length, which is len(compress(...)) unless the codec sets _length:
@@ -98,7 +98,9 @@ class CompressionCodec:
     compress reuses the codes of its last 16 distinct (kernel, data,
     helper) calls, and keeps those triples and their kernels alive.
     _length, when set, must equal len(_compress(data, helper)) on every
-    input: code_length returns it without writing the code.
+    input: code_length returns it without writing the code.  _codes, when
+    set, must return [_compress(format(v, f"0{block}b"), helper) for v in
+    range(1 << block)], which block_codes then reads in one call.
     """
 
     name: str
@@ -106,6 +108,7 @@ class CompressionCodec:
     _compress: Callable[[str, str], str]
     _decompress: Callable[[str, str], str]
     _length: Callable[[str, str], int] | None = None
+    _codes: Callable[[int, str], list[str]] | None = None
 
     def compress(self, data: BitString, helper: BitString) -> BitString:
         return _compressed(self._compress, str(data), str(helper))
@@ -194,22 +197,57 @@ def _lz78_length(data: str, helper: str) -> int:
     return length
 
 
-def _lz78_compress(data: str, helper: str) -> str:
-    _, tokens, slot, size = _lz78_parse(data, helper)
+def _lz78_template(size: int, n: int, count: int, partial: bool) -> str:
+    """Format template of an lz78 code of n bits: `count` tokens after `size` helper
+    phrases, then a final partial phrase's index if `partial` (else format drops it)."""
     # token (index, bit) is k = 2*index + bit in size.bit_length() + 1 bits;
     # the width changes only when size reaches a power of two, so the
     # template holds one repeated field per run of equal width
-    template = [_gamma(len(data) + 1)]
-    left = len(tokens)
-    while left:
+    template = [_gamma(n + 1)]
+    while count:
         w = size.bit_length()
-        run = min((1 << w) - size, left)
+        run = min((1 << w) - size, count)
         template.append(f"{{:0{w + 1}b}}" * run)
         size += run
-        left -= run
-    if slot:  # final partial phrase: index only, no next bit
+        count -= run
+    if partial:  # final partial phrase: index only, no next bit
         template.append(f"{{:0{size.bit_length()}b}}")
-    return "".join(template).format(*tokens, slot >> 1)  # format ignores an unused last argument
+    return "".join(template)
+
+
+def _lz78_compress(data: str, helper: str) -> str:
+    _, tokens, slot, size = _lz78_parse(data, helper)
+    return _lz78_template(size, len(data), len(tokens), slot > 0).format(*tokens, slot >> 1)
+
+
+def _lz78_codes(block: int, helper: str) -> list[str]:
+    """_lz78_compress of every `block`-bit value in value order, from one
+    depth-first walk of the tree of values on one copy of the helper's trie."""
+    child = list(_lz78_parse(helper, "")[0]) if helper else [0, 0]
+    size, tokens, codes = len(child) // 2 - 1, [], []
+    templates: dict[tuple[int, bool], str] = {}  # by (token count, final partial phrase), this call only
+
+    def descend(depth: int, slot: int) -> None:
+        if depth == block:
+            key = (len(tokens), slot > 0)
+            if key not in templates:
+                templates[key] = _lz78_template(size, block, *key)
+            codes.append(templates[key].format(*tokens, slot >> 1))
+            return
+        for k in (slot, slot + 1):
+            if child[k]:
+                descend(depth + 1, child[k])
+            else:  # a new phrase: add it, parse on from the empty phrase, then remove it
+                tokens.append(k)
+                child[k] = len(child)
+                child.extend((0, 0))
+                descend(depth + 1, 0)
+                del child[-2:]
+                child[k] = 0
+                tokens.pop()
+
+    descend(0, 0)
+    return codes
 
 
 def _lz78_decompress(code: str, helper: str) -> str:
@@ -271,6 +309,14 @@ def _xor_compress(data: str, helper: str) -> str:
     return "1" + payload
 
 
+def _xor_codes(block: int, helper: str) -> list[str]:
+    """_xor_compress of each `block`-bit value v in order: payload v ^ mask, run-length at v == mask."""
+    mask = int(helper[:block] or "0", 2) << max(block - len(helper), 0)
+    codes = [f"1{v ^ mask:0{block}b}" for v in range(1 << block)]
+    codes[mask] = "0" + str(encode_uint(block))
+    return codes
+
+
 def _xor_decompress(code: str, helper: str) -> str:
     if not code:
         raise MalformedCode("xor: empty code")
@@ -314,8 +360,8 @@ def _bookmark_decompress(code: str, helper: str) -> str:
 # --- registry -----------------------------------------------------------------
 
 IDENTITY = CompressionCodec("identity", "", _identity_compress, _identity_decompress)
-LZ78 = CompressionCodec("lz78", "0", _lz78_compress, _lz78_decompress, _lz78_length)
-XOR = CompressionCodec("xor", "1", _xor_compress, _xor_decompress)
+LZ78 = CompressionCodec("lz78", "0", _lz78_compress, _lz78_decompress, _lz78_length, _lz78_codes)
+XOR = CompressionCodec("xor", "1", _xor_compress, _xor_decompress, _codes=_xor_codes)
 BOOKMARK8 = CompressionCodec("bookmark8", "00", _bookmark_compress, _bookmark_decompress)
 
 
@@ -414,17 +460,21 @@ def decode_with_escape(
 
 def block_codes(codec: CompressionCodec, block: int, helper: BitString) -> list[str]:
     """The escape code of each `block`-bit value under `helper`, as text in
-    value order, after its round trip; each kernel runs once per value,
-    outside the compress memo.  A kernel output other than bits raises
-    LandauerError (a compress output before its decompress), and a failed
-    round trip CodecNotInjective."""
+    value order, after its round trip, outside the compress memo: one _codes
+    call if the codec sets it, else one compress per value, and one decompress
+    per value.  A _codes list of the wrong length or a kernel output other than
+    bits raises LandauerError (a compress output before its decompress), and a
+    failed round trip CodecNotInjective."""
     compress, decompress = codec._compress, codec._decompress
     h = str(helper)
     width = f"0{block}b"
+    batch = None if codec._codes is None else codec._codes(block, h)
+    if batch is not None and len(batch) != 1 << block:
+        raise LandauerError(f"{codec.name} wrote {len(batch)} block codes for {1 << block} blocks")
     codes = []
     for v in range(1 << block):
         d = format(v, width)
-        code = compress(d, h)
+        code = compress(d, h) if batch is None else batch[v]
         if code.strip("01"):
             raise LandauerError(f"{codec.name} compress wrote other than bits: {code!r}")
         back = decompress(code, h)

@@ -27,14 +27,14 @@ states, each realized exactly as a CNOT/NOT-conjugated multi-controlled
 flip built from Toffoli gates over a small bank of reusable zero
 ancillas.  Gate count and the build's own work therefore scale with the
 number of compressible blocks, not with 2^block (the block pass still
-runs the kernels on all 2^block blocks, and the checks sweep the
-register), and the whole line set stays small enough for exhaustive
+decompresses all 2^block blocks, and the checks sweep the register),
+and the whole line set stays small enough for exhaustive
 bijectivity sweeps.  The helper is baked into the encoding table and
 carried on inert HELPER lines, unchanged by every gate.
 
-The build and fig1_block_oracle read one checked block table: one text
-pass of compress.block_codes runs the kernels on each of the 2^block blocks
-once, and the codes, zero-padded to block+1 bits, are checked for a
+The build and fig1_block_oracle read one checked block table: one pass of
+compress.block_codes (one compress call for lz78 and xor, one decompress
+per block), whose codes, zero-padded to block+1 bits, are checked for a
 collision.  The oracle wraps these texts; the build reads them as line
 masks (_to_mask).  Only the last table is cached: a build is verified
 right after it, and consecutive builds seldom share (codec, block,
@@ -252,10 +252,10 @@ def build_fig1_compressor(
     injective by construction and can be swept exhaustively.
 
     Raises CodecNotInjective when the codec fails the round trip on the
-    block domain.  The block pass runs the codec on all 2^block blocks and
-    the checks sweep the register, so a register of block+1 lines above
-    the sweep ceiling raises DomainTooLarge before any codec call; past
-    that pass, the build's work scales with the compressed blocks.
+    block domain.  The block pass decompresses all 2^block blocks and the
+    checks sweep the register, so a register of block+1 lines above the
+    sweep ceiling raises DomainTooLarge before any codec call; past that
+    pass, the build's work scales with the compressed blocks.
     """
     # The data sits on lines 1..block and line 0 takes the mode bit.  A raw
     # code is key | 1, which the final flip of line 0 undoes, so only a

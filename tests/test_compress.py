@@ -23,13 +23,14 @@ from landauer.compress import (
     _lz78_compress,
     _lz78_parse,
     _lz78_walk,
+    block_codes,
     default_family,
     encode_with_escape,
     decode_with_escape,
     estimate_complexity,
 )
 from landauer.demon import run_erase_then_extract, run_extract_then_erase
-from landauer.errors import MalformedCode
+from landauer.errors import CodecNotInjective, LandauerError, MalformedCode
 from landauer.prbox import generate_pr_quadruple, pr_report
 from landauer.rng import random_bits, substream
 from landauer.thermo import erasure_cost_interval, wv_report
@@ -156,6 +157,52 @@ def test_lz78_texts_are_walked_once_and_estimates_write_no_code(monkeypatch):
     s, x = random_bits(rng, 512), random_bits(rng, 256)
     assert compress.LZ78.decompress(compress.LZ78.compress(s, x), x) == s  # the decoder reuses x's walk
     assert (len(walks), len(writes)) == (2, 1)
+
+
+def test_the_lz78_block_pass_walks_its_helper_alone():
+    s, x, h = BitString("0110" * 16), BitString("10011"), BitString("0110100111")
+    _lz78_parse.cache_clear()
+    LZ78.code_length(s, x)  # walks x, then s under x
+    block_codes(LZ78, 8, h)
+    assert _lz78_parse.cache_info().misses == 3  # the helper's walk; no record per block
+    LZ78.code_length(s, x)
+    assert _lz78_parse.cache_info().misses == 3  # and it evicted neither earlier record
+
+
+def _batched(codec, edit=lambda outputs: outputs):
+    """codec with _codes set to its own per-value loop, passed through edit."""
+
+    def codes(block, helper):
+        return edit([codec._compress(format(v, f"0{block}b"), helper) for v in range(1 << block)])
+
+    return dataclasses.replace(codec, name="batched", _codes=codes)
+
+
+@pytest.mark.parametrize("edit", [lambda o: o[:-1], lambda o: o + ["0"], lambda o: []], ids=["short", "long", "empty"])
+def test_a_batch_of_the_wrong_length_is_refused(edit):
+    with pytest.raises(LandauerError, match="batched wrote .* block codes for 16 blocks"):
+        block_codes(_batched(IDENTITY, edit), 4, EMPTY)
+
+
+def test_a_batch_output_that_is_not_bits_is_refused_before_its_decompress():
+    decompressed = []
+
+    def decompress(code, helper):
+        decompressed.append(code)
+        return code
+
+    codec = _batched(dataclasses.replace(IDENTITY, _decompress=decompress), lambda o: o[:6] + ["01x0"] + o[7:])
+    with pytest.raises(LandauerError, match="batched compress wrote other than bits: '01x0'"):
+        block_codes(codec, 4, EMPTY)
+    assert decompressed == [format(v, "04b") for v in range(6)]
+
+
+def test_a_batch_still_round_trips_every_block():
+    # every block takes the raw branch, so only the round trip can find the
+    # one block that decompresses wrongly
+    broken = dataclasses.replace(IDENTITY, _decompress=lambda code, helper: "1001" if code == "0110" else code)
+    with pytest.raises(CodecNotInjective, match="batched fails round-trip on 0110"):
+        block_codes(_batched(broken), 4, EMPTY)
 
 
 def test_lz78_mismatched_helper_never_silently_succeeds():

@@ -6,6 +6,7 @@ condition, per-line state packing and table assembly, sort-based
 injectivity, per-bit mask conversions, a scalar gate interpreter over
 bit masks, 2-D-indexed gate sweep, per-role constant-line check,
 dict-walking netlist evaluation, a name-map Bennett compile loop, the
+per-value compress loop of a codec's batch block outputs, the
 per-block BitString loop of the Fig. 1 table and the point-by-point walk
 of the register cube that extends it to a permutation).  Every
 kernel must return exactly the reference's output.  A cached structure (a circuit's
@@ -13,6 +14,7 @@ permutation table, a weight class's rows) must equal a fresh build, be
 the same object on a second call, and refuse writes.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -68,6 +70,7 @@ from landauer.compress import (
     _lz78_compress,
     _lz78_length,
     _lz78_parse,
+    block_codes,
     default_family,
     encode_with_escape,
     estimate_complexity,
@@ -461,6 +464,13 @@ RANKS = CompressionCodec(
 
 HELPERS = [format(v, f"0{n}b") if n else "" for n in range(5) for v in range(1 << n)]
 
+_BITS40 = format(random.Random(36).getrandbits(40), "040b")
+
+
+def block_helpers(block: int) -> tuple[str, ...]:
+    """Empty; shorter than the block, as long as it and longer; 40 random bits."""
+    return ("", _BITS40[: block - 1], _BITS40[:block], _BITS40[: block + 3], _BITS40)
+
 
 # --- kernels equal their references --------------------------------------------------
 
@@ -538,6 +548,23 @@ def test_fig1_table_equals_the_per_block_reference(codec):
             assert table == list(ref_fig1_table(codec, block, helper).items())
     if codec is MARKS:  # the compressed branch, at three code lengths
         assert {len(encode_with_escape(MARKS, BitString(m), BitString())) for m in _MARKS} == {5, 6, 9}
+
+
+@pytest.mark.parametrize("codec", [c for c in default_family() if c._codes], ids=lambda c: c.name)
+def test_batch_codes_equal_the_per_value_compress_loop(codec):
+    for block in range(1, 11):
+        for helper in block_helpers(block):
+            loop = [codec._compress(format(v, f"0{block}b"), helper) for v in range(1 << block)]
+            assert codec._codes(block, helper) == loop
+
+
+@pytest.mark.parametrize("codec", default_family(), ids=lambda c: c.name)
+def test_block_codes_are_the_same_from_the_batch_and_the_loop(codec):
+    loop_only = dataclasses.replace(codec, _codes=None)
+    for block in range(1, 11):
+        for helper in map(BitString, block_helpers(block)):
+            assert block_codes(codec, block, helper) == block_codes(loop_only, block, helper)
+    assert {c.name for c in default_family() if c._codes} == {"lz78", "xor"}  # the batch path runs
 
 
 @pytest.mark.parametrize("codec", default_family() + (MARKS, RANKS), ids=lambda c: c.name)

@@ -157,6 +157,42 @@ MUTANTS = (
         ("tests/test_synth.py::test_fig1_all_raw_block8_is_one_mode_flip_without_chain_ancillas",),
     ),
     Mutant(
+        "lz78-codes-undo-leaves-child-set",
+        "compress.py",
+        "                del child[-2:]\n                child[k] = 0\n",
+        "                del child[-2:]\n",
+        ("tests/test_reference_kernels.py::test_batch_codes_equal_the_per_value_compress_loop[lz78]",),
+    ),
+    Mutant(
+        "lz78-codes-undo-keeps-the-token",
+        "compress.py",
+        "                child[k] = 0\n                tokens.pop()\n",
+        "                child[k] = 0\n",
+        ("tests/test_reference_kernels.py::test_batch_codes_equal_the_per_value_compress_loop[lz78]",),
+    ),
+    Mutant(
+        "xor-codes-without-run-length",
+        "compress.py",
+        '    codes[mask] = "0" + str(encode_uint(block))\n',
+        "",
+        ("tests/test_reference_kernels.py::test_batch_codes_equal_the_per_value_compress_loop[xor]",),
+    ),
+    Mutant(
+        "block-codes-batch-length-unchecked",
+        "compress.py",
+        "    if batch is not None and len(batch) != 1 << block:\n"
+        '        raise LandauerError(f"{codec.name} wrote {len(batch)} block codes for {1 << block} blocks")\n',
+        "",
+        ("tests/test_compress.py::test_a_batch_of_the_wrong_length_is_refused",),
+    ),
+    Mutant(
+        "block-codes-batch-skips-round-trip",
+        "compress.py",
+        "        back = decompress(code, h)\n",
+        "        back = decompress(code, h) if batch is None else d\n",
+        ("tests/test_compress.py::test_a_batch_still_round_trips_every_block",),
+    ),
+    Mutant(
         "states-refused-at-the-ceiling",
         "circuits.py",
         "states > 1 << width",
