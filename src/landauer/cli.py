@@ -38,7 +38,7 @@ from .demon import (
     run_extract_then_erase,
     run_xor_copy_extract,
 )
-from .errors import GeneratorMismatch, LandauerError, UnreadableInput, read_text
+from .errors import GeneratorMismatch, LandauerError, read_stdin, read_text
 from .irrev import load_netlist, rom_circuit
 from .prbox import generate_pr_quadruple, pr_report
 from .synth import bennett_compile, build_fig1_compressor
@@ -131,10 +131,7 @@ def _cmd_simulate(args) -> dict:
 def _cmd_compress(args) -> None:
     codec = REGISTRY[args.codec]
     helper = _read_bits(args.helper_file) if args.helper_file else BitString()
-    try:
-        data = BitString("".join(sys.stdin.read().split()))
-    except UnicodeDecodeError as exc:
-        raise UnreadableInput(f"cannot read stdin: {exc}") from None
+    data = BitString("".join(read_stdin().split()))
     if args.decompress:
         print(codec.decompress(data, helper))
     else:

@@ -3,14 +3,17 @@
 Every refusal is a LandauerError, itself a ValueError, so the CLI maps
 this family alone, with MemoryError, onto exit code 1 and a structured
 report.  read_text raises UnreadableInput for a file that cannot be read
-or is not UTF-8; load_json, on top of it, MalformedInput for text that is
-not JSON or is nested too deeply to parse; save_json UnwritableOutput.
+or is not UTF-8, and read_stdin, the one reader of sys.stdin, for a
+closed or unreadable stdin or one that is not UTF-8; load_json, on top of
+read_text, MalformedInput for text that is not JSON or is nested too
+deeply to parse; save_json UnwritableOutput.
 json_field makes a missing or ill-typed document field a MalformedInput.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 
 class LandauerError(ValueError):
@@ -104,6 +107,17 @@ def read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_stdin() -> str:
+    """All of standard input as text; raises UnreadableInput when stdin is
+    closed (Python then sets sys.stdin to None), unreadable or not UTF-8."""
+    if sys.stdin is None:
+        raise UnreadableInput("cannot read stdin: it is closed")
+    try:
+        return sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput(f"cannot read stdin: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def load_json(path: str, what: str):

@@ -187,7 +187,7 @@ def test_injective_bruteforce_on_circuit():
 
 
 def test_injective_bruteforce_domain_cap():
-    for width in (24, 60):  # refused before the 2^width marks are allocated
+    for width in (24, 60):  # refused before the 2^width states' planes are laid out
         with pytest.raises(DomainTooLarge):
             check_injective_bruteforce(ReversibleCircuit(width), width)
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import runpy
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -411,6 +412,21 @@ def test_stdin_that_is_not_utf8_is_unreadable_input(monkeypatch):
         "type": "UnreadableInput",
         "message": "cannot read stdin: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     }
+
+
+def test_closed_stdin_is_unreadable_input(monkeypatch):
+    error = {"type": "UnreadableInput", "message": "cannot read stdin: it is closed"}
+    # the shell closes fd 0 before it starts the CLI, so Python sets sys.stdin to None
+    argv = ["sh", "-c", 'exec "$0" -m landauer.cli compress --codec lz78 <&-', sys.executable]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(done.stdout)["error"] == error
+    monkeypatch.setattr(sys, "stdin", None)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["compress", "--codec", "lz78"]) == 1
+    assert json.loads(out.getvalue())["error"] == error
 
 
 def test_reports_carry_reproducibility_fields():

@@ -63,6 +63,7 @@ from landauer.circuits import (
 )
 from landauer.compress import (
     LZ78,
+    REGISTRY,
     XOR,
     ComplexityEstimate,
     CompressionCodec,
@@ -400,7 +401,7 @@ def circuits_of_width(draw, widths=st.integers(1, 17)):
     makers = [(not_gate, 1), (cnot, 2), (toffoli, 3), (fredkin, 3)]
     makers = [(make, arity) for make, arity in makers if arity <= w]
     gates = []
-    for _ in range(draw(st.integers(0, 24))):
+    for _ in range(draw(st.integers(0, 24 if makers else 0))):
         make, arity = draw(st.sampled_from(makers))
         lines = draw(st.lists(st.integers(0, w - 1), min_size=arity, max_size=arity, unique=True))
         gates.append(make(*lines))
@@ -702,6 +703,49 @@ def test_cached_table_is_refused_under_a_lower_ceiling(monkeypatch):
     for sweep in sweeps:
         with pytest.raises(DomainTooLarge):
             sweep(c)
+    # a fresh circuit holds no table, and is refused before any plane is laid out
+    monkeypatch.setattr(circuits, "_cube_planes", lambda width: pytest.fail("cube planes laid out"))
+    with pytest.raises(DomainTooLarge):
+        check_injective_bruteforce(dataclasses.replace(c), 6)
+
+
+BOOKMARK8_FIG1 = build_fig1_compressor(REGISTRY["bookmark8"], 8, BitString("00")).circuit  # 17 lines, 32 gates
+
+
+@given(circuits_of_width(st.integers(0, 12)))
+@example(ReversibleCircuit(0))
+@example(ReversibleCircuit(1, (not_gate(0),)))
+@example(ReversibleCircuit(2, (cnot(0, 1), cnot(1, 0))))
+@example(BOOKMARK8_FIG1)
+@settings(max_examples=100, deadline=None)
+def test_plane_sweep_agrees_with_the_marking_pass(c):
+    twin = dataclasses.replace(c)
+    permutation_table(twin)  # the twin holds its table, so it takes the marking pass
+    assert check_injective_bruteforce(c, c.width) is check_injective_bruteforce(twin, c.width) is True
+    assert "_table" not in c.__dict__  # the sweep built no table
+
+
+def test_plane_sweep_refuses_a_kernel_that_copies():
+    """With cnot copying its control line instead of adding it, the map
+    merges states, and no run back recovers them."""
+    kernel = circuits._apply
+
+    def copying(prog, rows, ones):
+        for step in prog:
+            if step[0] == CNOT:
+                rows[step[3]][...] = rows[step[2]]  # in place: the rows are views of the planes
+            else:
+                kernel((step,), rows, ones)
+        return rows
+
+    merging = (ReversibleCircuit(2, (cnot(0, 1),)), ReversibleCircuit(5, (toffoli(0, 1, 2), cnot(3, 4), fredkin(4, 0, 1))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuits, "_apply", copying)
+        for c in merging:
+            assert check_injective_bruteforce(c, c.width) is False
+            twin = dataclasses.replace(c)
+            permutation_table(twin)
+            assert check_injective_bruteforce(twin, c.width) is False
 
 
 couples = st.integers(0, 7).flatmap(
@@ -796,10 +840,9 @@ def tables(draw):
 @settings(max_examples=200)
 def test_onto_check_agrees_with_sort_reference(table):
     n = len(table).bit_length() - 1
-    with pytest.MonkeyPatch.context() as mp:
-        # the circuit only fixes the width; its table is the drawn map
-        mp.setattr(circuits, "permutation_table", lambda c: table)
-        assert check_injective_bruteforce(ReversibleCircuit(n), n) is ref_injective_table(table)
+    c = ReversibleCircuit(n)
+    c.__dict__["_table"] = table  # the circuit only fixes the width; the table it holds is the drawn map
+    assert check_injective_bruteforce(c, n) is ref_injective_table(table)
 
 
 @given(bits)

@@ -37,7 +37,8 @@ Every refusal is a LandauerError: no module raises a bare ValueError or
 TypeError, so the CLI, which reports only the LandauerError family and
 MemoryError, never mistakes a fault of the program for a refusal.  Every
 file is opened in errors, the one place that turns an unreadable input
-or unwritable output into a LandauerError.
+or unwritable output into a LandauerError; errors.read_stdin is likewise
+the only code that names sys.stdin, so a closed stdin is a refusal too.
 
 Only circuits imports numpy, inside the functions of its permutation
 table, the one numpy path; every other state batch is Python-int rows.
@@ -240,6 +241,19 @@ def open_calls(tree: ast.Module) -> list[int]:
     Path.open)."""
     calls = (n for n in ast.walk(tree) if isinstance(n, ast.Call))
     return sorted(n.lineno for n in calls if getattr(n.func, "id", getattr(n.func, "attr", "")) == "open")
+
+
+def stdin_sites(tree: ast.Module) -> list[str]:
+    """'function', 'Class.method' or '<module>' for each top-level
+    statement that names stdin: as an attribute (sys.stdin) or imported
+    from sys."""
+    found = []
+    for scope, node in _statements(tree.body, ""):
+        attrs = (n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+        imported = (a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) and n.module == "sys" for a in n.names)
+        if "stdin" in attrs or "stdin" in imported:
+            found.append(scope + getattr(node, "name", "<module>"))
+    return found
 
 
 def _makes_float(node: ast.AST) -> bool:
@@ -483,6 +497,22 @@ def test_only_errors_opens_files():
     stray = {name: lines for name, lines in found.items() if lines and name != "errors.py"}
     assert not stray, f"open called outside errors (module: lines); use read_text, load_json or save_json: {stray}"
     assert found["errors.py"], "errors no longer opens a file: drop this rule's exception"
+
+
+def test_the_stdin_rule_flags_every_way_to_name_stdin():
+    tree = ast.parse(
+        "import os, sys\nfrom sys import stdin\n"
+        "def f():\n    return sys.stdin.read()\n"
+        "def g():\n    return os.sys.stdin\n"
+        "def h(stream=sys.stdout):\n    return stream, stdin_text, sys.stdout\n"
+        "class C:\n    def m(self):\n        return sys.stdin is None\n"
+    )
+    assert stdin_sites(tree) == ["<module>", "f", "g", "C.m"]
+
+
+def test_only_read_stdin_names_stdin():
+    found = sorted(f"{p.stem}.{site}" for p in SOURCES for site in stdin_sites(parse(p)))
+    assert found == ["errors.read_stdin"], f"stdin named outside errors.read_stdin: {found}"
 
 
 def test_the_numpy_rule_flags_imports_at_any_depth():

@@ -266,9 +266,44 @@ MUTANTS = (
     Mutant(
         "read-text-passes-unicode-errors",
         "errors.py",
-        "except (OSError, UnicodeDecodeError) as exc:",
-        "except OSError as exc:",
+        "return fh.read()\n    except (OSError, UnicodeDecodeError) as exc:",
+        "return fh.read()\n    except OSError as exc:",
         ("tests/test_cli.py::test_input_that_does_not_parse_is_refused_with_its_type[s-file-not-utf8]",),
+    ),
+    Mutant(
+        "read-stdin-reads-a-closed-stdin",
+        "errors.py",
+        '    if sys.stdin is None:\n        raise UnreadableInput("cannot read stdin: it is closed")\n',
+        "",
+        ("tests/test_cli.py::test_closed_stdin_is_unreadable_input",),
+    ),
+    Mutant(
+        "injective-sweep-without-reverse-pass",
+        "circuits.py",
+        "_apply(c._prog + c._prog[::-1], list(planes), 0xFF)",
+        "_apply(c._prog, list(planes), 0xFF)",
+        ("tests/test_reference_kernels.py::test_plane_sweep_agrees_with_the_marking_pass",),
+    ),
+    Mutant(
+        "injective-sweep-runs-forward-twice",
+        "circuits.py",
+        "_apply(c._prog + c._prog[::-1], list(planes), 0xFF)",
+        "_apply(c._prog + c._prog, list(planes), 0xFF)",
+        ("tests/test_reference_kernels.py::test_plane_sweep_agrees_with_the_marking_pass",),
+    ),
+    Mutant(
+        "injective-sweep-compares-image-with-itself",
+        "circuits.py",
+        "np.array_equal(planes, cube)",
+        "np.array_equal(planes, planes)",
+        ("tests/test_reference_kernels.py::test_plane_sweep_refuses_a_kernel_that_copies",),
+    ),
+    Mutant(
+        "injective-sweep-refuses-width-0",
+        "circuits.py",
+        "    if not n:  # one state, and no plane to run\n        return True\n",
+        "    if not n:  # one state, and no plane to run\n        return False\n",
+        ("tests/test_reference_kernels.py::test_plane_sweep_agrees_with_the_marking_pass",),
     ),
 )
 
