@@ -11,7 +11,10 @@ into joules.
 
 Exit codes: 0 success, 1 a LandauerError or a result too large for memory
 (structured error report on stdout), 2 usage error.  compress/decompress
-are plain bit-string filters: stdin -> stdout, no report wrapper.
+are plain bit-string filters: stdin -> stdout, no report wrapper.  `main`
+writes its output, report or error report, in one errors.write_stdout
+call; when stdout is closed or the write fails, the UnwritableOutput
+report goes to stderr instead, with exit code 1.
 
 The parser is built once per process, on the first call to `main`, and
 reused: argparse keeps no state between parses, and it looks up
@@ -38,7 +41,7 @@ from .demon import (
     run_extract_then_erase,
     run_xor_copy_extract,
 )
-from .errors import GeneratorMismatch, LandauerError, read_stdin, read_text
+from .errors import GeneratorMismatch, LandauerError, UnwritableOutput, read_stdin, read_text, write_stdout
 from .irrev import load_netlist, rom_circuit
 from .prbox import generate_pr_quadruple, pr_report
 from .synth import bennett_compile, build_fig1_compressor
@@ -60,12 +63,14 @@ def _read_s_x_codec(args) -> tuple[BitString, BitString, CompressionCodec]:
     return _read_bits(args.s_file), _read_bits(args.x_file) if args.x_file else BitString(), REGISTRY[args.codec]
 
 
-def _emit(report: dict, args) -> None:
+def _render(report: dict, args) -> str:
     if args.report == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in _flatten(report):
-            print(line)
+        return _json(report)
+    return "".join(f"{line}\n" for line in _flatten(report))
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _flatten(doc, prefix=""):
@@ -128,14 +133,12 @@ def _cmd_simulate(args) -> dict:
     return {"output": str(simulate(circuit, bits))}
 
 
-def _cmd_compress(args) -> None:
+def _cmd_compress(args) -> str:
     codec = REGISTRY[args.codec]
     helper = _read_bits(args.helper_file) if args.helper_file else BitString()
     data = BitString("".join(read_stdin().split()))
-    if args.decompress:
-        print(codec.decompress(data, helper))
-    else:
-        print(codec.compress(data, helper))
+    coded = codec.decompress(data, helper) if args.decompress else codec.compress(data, helper)
+    return f"{coded}\n"
 
 
 def _cmd_bounds(args) -> dict:
@@ -315,23 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_report(exc: BaseException) -> str:
+    return _json({
+        "tool_version": __version__,
+        "error": {"type": type(exc).__name__, "message": str(exc) or type(exc).__doc__},
+    })
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = 0
     try:
         if args.func is _cmd_compress:  # a plain filter: no report, no --temperature
-            _cmd_compress(args)
-            return 0
-        report = _base_report(args)  # refuses a bad --temperature before any work
-        report.update(args.func(args))
+            out = _cmd_compress(args)
+        else:
+            report = _base_report(args)  # refuses a bad --temperature before any work
+            report.update(args.func(args))
+            out = _render(report, args)
     except (LandauerError, MemoryError) as exc:
-        error = {
-            "tool_version": __version__,
-            "error": {"type": type(exc).__name__, "message": str(exc) or type(exc).__doc__},
-        }
-        print(json.dumps(error, indent=2, sort_keys=True))
+        out, code = _error_report(exc), 1
+    try:
+        write_stdout(out)
+    except UnwritableOutput as exc:  # stdout is gone, so the report goes to stderr
+        sys.stderr.write(_error_report(exc))
         return 1
-    _emit(report, args)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -6,13 +6,15 @@ report.  read_text raises UnreadableInput for a file that cannot be read
 or is not UTF-8, and read_stdin, the one reader of sys.stdin, for a
 closed or unreadable stdin or one that is not UTF-8; load_json, on top of
 read_text, MalformedInput for text that is not JSON or is nested too
-deeply to parse; save_json UnwritableOutput.
+deeply to parse; save_json UnwritableOutput, and write_stdout, the one
+writer of sys.stdout, UnwritableOutput for a closed or failing stdout.
 json_field makes a missing or ill-typed document field a MalformedInput.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 
@@ -118,6 +120,26 @@ def read_stdin() -> str:
         return sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read stdin: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def write_stdout(text: str) -> None:
+    """Write text to standard output and flush it; raises UnwritableOutput
+    when stdout is closed (Python sets sys.stdout to None when the shell
+    closed it) or the write fails, as on a full device or a pipe whose
+    reader has gone.  A failed write first points the stdout descriptor at
+    os.devnull, so the interpreter's flush at exit finds nothing to fail on
+    and prints no second error."""
+    stream = sys.stdout
+    if stream is None or stream.closed:
+        raise UnwritableOutput("cannot write stdout: it is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise UnwritableOutput(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 def load_json(path: str, what: str):

@@ -11,9 +11,10 @@ index, argument index) triple per gate and `output_nodes` the index of
 each output.  `cone` holds the steps of the output cone, the gates some
 output reads directly or through other gates, as (op, argument index,
 argument index, node index) in netlist order.  `evaluate` runs only the
-cone, over one row of 0/1 ints with one slot per node, as `circuits`
-runs gates over a state's lines.  `steps` keeps every gate, since the
-compiler gives each its own line.
+cone, over one row with one slot per node that holds each bit as its
+text's own byte code, 48 for '0' and 49 for '1', so the input text is
+the row's head and the outputs' bytes are the output text.  `steps`
+keeps every gate, since the compiler gives each its own line.
 
 JSON form:
     {"inputs": ["a", "b"],
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .bitstring import _FROM_ROWS, _TO_ROWS, BitString, _trusted
+from .bitstring import BitString, _trusted
 from .errors import LandauerError, WidthMismatch, json_field, load_json, save_json
 
 AND = "and"
@@ -91,17 +93,25 @@ class IrreversibleCircuit:
         object.__setattr__(self, "cone", tuple(cone))
         object.__setattr__(self, "_zeros", (0,) * len(steps))  # evaluate's blank gate slots
         object.__setattr__(self, "output_nodes", output_nodes)
+        # evaluate's output gather, one C call that gives a sequence for any
+        # number of outputs: itemgetter(o) alone gives a bare int, and
+        # itemgetter() is refused
+        one = slice(output_nodes[0], output_nodes[0] + 1) if output_nodes else slice(0)
+        object.__setattr__(self, "_pick", itemgetter(*output_nodes) if len(output_nodes) > 1 else itemgetter(one))
 
 
 def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
     """Standard boolean semantics; returns the output bits in order.
-    Node values are 0/1 ints, so NOT is ^ 1."""
+    Node values are the byte codes 48 ('0') and 49 ('1'), which differ
+    in their last bit alone: AND and OR keep their form, NOT is ^ 1, and
+    XOR is ^ 48 more, since 48 ^ 48 is 0."""
     text = str(input_bits)
     if len(text) != len(c.inputs):
         raise WidthMismatch(f"{len(c.inputs)} inputs expected, got {len(text)} bits")
-    # One slot per node, so a node's index stays its place in the row; a
-    # gate outside the output cone is never run and keeps its 0.
-    value = [*text.encode().translate(_TO_ROWS), *c._zeros]
+    # One slot per node, so a node's index stays its place in the row.  A
+    # gate slot keeps its blank 0 until the cone writes it, and no cone
+    # gate or output reads a slot the cone has not written.
+    value = [*text.encode(), *c._zeros]
     and_, or_, xor_ = AND, OR, XOR  # locals load faster than module globals
     for op, a, b, t in c.cone:
         if op == and_:
@@ -109,10 +119,10 @@ def evaluate(c: IrreversibleCircuit, input_bits: BitString) -> BitString:
         elif op == or_:
             value[t] = value[a] | value[b]
         elif op == xor_:
-            value[t] = value[a] ^ value[b]
+            value[t] = value[a] ^ value[b] ^ 48
         else:
             value[t] = value[a] ^ 1
-    return _trusted(bytes([value[o] for o in c.output_nodes]).translate(_FROM_ROWS).decode())
+    return _trusted(bytes(c._pick(value)).decode())
 
 
 # --- library macros -----------------------------------------------------------
@@ -139,6 +149,8 @@ def random_netlist(num_inputs: int, num_gates: int, rng: random.Random) -> Irrev
     """Random topologically ordered netlist for compiler stress tests."""
     if num_inputs < 1:
         raise LandauerError("random_netlist needs at least one input")
+    if num_gates < 0:
+        raise LandauerError(f"random_netlist needs a non-negative gate count, got {num_gates}")
     names = [f"x{i}" for i in range(num_inputs)]
     gates = []
     pool = list(names)

@@ -429,6 +429,83 @@ def test_closed_stdin_is_unreadable_input(monkeypatch):
     assert json.loads(out.getvalue())["error"] == error
 
 
+def _landauer(argv, redirect="", **kwargs):
+    """The CLI run as a module in a fresh process, its command line ending
+    in the shell redirection `redirect`; stderr is captured as text.  Its
+    stdout is block-buffered, as by default, so that a write can fail at
+    the flush rather than at once."""
+    script = f'exec "$0" -m landauer.cli "$@" {redirect}'
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": src}
+    return subprocess.run(
+        ["sh", "-c", script, sys.executable, *argv], stderr=subprocess.PIPE, text=True, timeout=60, env=env, **kwargs
+    )
+
+
+def _unwritable_stdout(reason):
+    error = {"type": "UnwritableOutput", "message": f"cannot write stdout: {reason}"}
+    return {"tool_version": cli.__version__, "error": error}
+
+
+# a report and the plain filter; the trajectory is longer than a pipe's first write
+STDOUT_COMMANDS = pytest.mark.parametrize(
+    "argv, stdin_text",
+    [
+        (["simulate", "--circuit", "{circuit}", "--input", "0110", "--trajectory"], ""),
+        (["compress", "--codec", "lz78"], "0110\n"),
+    ],
+    ids=["simulate", "compress"],
+)
+
+
+def _stdout_argv(tmp_path, argv):
+    save_circuit(ReversibleCircuit(4), str(tmp_path / "c.json"))
+    return [arg.format(circuit=tmp_path / "c.json") for arg in argv]
+
+
+@STDOUT_COMMANDS
+@pytest.mark.parametrize(
+    "redirect, reason", [(">/dev/full", "No space left on device"), (">&-", "it is closed")], ids=["dev-full", "closed"]
+)
+def test_unwritable_stdout_is_refused_on_stderr(tmp_path, argv, stdin_text, redirect, reason):
+    if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    done = _landauer(_stdout_argv(tmp_path, argv), redirect, input=stdin_text)
+    # one report and nothing else: no traceback, and no second error from the flush at exit
+    assert (done.returncode, json.loads(done.stderr)) == (1, _unwritable_stdout(reason))
+
+
+@STDOUT_COMMANDS
+def test_a_pipe_with_no_reader_is_refused_on_stderr(tmp_path, argv, stdin_text):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the CLI writes
+    try:
+        done = _landauer(_stdout_argv(tmp_path, argv), input=stdin_text, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, json.loads(done.stderr)) == (1, _unwritable_stdout("Broken pipe"))
+
+
+def test_a_failed_write_points_the_stdout_descriptor_at_devnull():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    err = io.StringIO()
+    with open(write_end, "w") as stream, redirect_stdout(stream), redirect_stderr(err):
+        assert main(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "1"]) == 1
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    assert json.loads(err.getvalue()) == _unwritable_stdout("Broken pipe")
+
+
+@pytest.mark.parametrize("closed", [None, io.StringIO()], ids=["none", "closed-stream"])
+def test_a_closed_stdout_turns_success_into_a_refusal(closed):
+    if closed is not None:
+        closed.close()
+    err = io.StringIO()
+    with redirect_stdout(closed), redirect_stderr(err):
+        assert main(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "1"]) == 1
+    assert json.loads(err.getvalue()) == _unwritable_stdout("it is closed")
+
+
 def test_reports_carry_reproducibility_fields():
     code, text = run_cli(["prbox", "--n", "512", "--seed", "5"])
     assert code == 0

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import pytest
@@ -35,8 +36,12 @@ def wire_through(n):
         (lambda: IrreversibleCircuit(("a",), (gate("a", "not", "a"),), ()), "duplicate node id 'a'"),
         (lambda: rom_circuit(BitString("1"), 0), "rom_circuit needs at least one input"),
         (lambda: random_netlist(0, 3, substream(0, "netlist")), "random_netlist needs at least one input"),
+        (
+            lambda: random_netlist(3, -5, substream(0, "netlist")),
+            "random_netlist needs a non-negative gate count, got -5",
+        ),
     ],
-    ids=["duplicate-inputs", "arity", "duplicate-node", "rom-no-inputs", "random-no-inputs"],
+    ids=["duplicate-inputs", "arity", "duplicate-node", "rom-no-inputs", "random-no-inputs", "random-negative-gates"],
 )
 def test_refusals_name_what_is_wrong(call, message):
     with pytest.raises(LandauerError, match=f"^{re.escape(message)}$"):
@@ -113,3 +118,14 @@ def test_netlist_json_roundtrip():
     again = netlist_from_json(json.loads(text))
     assert again == c
     assert json.dumps(netlist_to_json(again), sort_keys=True) == text
+
+
+def test_netlists_pickle_and_compare_by_their_fields_alone():
+    for n_outputs in range(3):  # the output gather's three shapes: none, one, several
+        names = ("a", "b")
+        c = IrreversibleCircuit(names, (gate("g", "xor", "a", "b"),), ("g", "a")[:n_outputs])
+        again = pickle.loads(pickle.dumps(c))
+        assert again == c and hash(again) == hash(c)
+        assert again == IrreversibleCircuit(names, c.gates, c.outputs)
+        for inp in ("00", "01", "10", "11"):
+            assert evaluate(again, BitString(inp)) == evaluate(c, BitString(inp))

@@ -38,7 +38,8 @@ TypeError, so the CLI, which reports only the LandauerError family and
 MemoryError, never mistakes a fault of the program for a refusal.  Every
 file is opened in errors, the one place that turns an unreadable input
 or unwritable output into a LandauerError; errors.read_stdin is likewise
-the only code that names sys.stdin, so a closed stdin is a refusal too.
+the only code that names sys.stdin and errors.write_stdout the only code
+that names sys.stdout, so a closed stdin or stdout is a refusal too.
 
 Only circuits imports numpy, inside the functions of its permutation
 table, the one numpy path; every other state batch is Python-int rows.
@@ -73,8 +74,8 @@ SHARED_PRIVATE = {
     "bitstring._trusted": "wraps text a kernel already built from '0'/'1' without checking it again",
     "bitstring._gamma": "the one Elias-gamma writer; lz78 writes its length header as text with it, without a BitString round trip",
     "circuits._to_mask": "the one state-as-int convention, shared by the constant-line check, the Fig. 1 build and the weight-class rows",
-    "bitstring._TO_ROWS": "the one '0'/'1' text -> 0/1 int row table, for the gate kernel, the netlist evaluator and lz78",
-    "bitstring._FROM_ROWS": "the one 0/1 int row -> '0'/'1' text table, for the gate kernel and the netlist evaluator",
+    "bitstring._TO_ROWS": "the one '0'/'1' text -> 0/1 int row table, for the gate kernel and lz78",
+    "bitstring._FROM_ROWS": "the one 0/1 int row -> '0'/'1' text table, for the gate kernel",
 }
 
 # Functions and module constants that make floats, each for presentation only.
@@ -243,15 +244,15 @@ def open_calls(tree: ast.Module) -> list[int]:
     return sorted(n.lineno for n in calls if getattr(n.func, "id", getattr(n.func, "attr", "")) == "open")
 
 
-def stdin_sites(tree: ast.Module) -> list[str]:
+def stream_sites(tree: ast.Module, stream: str) -> list[str]:
     """'function', 'Class.method' or '<module>' for each top-level
-    statement that names stdin: as an attribute (sys.stdin) or imported
-    from sys."""
+    statement that names the standard stream `stream` ('stdin' or
+    'stdout'): as an attribute (sys.stdin) or imported from sys."""
     found = []
     for scope, node in _statements(tree.body, ""):
         attrs = (n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
         imported = (a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) and n.module == "sys" for a in n.names)
-        if "stdin" in attrs or "stdin" in imported:
+        if stream in attrs or stream in imported:
             found.append(scope + getattr(node, "name", "<module>"))
     return found
 
@@ -507,12 +508,18 @@ def test_the_stdin_rule_flags_every_way_to_name_stdin():
         "def h(stream=sys.stdout):\n    return stream, stdin_text, sys.stdout\n"
         "class C:\n    def m(self):\n        return sys.stdin is None\n"
     )
-    assert stdin_sites(tree) == ["<module>", "f", "g", "C.m"]
+    assert stream_sites(tree, "stdin") == ["<module>", "f", "g", "C.m"]
+    assert stream_sites(tree, "stdout") == ["h"]
 
 
 def test_only_read_stdin_names_stdin():
-    found = sorted(f"{p.stem}.{site}" for p in SOURCES for site in stdin_sites(parse(p)))
+    found = sorted(f"{p.stem}.{site}" for p in SOURCES for site in stream_sites(parse(p), "stdin"))
     assert found == ["errors.read_stdin"], f"stdin named outside errors.read_stdin: {found}"
+
+
+def test_only_write_stdout_names_stdout():
+    found = sorted(f"{p.stem}.{site}" for p in SOURCES for site in stream_sites(parse(p), "stdout"))
+    assert found == ["errors.write_stdout"], f"stdout named outside errors.write_stdout: {found}"
 
 
 def test_the_numpy_rule_flags_imports_at_any_depth():

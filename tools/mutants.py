@@ -249,6 +249,27 @@ MUTANTS = (
         ("tests/test_irrev.py::test_refusals_name_what_is_wrong[random-no-inputs]",),
     ),
     Mutant(
+        "evaluate-xor-without-byte-fixup",
+        "irrev.py",
+        "value[a] ^ value[b] ^ 48",
+        "value[a] ^ value[b]",
+        ("tests/test_reference_kernels.py::test_lowered_evaluate_equals_dict_reference",),
+    ),
+    Mutant(
+        "evaluate-one-output-gathers-an-empty-slice",
+        "irrev.py",
+        "slice(output_nodes[0], output_nodes[0] + 1)",
+        "slice(output_nodes[0], output_nodes[0])",
+        ("tests/test_reference_kernels.py::test_lowered_evaluate_equals_dict_reference",),
+    ),
+    Mutant(
+        "random-netlist-with-negative-gates",
+        "irrev.py",
+        '    if num_gates < 0:\n        raise LandauerError(f"random_netlist needs a non-negative gate count, got {num_gates}")\n',
+        "",
+        ("tests/test_irrev.py::test_refusals_name_what_is_wrong[random-negative-gates]",),
+    ),
+    Mutant(
         "temperature-check-dropped",
         "cli.py",
         "    to_joules(0, args.temperature)\n",
@@ -259,8 +280,8 @@ MUTANTS = (
         "base-report-after-the-work",
         "cli.py",
         "report = _base_report(args)  # refuses a bad --temperature before any work\n"
-        "        report.update(args.func(args))\n",
-        "fields = args.func(args)\n        report = _base_report(args)\n        report.update(fields)\n",
+        "            report.update(args.func(args))\n",
+        "fields = args.func(args)\n            report = _base_report(args)\n            report.update(fields)\n",
         ("tests/test_cli.py::test_bad_temperature_is_refused_before_any_work",),
     ),
     Mutant(
@@ -276,6 +297,41 @@ MUTANTS = (
         '    if sys.stdin is None:\n        raise UnreadableInput("cannot read stdin: it is closed")\n',
         "",
         ("tests/test_cli.py::test_closed_stdin_is_unreadable_input",),
+    ),
+    Mutant(
+        "write-stdout-writes-a-closed-stdout",
+        "errors.py",
+        '    if stream is None or stream.closed:\n        raise UnwritableOutput("cannot write stdout: it is closed")\n',
+        "",
+        ("tests/test_cli.py::test_a_closed_stdout_turns_success_into_a_refusal",),
+    ),
+    Mutant(
+        "write-stdout-passes-a-full-device",
+        "errors.py",
+        "        stream.flush()\n    except OSError as exc:",
+        "        stream.flush()\n    except BrokenPipeError as exc:",
+        ("tests/test_cli.py::test_unwritable_stdout_is_refused_on_stderr[dev-full-simulate]",),
+    ),
+    Mutant(
+        "write-stdout-leaves-the-write-to-the-exit-flush",
+        "errors.py",
+        "        stream.flush()\n",
+        "",
+        ("tests/test_cli.py::test_unwritable_stdout_is_refused_on_stderr[dev-full-simulate]",),
+    ),
+    Mutant(
+        "write-stdout-keeps-the-failed-descriptor",
+        "errors.py",
+        "        os.dup2(devnull, stream.fileno())\n",
+        "",
+        ("tests/test_cli.py::test_a_pipe_with_no_reader_is_refused_on_stderr[simulate]",),
+    ),
+    Mutant(
+        "stdout-refusal-reported-on-stdout",
+        "cli.py",
+        "sys.stderr.write(_error_report(exc))",
+        'print(_error_report(exc), end="")',
+        ("tests/test_cli.py::test_a_closed_stdout_turns_success_into_a_refusal",),
     ),
     Mutant(
         "injective-sweep-without-reverse-pass",
