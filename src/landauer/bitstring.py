@@ -129,19 +129,16 @@ def decode_uint(s: BitString | str, start: int = 0) -> tuple[int, int]:
     already-checked '0'/'1' text.
 
     Returns (value, bits consumed).  Raises MalformedCode on truncation.
+    The stop bit, the first '1' at or after `start` (>= 0), is found in C.
     """
     text = str(s)
-    i = start
-    zeros = 0
-    while i < len(text) and text[i] == "0":
-        zeros += 1
-        i += 1
-    if i >= len(text):
+    i = text.find("1", start)
+    if i < 0:
         raise MalformedCode("truncated gamma header (no stop bit)")
-    if i + zeros + 1 > len(text):
+    end = 2 * i - start + 1  # i - start zeros, then as many bits after the stop bit
+    if end > len(text):
         raise MalformedCode("truncated gamma header (value cut short)")
-    value = int(text[i : i + zeros + 1], 2)
-    return value - 1, (i + zeros + 1) - start
+    return int(text[i:end], 2) - 1, end - start
 
 
 def encode_self_delimiting(payload: BitString) -> BitString:

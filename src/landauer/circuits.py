@@ -11,13 +11,14 @@ lines, so the "reversible gates only, no AND/OR" discipline is checkable.
 
 One kernel, `_apply`, holds the gate semantics.  A gate is a plain
 record; its circuit's constructor, the one place that checks a gate,
-checks and lowers it once.  The constructor lowers the gates to
-line-index steps (`_prog`) and the CONST_ONE and ANCILLA_ZERO roles to
-line masks (`_const`).  The kernel applies the steps to a list of
-per-line rows.  For one state the rows are the ints 0/1 of the bit
-string, character i being line i.  A batch (`run_states`) is one Python
-int per line, bit x being state x: one int operation on a few hundred
-bytes costs far less than one numpy call.
+checks and lowers it once, with one dict lookup per gate: its shape
+finds its step's head (`_HEADS`), which its lines follow in the step
+(`_prog`).  The CONST_ONE and ANCILLA_ZERO roles become line masks
+(`_const`).  The kernel applies the steps to a list of per-line rows.
+For one state the rows are the ints 0/1 of the bit string, character i
+being line i.  A batch (`run_states`) is one Python int per line, bit x
+being state x: one int operation on a few hundred bytes costs far less
+than one numpy call.
 
 Exhaustive sweeps run as one batch at any width and are refused up front
 beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  `check_sweep`
@@ -75,11 +76,13 @@ CONST_ONE = "const_one"
 OUTPUT_ALIAS = "output_alias"
 
 LINE_ROLES = (INPUT, HELPER, ANCILLA_ZERO, CONST_ONE, OUTPUT_ALIAS)
+_ROLE_SET = frozenset(LINE_ROLES)
 
 DEFAULT_MAX_WIDTH = 20
 
-# (gate kind, controls, targets): each kind with its arity
-_SHAPES = frozenset({(TOFFOLI, 2, 1), (CNOT, 1, 1), (NOT, 0, 1), (FREDKIN, 1, 2)})
+# (gate kind, controls, targets), each kind with its arity -> the head of its
+# `_apply` step: the kind, then the zeros that pad its lines to three
+_HEADS = {(TOFFOLI, 2, 1): (TOFFOLI,), (CNOT, 1, 1): (CNOT, 0), (NOT, 0, 1): (NOT, 0, 0), (FREDKIN, 1, 2): (FREDKIN,)}
 
 
 def max_sweep_width() -> int:
@@ -110,7 +113,9 @@ class Gate(NamedTuple):
     circuit checks and lowers once, in the circuit's constructor.
 
     controls/targets arities by kind: toffoli 2/1, cnot 1/1, not 0/1,
-    fredkin 1/2 (the two targets are the swapped pair).
+    fredkin 1/2 (the two targets are the swapped pair).  The four factories
+    build it with one `tuple.__new__` call, which skips NamedTuple's
+    Python-level `__new__`.
     """
 
     kind: str
@@ -119,19 +124,19 @@ class Gate(NamedTuple):
 
 
 def toffoli(c1: int, c2: int, target: int) -> Gate:
-    return Gate(TOFFOLI, (c1, c2), (target,))
+    return tuple.__new__(Gate, (TOFFOLI, (c1, c2), (target,)))
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(CNOT, (control,), (target,))
+    return tuple.__new__(Gate, (CNOT, (control,), (target,)))
 
 
 def not_gate(target: int) -> Gate:
-    return Gate(NOT, (), (target,))
+    return tuple.__new__(Gate, (NOT, (), (target,)))
 
 
 def fredkin(control: int, a: int, b: int) -> Gate:
-    return Gate(FREDKIN, (control,), (a, b))
+    return tuple.__new__(Gate, (FREDKIN, (control,), (a, b)))
 
 
 @dataclass(frozen=True)
@@ -149,25 +154,29 @@ class ReversibleCircuit:
         roles = tuple(self.line_roles) if self.line_roles else (INPUT,) * self.width
         if len(roles) != self.width:
             raise LandauerError("line_roles length must equal width")
-        for r in roles:
-            if r not in LINE_ROLES:
-                raise LandauerError(f"unknown line role {r!r}")
+        try:
+            known = _ROLE_SET.issuperset(roles)
+        except TypeError:  # an unhashable role, which no known role is
+            known = False
+        if not known:
+            raise LandauerError(f"unknown line role {next(r for r in roles if r not in LINE_ROLES)!r}")
         object.__setattr__(self, "line_roles", roles)
-        # (CONST_ONE lines, ANCILLA_ZERO lines) as masks: each role's marks, line i first
-        marks = ("".join("1" if r == role else "0" for r in roles) for role in (CONST_ONE, ANCILLA_ZERO))
-        object.__setattr__(self, "_const", tuple(map(_to_mask, marks)))
+        # (CONST_ONE lines, ANCILLA_ZERO lines) as masks: each present role's marks, line i first
+        marks = (bytes(map(role.__eq__, roles)) if role in roles else b"" for role in (CONST_ONE, ANCILLA_ZERO))
+        object.__setattr__(self, "_const", tuple(_to_mask(m.translate(_FROM_ROWS).decode()) for m in marks))
         # the one gate check: a known kind with its arity, on distinct lines in 0..width-1; then
-        # the `_apply` step (kind, a, b, t), the gate's controls and targets right-aligned in three slots
+        # the `_apply` step (kind, a, b, t): the kind's head, then the gate's controls and targets
         line_set = set(range(self.width))
         prog = []
         for n, (kind, controls, targets) in enumerate(self.gates):
+            head = _HEADS.get((kind, len(controls), len(targets)))
             lines = controls + targets
-            if (kind, len(controls), len(targets)) not in _SHAPES or len(line_set.intersection(lines)) < len(lines):
+            if head is None or len(line_set.intersection(lines)) < len(lines):
                 raise LandauerError(
                     f"gate {n} {self.gates[n]} is not a known kind with its arity"
                     f" on distinct lines below width {self.width}"
                 )
-            prog.append((kind,) + ((0,) * 3 + lines)[-3:])
+            prog.append(head + lines)
         object.__setattr__(self, "_prog", tuple(prog))
 
     def gate_count(self) -> int:
@@ -197,8 +206,8 @@ def _apply(prog, rows: list, ones):
     line held as an int, 0xFF for a uint8 plane view).  A step
     (kind, a, b, t) is the gate kind, then its lines ending in the last
     target t, with b the line before it.  Kinds are compared with == to
-    local names, which load faster than globals: one read from JSON equals
-    the constant but is another object."""
+    local names, which load faster than globals; a step's kind is the
+    `_HEADS` constant itself, even for a gate whose kind was read from JSON."""
     toffoli_, cnot_, not_ = TOFFOLI, CNOT, NOT
     for kind, a, b, t in prog:
         if kind == toffoli_:

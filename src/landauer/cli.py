@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 a LandauerError or a result too large for memory
 are plain bit-string filters: stdin -> stdout, no report wrapper.  `main`
 writes its output, report or error report, in one errors.write_stdout
 call; when stdout is closed or the write fails, the UnwritableOutput
-report goes to stderr instead, with exit code 1.
+report goes to stderr instead, with exit code 1.  Ctrl-C (KeyboardInterrupt)
+at any point, the write included, ends the run with the one line
+`landauer: interrupted` on stderr and exit code 130, without a traceback.
 
 The parser is built once per process, on the first call to `main`, and
 reused: argparse keeps no state between parses, and it looks up
@@ -326,6 +328,14 @@ def _error_report(exc: BaseException) -> str:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except KeyboardInterrupt:  # Ctrl-C, at any point: one line and no traceback; 130 is 128 + SIGINT
+        sys.stderr.write("landauer: interrupted\n")
+        return 130
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     code = 0
     try:

@@ -506,6 +506,18 @@ def test_a_closed_stdout_turns_success_into_a_refusal(closed):
     assert json.loads(err.getvalue()) == _unwritable_stdout("it is closed")
 
 
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("where", ["_cmd_clausius", "write_stdout"], ids=["in-the-handler", "in-the-write"])
+def test_ctrl_c_exits_130_with_one_line_on_stderr(monkeypatch, where):
+    monkeypatch.setattr(cli, where, _interrupt)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a parser that reads the patched handler
+    code, out, err = run_cli_captured(["clausius", "--n", "4", "--delta", "1/4", "--circuits", "1"], "")
+    assert (code, out, err) == (130, "", "landauer: interrupted\n")
+
+
 def test_reports_carry_reproducibility_fields():
     code, text = run_cli(["prbox", "--n", "512", "--seed", "5"])
     assert code == 0

@@ -6,6 +6,8 @@ condition, per-line state packing and table assembly, sort-based
 injectivity, per-bit mask conversions, a scalar gate interpreter over
 bit masks, 2-D-indexed gate sweep, per-role constant-line check,
 dict-walking netlist evaluation, a name-map Bennett compile loop, the
+pad-and-slice lowering of a gate and the per-role join of a constant
+mask, the per-character stop-bit scan of a gamma header, the
 per-value compress loop of a codec's batch block outputs, the
 per-block BitString loop of the Fig. 1 table and the point-by-point walk
 of the register cube that extends it to a permutation).  Every
@@ -76,7 +78,7 @@ from landauer.compress import (
     encode_with_escape,
     estimate_complexity,
 )
-from landauer.errors import BadConstantLine, CodecNotInjective, DomainTooLarge, NotConservative
+from landauer.errors import BadConstantLine, CodecNotInjective, DomainTooLarge, MalformedCode, NotConservative
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
 from landauer.synth import _fig1_codes, _transposition_gates, build_fig1_compressor
 
@@ -174,6 +176,20 @@ def ref_cycles(perm: dict[int, int]) -> list[list[int]]:
 def ref_gamma(m: int) -> str:
     """Elias gamma of m >= 1: (bit length - 1) zeros, then m in binary."""
     return format(m, "b").zfill(2 * m.bit_length() - 1)
+
+
+def ref_decode_uint(text: str, start: int = 0) -> tuple[int, int]:
+    """The gamma header read one character at a time up to its stop bit."""
+    i = start
+    zeros = 0
+    while i < len(text) and text[i] == "0":
+        zeros += 1
+        i += 1
+    if i >= len(text):
+        raise MalformedCode("truncated gamma header (no stop bit)")
+    if i + zeros + 1 > len(text):
+        raise MalformedCode("truncated gamma header (value cut short)")
+    return int(text[i : i + zeros + 1], 2) - 1, (i + zeros + 1) - start
 
 
 def ref_xor_compress(data: str, helper: str) -> str:
@@ -321,6 +337,16 @@ def ref_count_class_transitions(c: ReversibleCircuit, source: WeightCouple, targ
             raise NotConservative(f"circuit changes the Hamming weight of source-class state {offender}")
         count += weights == (target.left_weight, target.right_weight)
     return count
+
+
+def ref_step(g: Gate) -> tuple:
+    """A gate's `_apply` step: its kind, then its lines right-aligned in three slots."""
+    return (g.kind,) + ((0,) * 3 + g.controls + g.targets)[-3:]
+
+
+def ref_const(roles: tuple[str, ...]) -> tuple[int, int]:
+    """(CONST_ONE lines, ANCILLA_ZERO lines) as masks, joined role by role."""
+    return tuple(_to_mask("".join("1" if r == role else "0" for r in roles)) for role in (CONST_ONE, ANCILLA_ZERO))
 
 
 def ref_check_constant_lines(c: ReversibleCircuit, mask: int) -> None:
@@ -964,6 +990,71 @@ def test_kinds_equal_to_the_constants_run_like_them(c, state):
     # a batch of eight copies of x, each line one byte
     out = run_states(c, [0xFF if bit else 0 for bit in x], 8)
     assert BitString("".join({0xFF: "1", 0: "0"}[row] for row in out)) == want
+
+
+@given(circuits_of_width(st.integers(0, 40)), st.data())
+@example(ReversibleCircuit(3, (toffoli(0, 1, 2), cnot(2, 0), not_gate(1), fredkin(0, 1, 2))), None)
+@example(ReversibleCircuit(0), None)
+@settings(max_examples=200)
+def test_lowering_equals_the_pad_and_slice_steps_and_per_role_masks(c, data):
+    roles = (INPUT,) * c.width
+    if data is not None:
+        roles = tuple(data.draw(st.lists(st.sampled_from(LINE_ROLES), min_size=c.width, max_size=c.width)))
+    copied = data is None or data.draw(st.booleans())
+    gates = tuple(Gate(_COPIED_KIND[g.kind], g.controls, g.targets) for g in c.gates) if copied else c.gates
+    c = ReversibleCircuit(c.width, gates, roles)
+    assert c._prog == tuple(map(ref_step, gates))
+    # a step's kind is the constant itself (a key of _COPIED_KIND), whatever object its gate's kind is
+    assert all(step[0] is next(k for k in _COPIED_KIND if k == g.kind) for step, g in zip(c._prog, gates))
+    assert c._const == ref_const(roles)
+
+
+@pytest.mark.parametrize(
+    "make, args, kind, controls, targets",
+    [
+        (toffoli, (4, 0, 2), TOFFOLI, (4, 0), (2,)),
+        (cnot, (3, 1), CNOT, (3,), (1,)),
+        (not_gate, (5,), NOT, (), (5,)),
+        (fredkin, (0, 2, 1), FREDKIN, (0,), (2, 1)),
+    ],
+)
+def test_each_factory_returns_the_gate_record(make, args, kind, controls, targets):
+    g = make(*args)
+    assert type(g) is Gate and g == Gate(kind, controls, targets)
+
+
+gamma_headers = st.builds(
+    lambda prefix, m, cut, tail: prefix + (ref_gamma(m) + tail)[: None if cut is None else cut],
+    st.text(alphabet="01", max_size=8),
+    st.integers(1, 2**70),
+    st.none() | st.integers(0, 140),
+    st.text(alphabet="01", max_size=8),
+)
+
+
+def _decoded(decode, text, start):
+    try:
+        return decode(text, start)
+    except MalformedCode as exc:
+        return type(exc), str(exc)
+
+
+@given(gamma_headers | bits | st.text(alphabet="0", max_size=40), st.integers(0, 12))
+@example("", 0)
+@example("0000", 0)
+@example("0001", 0)
+@example("00010", 0)
+@example("1", 0)
+@example("1", 1)
+@example("11", 5)
+@example("10011", 2)
+@settings(max_examples=500)
+def test_decode_uint_equals_the_per_character_scan(text, start):
+    """Random, all-zero, truncated and offset headers: the same (value,
+    bits consumed), or the same refusal, from a BitString or its text."""
+    want = _decoded(ref_decode_uint, text, start)
+    assert _decoded(decode_uint, text, start) == want
+    assert _decoded(decode_uint, BitString(text), start) == want
 
 
 gate_lines = st.lists(st.integers(-2, 6), max_size=3).map(tuple)

@@ -361,6 +361,41 @@ MUTANTS = (
         "    if not n:  # one state, and no plane to run\n        return False\n",
         ("tests/test_reference_kernels.py::test_plane_sweep_agrees_with_the_marking_pass",),
     ),
+    Mutant(
+        "role-superset-check-dropped",
+        "circuits.py",
+        "known = _ROLE_SET.issuperset(roles)",
+        "known = True",
+        ("tests/test_circuits.py::test_refusals_name_what_is_wrong[first-of-two-unknown-roles]",),
+    ),
+    Mutant(
+        "unhashable-role-escapes-as-type-error",
+        "circuits.py",
+        "except TypeError:  # an unhashable role",
+        "except KeyError:  # an unhashable role",
+        ("tests/test_circuits.py::test_refusals_name_what_is_wrong[unhashable-role]",),
+    ),
+    Mutant(
+        "cnot-head-without-its-pad",
+        "circuits.py",
+        "(CNOT, 1, 1): (CNOT, 0)",
+        "(CNOT, 1, 1): (CNOT,)",
+        ("tests/test_reference_kernels.py::test_lowering_equals_the_pad_and_slice_steps_and_per_role_masks",),
+    ),
+    Mutant(
+        "decode-uint-ignores-the-offset",
+        "bitstring.py",
+        "end = 2 * i - start + 1",
+        "end = 2 * i + 1",
+        ("tests/test_reference_kernels.py::test_decode_uint_equals_the_per_character_scan",),
+    ),
+    Mutant(
+        "ctrl-c-exits-1",
+        "cli.py",
+        "        return 130\n",
+        "        return 1\n",
+        ("tests/test_cli.py::test_ctrl_c_exits_130_with_one_line_on_stderr[in-the-handler]",),
+    ),
 )
 
 
