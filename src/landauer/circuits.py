@@ -168,15 +168,20 @@ class ReversibleCircuit:
         # the `_apply` step (kind, a, b, t): the kind's head, then the gate's controls and targets
         line_set = set(range(self.width))
         prog = []
-        for n, (kind, controls, targets) in enumerate(self.gates):
-            head = _HEADS.get((kind, len(controls), len(targets)))
-            lines = controls + targets
-            if head is None or len(line_set.intersection(lines)) < len(lines):
-                raise LandauerError(
-                    f"gate {n} {self.gates[n]} is not a known kind with its arity"
-                    f" on distinct lines below width {self.width}"
-                )
-            prog.append(head + lines)
+        try:
+            for kind, controls, targets in self.gates:
+                head = _HEADS.get((kind, len(controls), len(targets)))
+                lines = controls + targets
+                if head is None or len(line_set.intersection(lines)) < len(lines):
+                    break
+                prog.append(head + lines)
+        except (TypeError, ValueError):  # not 3 fields, a field not a sequence, or an unhashable kind or line
+            pass
+        if (n := len(prog)) < len(self.gates):  # gate n is the first one not lowered
+            raise LandauerError(
+                f"gate {n} {self.gates[n]} is not a known kind with its arity"
+                f" on distinct lines below width {self.width}"
+            )
         object.__setattr__(self, "_prog", tuple(prog))
 
     def gate_count(self) -> int:

@@ -11,10 +11,12 @@ into joules.
 
 Exit codes: 0 success, 1 a LandauerError or a result too large for memory
 (structured error report on stdout), 2 usage error.  compress/decompress
-are plain bit-string filters: stdin -> stdout, no report wrapper.  `main`
-writes its output, report or error report, in one errors.write_stdout
-call; when stdout is closed or the write fails, the UnwritableOutput
-report goes to stderr instead, with exit code 1.  Ctrl-C (KeyboardInterrupt)
+are plain bit-string filters, stdin -> stdout with no report wrapper, and
+take only --codec and --helper-file; the report options --report, --seed
+and --temperature belong to the six report subcommands.  `main` writes
+its output, report or error report, in one errors.write_stdout call; when
+stdout is closed or the write fails, the UnwritableOutput report goes to
+stderr instead, with exit code 1.  Ctrl-C (KeyboardInterrupt)
 at any point, the write included, ends the run with the one line
 `landauer: interrupted` on stderr and exit code 130, without a traceback.
 
@@ -139,7 +141,7 @@ def _cmd_compress(args) -> str:
     codec = REGISTRY[args.codec]
     helper = _read_bits(args.helper_file) if args.helper_file else BitString()
     data = BitString("".join(read_stdin().split()))
-    coded = codec.decompress(data, helper) if args.decompress else codec.compress(data, helper)
+    coded = codec.decompress(data, helper) if args.command == "decompress" else codec.compress(data, helper)
     return f"{coded}\n"
 
 
@@ -281,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
-    for name, decomp in (("compress", False), ("decompress", True)):
-        p = sub.add_parser(name, parents=[common], help=f"{name} stdin -> stdout")
+    for name in ("compress", "decompress"):  # plain filters: no report options
+        p = sub.add_parser(name, help=f"{name} stdin -> stdout")
         p.add_argument("--codec", choices=sorted(REGISTRY), required=True)
         p.add_argument("--helper-file")
-        p.set_defaults(func=_cmd_compress, decompress=decomp)
+        p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("bounds", parents=[common], help="work-value / erasure-cost bounds")
     p.add_argument("--s-file", required=True)

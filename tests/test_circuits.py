@@ -81,6 +81,21 @@ def test_an_invalid_gate_is_refused_with_its_index(gate):
         (lambda: ReversibleCircuit(1, line_roles=("bus",)), LandauerError, "unknown line role 'bus'"),
         (lambda: ReversibleCircuit(4, line_roles=(INPUT, HELPER, "bus", "wire")), LandauerError, "unknown line role 'bus'"),
         (lambda: ReversibleCircuit(2, line_roles=(INPUT, ["bus"])), LandauerError, "unknown line role ['bus']"),
+        (
+            lambda: ReversibleCircuit(2, (not_gate(0), Gate(["x"], (), (0,)))),
+            LandauerError,
+            "gate 1 Gate(kind=['x'], controls=(), targets=(0,)) is not a known kind with its arity on distinct lines below width 2",
+        ),
+        (
+            lambda: ReversibleCircuit(2, (Gate("not", (), 1),)),
+            LandauerError,
+            "gate 0 Gate(kind='not', controls=(), targets=1) is not a known kind with its arity on distinct lines below width 2",
+        ),
+        (
+            lambda: ReversibleCircuit(2, (("not", (0,)),)),
+            LandauerError,
+            "gate 0 ('not', (0,)) is not a known kind with its arity on distinct lines below width 2",
+        ),
         (lambda: run_states(ReversibleCircuit(2), [0], 1), WidthMismatch, "batch has 1 lines, circuit width 2"),
         (lambda: check_injective_bruteforce(ReversibleCircuit(3), 2), WidthMismatch, "circuit width 3, asked to sweep 2 bits"),
         (lambda: complexity_drift_report((), len), LandauerError, "trajectory must contain at least the initial state"),
@@ -88,7 +103,11 @@ def test_an_invalid_gate_is_refused_with_its_index(gate):
         (lambda: circuit_from_json({"version": "1"}), MalformedInput, "circuit: 'version' must be int"),
         (lambda: circuit_from_json({"gates": []}), MalformedInput, "circuit has no 'version'"),
     ],
-    ids=["negative-width", "roles-length", "unknown-role", "first-of-two-unknown-roles", "unhashable-role", "batch-lines", "sweep-width", "empty-trajectory", "other-version", "string-version", "no-version"],
+    ids=[
+        "negative-width", "roles-length", "unknown-role", "first-of-two-unknown-roles", "unhashable-role",
+        "unhashable-kind", "targets-not-a-sequence", "gate-not-a-record", "batch-lines", "sweep-width",
+        "empty-trajectory", "other-version", "string-version", "no-version",
+    ],
 )
 def test_refusals_name_what_is_wrong(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -122,6 +122,23 @@ def test_compress_decompress_pipe_roundtrip(tmp_path):
     assert back.strip() == data
 
 
+# the two plain filters, which take none of the report subcommands' options
+FILTERS = ("compress", "decompress")
+
+
+@pytest.mark.parametrize("command", FILTERS)
+@pytest.mark.parametrize("option, value", [("--report", "json"), ("--seed", "1"), ("--temperature", "300")])
+def test_a_filter_refuses_the_report_options(command, option, value):
+    code, out, err = run_cli_captured([command, "--codec", "lz78", option, value], "0110")
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {option} {value}" in err
+
+
+def test_a_filter_namespace_holds_only_what_the_filter_reads():
+    args = cli.build_parser().parse_args(["decompress", "--codec", "xor"])
+    assert sorted(vars(args)) == ["codec", "command", "func", "helper_file"]
+
+
 @pytest.mark.parametrize(
     "codec, code, helper",
     [
@@ -895,16 +912,19 @@ def test_the_argv_vocabulary_names_every_option_of_each_subcommand():
     parser = cli.build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(commands.choices) == set(VOCABULARY)
+    count = 0
     for name, sub in commands.choices.items():
         defined = {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
-        assert defined == {flag for flag, _ in VOCABULARY[name] + COMMON}, name
+        assert defined == {flag for flag, _ in VOCABULARY[name] + COMMON * (name not in FILTERS)}, name
+        count += len(defined)
+    assert count == 45
 
 
 @st.composite
 def cli_argv(draw):
     """(argv with {file} placeholders, stdin text)."""
     command = draw(st.sampled_from([*VOCABULARY, "unknown-subcommand", "--version", "--help"]))
-    flags = dict(VOCABULARY.get(command, []) + COMMON * (command in VOCABULARY))
+    flags = dict(VOCABULARY.get(command, []) + COMMON * (command in VOCABULARY and command not in FILTERS))
     chosen = []
     if command in REQUIRED and draw(st.integers(0, 3)):  # mostly a complete command
         chosen += draw(REQUIRED[command])
@@ -977,7 +997,7 @@ def test_any_argv_exits_0_1_or_2_and_the_shared_parser_keeps_no_state(cli_files,
         assert json.loads(out)["error"]["type"] in REFUSALS, (argv, out)
     # an error report, or a JSON report, is strict JSON: no NaN or Infinity
     if code == 1 or (
-        code == 0 and argv[0] in REQUIRED and argv[0] not in ("compress", "decompress")
+        code == 0 and argv[0] in REQUIRED and argv[0] not in FILTERS
         and cli.build_parser().parse_args(argv).report == "json"
     ):
         json.loads(out, parse_constant=_refuse_constant)

@@ -396,6 +396,30 @@ MUTANTS = (
         "        return 1\n",
         ("tests/test_cli.py::test_ctrl_c_exits_130_with_one_line_on_stderr[in-the-handler]",),
     ),
+    Mutant(
+        "filters-take-the-report-options",
+        "cli.py",
+        'p = sub.add_parser(name, help=f"{name} stdin -> stdout")',
+        'p = sub.add_parser(name, parents=[common], help=f"{name} stdin -> stdout")',
+        (
+            "tests/test_cli.py::test_a_filter_refuses_the_report_options",
+            "tests/test_cli.py::test_a_filter_namespace_holds_only_what_the_filter_reads",
+        ),
+    ),
+    Mutant(
+        "compress-runs-the-decoder",
+        "cli.py",
+        'args.command == "decompress"',
+        'args.command == "compress"',
+        ("tests/test_cli.py::test_compress_decompress_pipe_roundtrip",),
+    ),
+    Mutant(
+        "malformed-gate-escapes-the-gate-check",
+        "circuits.py",
+        "except (TypeError, ValueError):",
+        "except ():",
+        ("tests/test_circuits.py::test_refusals_name_what_is_wrong[unhashable-kind]",),
+    ),
 )
 
 
