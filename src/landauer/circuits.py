@@ -25,17 +25,18 @@ beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  `check_sweep`
 is the one ceiling check: every size refusal of the package, sweep or
 size argument, goes through it and reads one message form.  The full
 cube's rows come in closed form from their periodic bytes (`cube_rows`).
-`permutation_table` runs the kernel on uint8 views of those bytes
-(`_cube_planes`), where numpy's per-byte speed wins at 2^width states,
-and packs the image back into state integers one byte lane (8 lines) at
-a time.  The table is cached on its circuit and is read-only, so
+`permutation_table` runs the kernel on uint8 views of those bytes,
+where numpy's per-byte speed wins at 2^width states, and packs the
+image back into state integers one byte lane (8 lines) at a time.  The
+table is cached on its circuit and is read-only, so
 `check_conservative(exhaustive=True)` reuses it; the ceiling is checked
 on every call, before the cache.  `check_injective_bruteforce` marks the
 images of a table the circuit already holds; otherwise it builds none,
-and runs the cube's planes through the gates and back instead: every
+and runs the cube's rows through the gates and back instead: every
 state comes back iff the reversed gates are a left inverse, which proves
-the map injective.  These three import numpy when called, so importing
-circuits does not.
+the map injective.  The table, the marking pass and the exhaustive
+conservation check import numpy when called, so importing circuits, or
+proving a circuit with no table injective, does not.
 
 A state as an int has bit i = line i, the bit string read backwards
 (`_to_mask`); the constant-line check, the Fig. 1 build and the
@@ -102,9 +103,10 @@ def max_sweep_width() -> int:
 def check_sweep(what: str, *, states: int = 0, lines: int = 0) -> None:
     """Refuse, before any work, `states` states or the cube of `lines`
     lines above the 2**max_sweep_width() ceiling; `what` names what was
-    asked.  A width is compared as lines, never raised to a power."""
+    asked.  Neither a width nor the ceiling is raised to a power: states >
+    2**width iff states - 1 needs more than width bits."""
     width = max_sweep_width()
-    if lines > width or states > 1 << width:
+    if lines > width or max(states - 1, 0).bit_length() > width:
         raise DomainTooLarge(f"{what} exceeds the 2^{width} sweep ceiling")
 
 
@@ -279,14 +281,6 @@ def cube_rows(width: int) -> list[int]:
     return [int.from_bytes(line, "little") & ones for line in _cube_bytes(width)]
 
 
-def _cube_planes(width: int) -> np.ndarray:
-    """The `_cube_bytes` of the cube as a writable (width, bytes) uint8
-    array, row i the bit plane of line i: `_apply` runs on its row views."""
-    import numpy as np
-
-    return np.frombuffer(bytearray().join(_cube_bytes(width)), np.uint8).reshape(width, (2**width + 7) // 8)
-
-
 def permutation_table(c: ReversibleCircuit) -> np.ndarray:
     """The full map of a circuit as an array t with t[x] = image of state x.
 
@@ -300,8 +294,8 @@ def permutation_table(c: ReversibleCircuit) -> np.ndarray:
         import numpy as np
 
         count = 1 << c.width
-        planes = _cube_planes(c.width)
-        _apply(c._prog, list(planes), 0xFF)  # one view per line, updated in place
+        planes = np.frombuffer(bytearray().join(_cube_bytes(c.width)), np.uint8).reshape(c.width, (count + 7) // 8)
+        _apply(c._prog, list(planes), 0xFF)  # one uint8 view per line's bit plane, updated in place
         image = np.unpackbits(planes, axis=1, count=count, bitorder="little")
         # byte k of each state's little-endian int64 holds lines 8k .. 8k+7
         lanes = np.zeros((count, 8), dtype=np.uint8)
@@ -324,28 +318,24 @@ def check_injective_bruteforce(c: ReversibleCircuit, n: int) -> bool:
     the sweep ceiling is refused before anything is allocated.  A circuit
     that holds its `permutation_table` has every image marked in a 2^n
     bool array: a map of the 2^n states into themselves is injective iff
-    onto.  Otherwise the cube's planes run through the gates and back in
-    reverse order, and must all come back: then R(C(x)) = x for every x,
-    which proves C injective whatever the kernel does to each state (one
+    onto.  Otherwise the cube's `cube_rows` run through the gates and back
+    in reverse order, and must all come back: then R(C(x)) = x for every
+    x, which proves C injective whatever the kernel does to each state (one
     bit position) on its own.  Every gate is an involution, so every
     circuit passes.
     """
     if c.width != n:
         raise WidthMismatch(f"circuit width {c.width}, asked to sweep {n} bits")
     check_sweep(f"a circuit of {n} lines", lines=n)
-    import numpy as np
-
     table = c.__dict__.get("_table")
     if table is not None:
+        import numpy as np
+
         hit = np.zeros(1 << n, dtype=bool)
         hit[table] = True
         return bool(hit.all())
-    if not n:  # one state, and no plane to run
-        return True
-    cube = _cube_planes(n)
-    planes = cube.copy()
-    _apply(c._prog + c._prog[::-1], list(planes), 0xFF)  # forward, then back through the gates in reverse
-    return bool(np.array_equal(planes, cube))
+    cube = cube_rows(n)
+    return _apply(c._prog + c._prog[::-1], list(cube), (1 << 2**n) - 1) == cube  # forward, then back in reverse
 
 
 def check_conservative(c: ReversibleCircuit, exhaustive: bool = False) -> bool:

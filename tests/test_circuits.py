@@ -17,6 +17,7 @@ from landauer.circuits import (
     ReversibleCircuit,
     check_conservative,
     check_injective_bruteforce,
+    check_sweep,
     circuit_from_json,
     circuit_to_json,
     cnot,
@@ -218,6 +219,21 @@ def test_max_width_env_override(monkeypatch):
     with pytest.raises(DomainTooLarge, match=r"^a circuit of 5 lines exceeds the 2\^4 sweep ceiling$"):
         check_injective_bruteforce(ReversibleCircuit(5), 5)
     assert check_injective_bruteforce(ReversibleCircuit(4), 4)
+
+
+def test_states_ceiling_refuses_exactly_what_the_power_would(monkeypatch):
+    """check_sweep never builds 2**width, yet refuses the same counts of
+    states as `states > 1 << width` at every power of two and either side."""
+    counts = sorted({(1 << k) + d for k in range(67) for d in (-1, 0, 1)})
+    for width in range(65):
+        monkeypatch.setenv("LANDAUER_MAX_WIDTH", str(width))
+        refused = []
+        for states in counts:
+            try:
+                check_sweep("a batch", states=states)
+            except DomainTooLarge:
+                refused.append(states)
+        assert refused == [s for s in counts if s > 1 << width], width
 
 
 def test_conservative_checks():

@@ -822,6 +822,14 @@ def test_size_ceilings_follow_landauer_max_width(monkeypatch, argv, limit):
     assert code == 0 and "error" not in json.loads(text)
 
 
+def test_prbox_runs_under_a_huge_ceiling(monkeypatch):
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "1000000000000")  # a ceiling of 2^(10^12) states, never built
+    start = time.perf_counter()
+    code, text = run_cli(["prbox", "--n", "256"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "error" not in json.loads(text)
+
+
 @pytest.mark.parametrize("flag", ["--w", "--delta"])
 def test_clausius_zero_denominator_is_a_domain_error(flag):
     argv = ["clausius", "--n", "4", "--delta", "1/4", flag, "1/0"]

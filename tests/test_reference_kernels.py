@@ -729,8 +729,8 @@ def test_cached_table_is_refused_under_a_lower_ceiling(monkeypatch):
     for sweep in sweeps:
         with pytest.raises(DomainTooLarge):
             sweep(c)
-    # a fresh circuit holds no table, and is refused before any plane is laid out
-    monkeypatch.setattr(circuits, "_cube_planes", lambda width: pytest.fail("cube planes laid out"))
+    # a fresh circuit holds no table, and is refused before the cube's rows are laid out
+    monkeypatch.setattr(circuits, "cube_rows", lambda width: pytest.fail("cube rows laid out"))
     with pytest.raises(DomainTooLarge):
         check_injective_bruteforce(dataclasses.replace(c), 6)
 
@@ -744,22 +744,24 @@ BOOKMARK8_FIG1 = build_fig1_compressor(REGISTRY["bookmark8"], 8, BitString("00")
 @example(ReversibleCircuit(2, (cnot(0, 1), cnot(1, 0))))
 @example(BOOKMARK8_FIG1)
 @settings(max_examples=100, deadline=None)
-def test_plane_sweep_agrees_with_the_marking_pass(c):
+def test_row_proof_agrees_with_the_marking_pass(c):
     twin = dataclasses.replace(c)
     permutation_table(twin)  # the twin holds its table, so it takes the marking pass
     assert check_injective_bruteforce(c, c.width) is check_injective_bruteforce(twin, c.width) is True
-    assert "_table" not in c.__dict__  # the sweep built no table
+    assert "_table" not in c.__dict__  # the row proof built no table
 
 
-def test_plane_sweep_refuses_a_kernel_that_copies():
+def test_both_injectivity_paths_refuse_a_kernel_that_copies():
     """With cnot copying its control line instead of adding it, the map
-    merges states, and no run back recovers them."""
+    merges states: no run back recovers them on the int rows of a fresh
+    circuit, and the table built on plane views misses some image."""
     kernel = circuits._apply
 
     def copying(prog, rows, ones):
         for step in prog:
             if step[0] == CNOT:
-                rows[step[3]][...] = rows[step[2]]  # in place: the rows are views of the planes
+                t, b = step[3], step[2]
+                rows[t] ^= rows[t] ^ rows[b]  # in place on a plane view, rebound on an int row
             else:
                 kernel((step,), rows, ones)
         return rows

@@ -41,12 +41,15 @@ or unwritable output into a LandauerError; errors.read_stdin is likewise
 the only code that names sys.stdin and errors.write_stdout the only code
 that names sys.stdout, so a closed stdin or stdout is a refusal too.
 
-Only circuits imports numpy, inside the functions of its permutation
-table, the one numpy path; every other state batch is Python-int rows.
-The modules that neither sweep states nor call one that does (bitstring,
-compress, irrev, thermo) import without numpy, and the CLI runs compile,
-simulate, compress, bounds, the four demon scenarios, prbox and clausius
-without loading it.
+Only circuits imports numpy, inside the three functions that build or
+read its permutation table, the one numpy batch form: `permutation_table`,
+the marking pass of `check_injective_bruteforce` (a circuit that already
+holds its table) and `check_conservative(exhaustive=True)`.  Every other
+state batch is Python-int rows.  The modules that neither sweep states
+nor call one that does (bitstring, compress, irrev, thermo) import
+without numpy, a circuit with no table is proved injective without it,
+and the CLI runs compile, simulate, compress, bounds, the four demon
+scenarios, prbox and clausius without loading it.
 """
 
 import ast
@@ -559,6 +562,14 @@ def test_the_numpy_free_modules_import_without_numpy(tmp_path):
         "print('numpy' in sys.modules)\n"
     )
     assert run_python(code) == "False"
+    # a circuit with no table is proved injective on Python-int rows
+    code = (
+        "import sys\n"
+        "from landauer.circuits import ReversibleCircuit, check_injective_bruteforce, cnot, fredkin, not_gate\n"
+        "c = ReversibleCircuit(4, (cnot(0, 1), fredkin(1, 2, 3), not_gate(0)))\n"
+        "print(check_injective_bruteforce(c, 4), 'numpy' in sys.modules)\n"
+    )
+    assert run_python(code) == "True False"
     # importing circuits (so the CLI) loads no numpy; only its permutation table needs it
     code = (
         "import contextlib, io, sys\n"

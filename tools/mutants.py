@@ -195,9 +195,16 @@ MUTANTS = (
     Mutant(
         "states-refused-at-the-ceiling",
         "circuits.py",
-        "states > 1 << width",
-        "states >= 1 << width",
+        "max(states - 1, 0).bit_length() > width",
+        "max(states, 0).bit_length() > width",
         ("tests/test_cli.py::test_size_ceilings_follow_landauer_max_width[clausius-gate-count]",),
+    ),
+    Mutant(
+        "states-ceiling-without-the-zero-floor",
+        "circuits.py",
+        "max(states - 1, 0).bit_length()",
+        "(states - 1).bit_length()",
+        ("tests/test_circuits.py::test_states_ceiling_refuses_exactly_what_the_power_would",),
     ),
     Mutant(
         "lines-refused-at-the-ceiling",
@@ -334,32 +341,32 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_closed_stdout_turns_success_into_a_refusal",),
     ),
     Mutant(
-        "injective-sweep-without-reverse-pass",
+        "injective-proof-without-reverse-pass",
         "circuits.py",
-        "_apply(c._prog + c._prog[::-1], list(planes), 0xFF)",
-        "_apply(c._prog, list(planes), 0xFF)",
-        ("tests/test_reference_kernels.py::test_plane_sweep_agrees_with_the_marking_pass",),
+        "_apply(c._prog + c._prog[::-1], list(cube), (1 << 2**n) - 1)",
+        "_apply(c._prog, list(cube), (1 << 2**n) - 1)",
+        ("tests/test_reference_kernels.py::test_row_proof_agrees_with_the_marking_pass",),
     ),
     Mutant(
-        "injective-sweep-runs-forward-twice",
+        "injective-proof-runs-forward-twice",
         "circuits.py",
-        "_apply(c._prog + c._prog[::-1], list(planes), 0xFF)",
-        "_apply(c._prog + c._prog, list(planes), 0xFF)",
-        ("tests/test_reference_kernels.py::test_plane_sweep_agrees_with_the_marking_pass",),
+        "_apply(c._prog + c._prog[::-1], list(cube), (1 << 2**n) - 1)",
+        "_apply(c._prog + c._prog, list(cube), (1 << 2**n) - 1)",
+        ("tests/test_reference_kernels.py::test_row_proof_agrees_with_the_marking_pass",),
     ),
     Mutant(
-        "injective-sweep-compares-image-with-itself",
+        "injective-proof-runs-on-the-cube-it-compares-with",
         "circuits.py",
-        "np.array_equal(planes, cube)",
-        "np.array_equal(planes, planes)",
-        ("tests/test_reference_kernels.py::test_plane_sweep_refuses_a_kernel_that_copies",),
+        "list(cube), (1 << 2**n) - 1) == cube",
+        "cube, (1 << 2**n) - 1) == cube",
+        ("tests/test_reference_kernels.py::test_both_injectivity_paths_refuse_a_kernel_that_copies",),
     ),
     Mutant(
-        "injective-sweep-refuses-width-0",
+        "injective-proof-refuses-width-0",
         "circuits.py",
-        "    if not n:  # one state, and no plane to run\n        return True\n",
-        "    if not n:  # one state, and no plane to run\n        return False\n",
-        ("tests/test_reference_kernels.py::test_plane_sweep_agrees_with_the_marking_pass",),
+        "    cube = cube_rows(n)\n",
+        "    if not n:\n        return False\n    cube = cube_rows(n)\n",
+        ("tests/test_reference_kernels.py::test_row_proof_agrees_with_the_marking_pass",),
     ),
     Mutant(
         "role-superset-check-dropped",
