@@ -24,10 +24,10 @@ Exhaustive sweeps run as one batch at any width and are refused up front
 beyond 2**LANDAUER_MAX_WIDTH swept states (default 2**20).  `check_sweep`
 is the one ceiling check: every size refusal of the package, sweep or
 size argument, goes through it and reads one message form.  The full
-cube's rows come in closed form from their periodic bytes (`cube_rows`).
-`permutation_table` runs the kernel on uint8 views of those bytes,
-where numpy's per-byte speed wins at 2^width states, and packs the
-image back into state integers one byte lane (8 lines) at a time.  The
+cube's rows are built by doubling (`cube_rows`).  `permutation_table`
+runs the kernel on uint8 views of its lines as periodic bytes
+(`_cube_bytes`), where numpy's per-byte speed wins at 2^width states,
+and packs the image back into state integers one byte lane (8 lines) at a time.  The
 table is cached on its circuit and is read-only, so
 `check_conservative(exhaustive=True)` reuses it; the ceiling is checked
 on every call, before the cache.  `check_injective_bruteforce` marks the
@@ -267,18 +267,22 @@ def run_states(c: ReversibleCircuit, rows: Sequence[int], count: int) -> list[in
 
 def _cube_bytes(width: int) -> list[bytes]:
     """Line i of every state 0 .. 2^width - 1 in order, as little-endian
-    bytes: lines 0-2 repeat one byte (0xAA, 0xCC, 0xF0), line i >= 3
-    alternates runs of 2^(i-3) bytes 0x00 and 0xFF.  Below width 3 the
-    bits past the last state are not 0."""
+    bytes for permutation_table's planes: lines 0-2 repeat one byte (0xAA,
+    0xCC, 0xF0), line i >= 3 alternates runs of 2^(i-3) bytes 0x00 and
+    0xFF.  Below width 3 the bits past the last state are not 0."""
     size = (2**width + 7) // 8
     periods = [bytes([b]) for b in (0xAA, 0xCC, 0xF0)] + [bytes(1 << i) + b"\xff" * (1 << i) for i in range(width - 3)]
     return [p * (size // len(p)) for p in periods[:width]]
 
 
 def cube_rows(width: int) -> list[int]:
-    """The run_states rows of every state 0 .. 2^width - 1, in order."""
-    ones = (1 << 2**width) - 1
-    return [int.from_bytes(line, "little") & ones for line in _cube_bytes(width)]
+    """The run_states rows of every state 0 .. 2^width - 1, in order: the
+    cube of i + 1 lines is that of i lines twice, the second with line i set."""
+    rows: list[int] = []
+    for size in (1 << i for i in range(width)):  # the 2^i states of the first i lines
+        rows = [r | r << size for r in rows]
+        rows.append(((1 << size) - 1) << size)
+    return rows
 
 
 def permutation_table(c: ReversibleCircuit) -> np.ndarray:

@@ -35,13 +35,14 @@ carried on inert HELPER lines, unchanged by every gate.
 The build and fig1_block_oracle read one checked block table: one pass of
 compress.block_codes (one compress call for lz78 and xor, one decompress
 per block), whose codes, zero-padded to block+1 bits, are checked for a
-collision.  The oracle wraps these texts; the build reads them as line
-masks (_to_mask).  Only the last table is cached: a build is verified
-right after it, and consecutive builds seldom share (codec, block,
-helper), so more entries would only keep dead tables alive.  Verifying
-against that table is still not circular: it is the codec's encoding,
-not the gate list, and the tests check the registers against an
-encoding rebuilt from the codec alone.
+collision.  The build reads the codes as line masks (_to_mask); the
+oracle is a BlockTable of their text, which verify_compiled reads as one
+int row per result line in place of 2^block lookups.  Only the last
+table is cached: a build is verified right after it, and consecutive
+builds seldom share (codec, block, helper), so more entries would only
+keep dead tables alive.  Verifying against that table is still not
+circular: it is the codec's encoding, not the gate list, and the tests
+check the registers against an encoding rebuilt from the codec alone.
 """
 
 from __future__ import annotations
@@ -288,28 +289,27 @@ def build_fig1_compressor(
     return CompiledReversible(circuit, result_lines=register, helper_value=helper)
 
 
-def fig1_block_oracle(
-    codec: CompressionCodec, block: int, helper: BitString
-) -> Callable[[BitString], BitString]:
-    """Reference map the built circuit must equal on its data register:
-    data -> code(data, helper) zero-padded to block+1 bits.
+@dataclass(frozen=True)
+class BlockTable:
+    """A Fig. 1 reference map: codes[v] is the escape code of data value v
+    zero-padded to block+1 bits.  Called on data of `block` bits it looks
+    the code up; verify_compiled reads the codes as rows instead."""
 
-    The codes come from the same checked block table as the build, fetched
-    once here, so a build and its verification run the codec over the
-    block domain once; the oracle is then a lookup.  Verification stays
-    independent of the builder all the same: the table is the codec's
-    escape encoding, not the synthesized gates, and the tests rebuild
-    the expected register without either.  Raises WidthMismatch for data
-    of any length but `block`, and what the build raises for the table.
-    """
-    codes = [_trusted(code) for code in _fig1_codes(codec, block, helper)]
+    block: int
+    codes: tuple[str, ...]
 
-    def oracle(data: BitString) -> BitString:
-        if len(data) != block:
-            raise WidthMismatch(f"expected {block} data bits, got {len(data)}")
-        return codes[data.to_int()]
+    def __call__(self, data: BitString) -> BitString:
+        if len(data) != self.block:
+            raise WidthMismatch(f"expected {self.block} data bits, got {len(data)}")
+        return _trusted(self.codes[data.to_int()])
 
-    return oracle
+
+def fig1_block_oracle(codec: CompressionCodec, block: int, helper: BitString) -> BlockTable:
+    """The BlockTable the built circuit must equal on its data register:
+    data -> code(data, helper) zero-padded to block+1 bits.  It holds the
+    build's own checked table (see the module docstring), and raises what
+    the build raises for it."""
+    return BlockTable(block, _fig1_codes(codec, block, helper))
 
 
 def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> tuple[str, ...]:
@@ -353,9 +353,15 @@ _KEEP = 16
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """mismatches (input, got, want) and ancilla_violations (input, line,
+    kind), at most 16 each, in input order; first_offender is the first
+    case of both, a mismatch first, as (input, line, kind): a mismatch has
+    its lowest differing result line, or None when the widths differ."""
+
     swept: int
     mismatches: tuple = ()
     ancilla_violations: tuple = ()
+    first_offender: tuple | None = None
     # every gate is an involution, so distinct input states have distinct images
     injective_on_domain: ClassVar[bool] = True
 
@@ -372,12 +378,15 @@ def verify_compiled(
     Sweeps the whole input register as one batch, checking result equality,
     ancilla restoration (ancilla lines back to 0, const lines still 1,
     helper lines untouched).  At most 16 offending cases of each kind are
-    recorded, in input order.  The inputs and the results are each
-    rendered to text in one pass over their rows; the oracle is then
-    called once per input x, in order, on BitString.from_int(x, k).
+    recorded, in input order.  A BlockTable (of k-bit blocks, else
+    WidthMismatch) is compared on rows: the OR of each result row XOR its
+    codes' row has a bit set at each input that differs.  Any other map
+    is called on BitString.from_int(x, k) for each input x, in order.
     """
     k = len(compiled.input_lines)
     check_sweep(f"an input register of {k} lines", lines=k)
+    if isinstance(oracle, BlockTable) and oracle.block != k:
+        raise WidthMismatch(f"expected {oracle.block} data bits, got {k}")
     c = compiled.circuit
     count = 1 << k
     ones = (1 << count) - 1
@@ -386,14 +395,22 @@ def verify_compiled(
     for line, row in zip(reversed(compiled.input_lines), cube_rows(k)):
         rows[line] = row
     out = run_states(c, rows, count)
+    got = [out[i] for i in compiled.result_lines]
 
-    inputs = _render([rows[i] for i in compiled.input_lines], count)
     mismatches = []
-    for text, got in zip(inputs, _render([out[i] for i in compiled.result_lines], count)):
-        data = _trusted(text)
-        want = oracle(data)
-        if got != str(want) and len(mismatches) < _KEEP:
-            mismatches.append((data, _trusted(got), want))
+    if isinstance(oracle, BlockTable):  # column j of the codes, read backwards, is result line j's row
+        text, width = "".join(oracle.codes), oracle.block + 1
+        diffs = (row ^ int(text[j::width][::-1], 2) for j, row in enumerate(got))
+        bad = functools.reduce(operator.or_, diffs) if len(got) == width else ones  # another width differs at every input
+        for x in _low_bits(bad):
+            data = BitString.from_int(x, k)
+            mismatches.append((data, _trusted("".join("01"[row >> x & 1] for row in got)), oracle(data)))
+    else:
+        for text, result in zip(_render([rows[i] for i in compiled.input_lines], count), _render(got, count)):
+            data = _trusted(text)
+            want = oracle(data)
+            if result != str(want) and len(mismatches) < _KEEP:
+                mismatches.append((data, _trusted(result), want))
 
     checks = [(out[i], i, "ancilla not restored") for i in compiled.ancilla_lines]
     checks += [(ones ^ out[i], i, "constant line flipped") for i in compiled.const_one_lines]
@@ -401,12 +418,25 @@ def verify_compiled(
         changed = functools.reduce(operator.or_, (out[i] ^ rows[i] for i in compiled.helper_lines))
         checks.append((changed, compiled.helper_lines[0], "helper changed"))
     bad = functools.reduce(operator.or_, (row for row, _, _ in checks), 0)
-    violations = []
-    while bad and len(violations) < _KEEP:  # input order, then check order
-        x = bad & -bad
-        bad ^= x
-        violations += [(_trusted(inputs[x.bit_length() - 1]), i, what) for row, i, what in checks if row & x]
-    return VerificationReport(count, tuple(mismatches), tuple(violations[:_KEEP]))
+    violations = []  # input order, then check order
+    for x in _low_bits(bad):
+        violations += [(BitString.from_int(x, k), i, what) for row, i, what in checks if row >> x & 1]
+    first = min(mismatches[:1] + violations[:1], key=lambda case: case[0].to_int(), default=None)  # a tie keeps the mismatch
+    if mismatches and first is mismatches[0]:
+        data, result, want = first
+        lines = [i for i, a, b in zip(compiled.result_lines, result, want) if a != b]
+        first = (data, min(lines), "result differs") if len(result) == len(want) else (data, None, "result width differs")
+    return VerificationReport(count, tuple(mismatches), tuple(violations[:_KEEP]), first)
+
+
+def _low_bits(mask: int) -> list[int]:
+    """The positions of the lowest 16 set bits of mask, ascending."""
+    found = []
+    while mask and len(found) < _KEEP:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
 def _render(rows: list[int], count: int) -> list[str]:

@@ -19,14 +19,17 @@ from landauer.circuits import (
     ReversibleCircuit,
     check_injective_bruteforce,
     cnot,
+    cube_rows,
     not_gate,
     permutation_table,
+    run_states,
     simulate,
 )
 from landauer.compress import (
     BOOKMARK8,
     IDENTITY,
     LZ78,
+    REGISTRY,
     XOR,
 )
 from landauer.errors import (
@@ -41,9 +44,11 @@ from landauer.irrev import (
     LogicGate,
     evaluate,
     random_netlist,
+    rom_circuit,
 )
 from landauer.rng import substream
 from landauer.synth import (
+    BlockTable,
     CompiledReversible,
     VerificationReport,
     bennett_compile,
@@ -51,7 +56,7 @@ from landauer.synth import (
     fig1_block_oracle,
     verify_compiled,
 )
-from test_reference_kernels import _MARKS, MARKS, netlists
+from test_reference_kernels import _MARKS, MARKS, circuits_of_width, netlists
 
 
 def wire_through(n):
@@ -182,28 +187,34 @@ def test_verify_detects_one_deleted_gate():
 
 def verify_one_state_at_a_time(compiled, oracle):
     """Reference for verify_compiled: one scalar simulate per input, with
-    its cap of 16 recorded cases of each kind."""
+    its cap of 16 recorded cases of each kind, and the first case of all
+    as (input, line, kind): a mismatch names its lowest differing result
+    line, or no line when the two results differ in length."""
     keep = 16
     k = len(compiled.input_lines)
-    mismatches, violations, seen = [], [], set()
+    mismatches, violations, seen, first = [], [], set(), None
     for x in range(1 << k):
         data = BitString.from_int(x, k)
         state = compiled.run(data)
         got, want = compiled.result(state), oracle(data)
-        if got != want and len(mismatches) < keep:
-            mismatches.append((data, got, want))
-        for line in compiled.ancilla_lines:
-            if state[line] != 0 and len(violations) < keep:
-                violations.append((data, line, "ancilla not restored"))
-        for line in compiled.const_one_lines:
-            if state[line] != 1 and len(violations) < keep:
-                violations.append((data, line, "constant line flipped"))
-        if compiled.helper_lines:
-            if compiled.pick(state, compiled.helper_lines) != compiled.helper_value and len(violations) < keep:
-                violations.append((data, compiled.helper_lines[0], "helper changed"))
+        mismatch = []
+        if got != want:
+            if len(mismatches) < keep:
+                mismatches.append((data, got, want))
+            if len(got) != len(want):
+                mismatch.append((data, None, "result width differs"))
+            else:
+                lines = [line for line, a, b in zip(compiled.result_lines, got, want) if a != b]
+                mismatch.append((data, min(lines), "result differs"))
+        found = [(data, line, "ancilla not restored") for line in compiled.ancilla_lines if state[line] != 0]
+        found += [(data, line, "constant line flipped") for line in compiled.const_one_lines if state[line] != 1]
+        if compiled.helper_lines and compiled.pick(state, compiled.helper_lines) != compiled.helper_value:
+            found.append((data, compiled.helper_lines[0], "helper changed"))
+        violations += found[: keep - len(violations)]
+        first = first or (mismatch + found or [None])[0]
         seen.add(str(state))
     assert len(seen) == 1 << k  # distinct inputs, distinct full states
-    return VerificationReport(1 << k, tuple(mismatches), tuple(violations))
+    return VerificationReport(1 << k, tuple(mismatches), tuple(violations), first)
 
 
 def with_gates(compiled, extra):
@@ -292,6 +303,161 @@ def test_verify_counts_unequal_result_lengths_as_mismatches():
         (BitString("000"), BitString("000"), BitString("0000")),
         (BitString("001"), BitString("001"), BitString("0010")),
     )
+
+
+def without_gate(compiled, n):
+    c = compiled.circuit
+    return replace(compiled, circuit=ReversibleCircuit(c.width, c.gates[:n] + c.gates[n + 1 :], c.line_roles))
+
+
+def differing_on(table, v, position):
+    """The table with one bit of the code of data value v flipped."""
+    code = table.codes[v]
+    flipped = code[:position] + "10"[int(code[position])] + code[position + 1 :]
+    return replace(table, codes=table.codes[:v] + (flipped,) + table.codes[v + 1 :])
+
+
+def assert_both_paths_equal_the_reference(compiled, table):
+    report = verify_compiled(compiled, table)
+    assert report == verify_compiled(compiled, lambda d: table(d)) == verify_one_state_at_a_time(compiled, table)
+    return report
+
+
+@pytest.mark.parametrize("codec", REGISTRY.values(), ids=lambda c: c.name)
+def test_the_table_path_equals_the_per_input_path_and_the_scalar_reference(codec):
+    """Fig. 1 builds at blocks 1-8, whole and broken: an extra CNOT into
+    the last result line, a touched helper line, a dropped gate, and a
+    table that differs on one input in its last line."""
+    broken = 0
+    for block in range(1, 9):
+        for helper in ("1", "0110"):
+            comp = build_fig1_compressor(codec, block, BitString(helper))
+            table = fig1_block_oracle(codec, block, BitString(helper))
+            assert assert_both_paths_equal_the_reference(comp, table).ok
+            register = comp.result_lines
+            variants = [
+                (with_gates(comp, [cnot(register[0], register[-1])]), table),
+                (with_gates(comp, [cnot(register[0], comp.helper_lines[-1])]), table),
+                (without_gate(comp, len(comp.circuit.gates) // 2), table),
+                (comp, differing_on(table, (1 << block) // 3, block)),
+            ]
+            for compiled, reference in variants:
+                broken += not assert_both_paths_equal_the_reference(compiled, reference).ok
+    assert broken == 8 * 2 * 4
+
+
+@pytest.mark.parametrize(
+    "compiled, table",
+    [
+        (build_fig1_compressor(XOR, 4, BitString("10")), fig1_block_oracle(XOR, 3, BitString("10"))),
+        # the table's first two codes are what the lines carry: only the block check refuses it
+        (
+            CompiledReversible(
+                ReversibleCircuit(3, (cnot(0, 1), cnot(0, 2)), (INPUT, OUTPUT_ALIAS, OUTPUT_ALIAS)),
+                result_lines=(0, 1, 2),
+            ),
+            BlockTable(2, ("000", "111", "000", "000")),
+        ),
+    ],
+    ids=["fig1-block-4", "one-input-line"],
+)
+def test_a_table_of_another_block_is_refused_after_the_sweep_ceiling(compiled, table, monkeypatch):
+    k = len(compiled.input_lines)
+    message = f"expected {table.block} data bits, got {k}"
+    for reference in (table, lambda d: table(d)):
+        with pytest.raises(WidthMismatch, match=message):
+            verify_compiled(compiled, reference)
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", str(k - 1))
+    with pytest.raises(DomainTooLarge):
+        verify_compiled(compiled, table)
+
+
+def test_a_table_against_a_result_register_of_another_width_reports_every_input():
+    helper = BitString("01")
+    comp = build_fig1_compressor(BOOKMARK8, 4, helper)
+    table = fig1_block_oracle(BOOKMARK8, 4, helper)
+    for register in (comp.result_lines[:-1], comp.result_lines + comp.helper_lines[:1]):
+        report = assert_both_paths_equal_the_reference(replace(comp, result_lines=register), table)
+        assert [case[0] for case in report.mismatches] == [BitString.from_int(x, 4) for x in range(16)]
+        assert report.first_offender == (BitString("0000"), None, "result width differs")
+
+
+def test_first_offender_names_the_input_and_line_of_a_dropped_uncompute_gate():
+    src = IrreversibleCircuit(("a", "b"), (LogicGate("g", AND, ("a", "b")),), ("g",))
+    comp = bennett_compile(src)
+    assert comp.circuit.gates[-1] == comp.circuit.gates[0]  # the uncompute of the one Toffoli
+    oracle = lambda x: evaluate(src, x)
+    assert verify_compiled(comp, oracle).first_offender is None
+    dropped = without_gate(comp, len(comp.circuit.gates) - 1)
+    report = verify_compiled(dropped, oracle)
+    assert report.first_offender == (BitString("11"), comp.ancilla_lines[0], "ancilla not restored")
+    assert not report.mismatches and report == verify_one_state_at_a_time(dropped, oracle)
+
+
+def test_first_offender_names_the_input_and_first_line_a_table_differs_on():
+    helper = BitString("10")
+    comp = build_fig1_compressor(BOOKMARK8, 8, helper)
+    table = fig1_block_oracle(BOOKMARK8, 8, helper)
+    wrong = differing_on(differing_on(table, 37, 6), 37, 3)
+    report = assert_both_paths_equal_the_reference(comp, wrong)
+    data = BitString.from_int(37, 8)
+    assert report.mismatches == ((data, table(data), wrong(data)),)
+    assert report.first_offender == (data, 3, "result differs")
+    # within one input the mismatch comes first, then that input's violations
+    touched = with_gates(comp, [cnot(comp.result_lines[0], comp.helper_lines[0])])
+    report = assert_both_paths_equal_the_reference(touched, wrong)
+    assert report.first_offender == (BitString.from_int(0, 8), comp.helper_lines[0], "helper changed")
+    report = assert_both_paths_equal_the_reference(touched, differing_on(table, 0, 8))
+    assert report.first_offender == (BitString.from_int(0, 8), 8, "result differs")
+
+
+def fibers(circuit, swept_lines, result_lines):
+    """Every state of the swept lines (the rest 0) run as one batch of
+    run_states rows, grouped by the result lines' values: each result maps
+    to the other lines' final states, in input order."""
+    rows = [0] * circuit.width
+    for line, row in zip(swept_lines, cube_rows(len(swept_lines))):
+        rows[line] = row
+    out = run_states(circuit, rows, 1 << len(swept_lines))
+    rest_lines = [i for i in range(circuit.width) if i not in result_lines]
+    grouped = {}
+    for x in range(1 << len(swept_lines)):
+        result = tuple(out[i] >> x & 1 for i in result_lines)
+        grouped.setdefault(result, []).append(tuple(out[i] >> x & 1 for i in rest_lines))
+    return grouped
+
+
+def largest_fiber_told_apart(grouped):
+    """The largest fiber, after checking that the other lines tell the
+    inputs of each fiber apart and so take at least that many states."""
+    for rest in grouped.values():
+        assert len(set(rest)) == len(rest)
+    largest = max(map(len, grouped.values()))
+    assert len({r for rest in grouped.values() for r in rest}) >= largest
+    return largest
+
+
+def test_simulation_resilience_bennett_builds_keep_each_fiber_apart():
+    """A reversible simulation of a lossy netlist keeps, on its other
+    lines, what tells apart the inputs that its result lines merge."""
+    rng = substream(35, "resilience")
+    nets = [IrreversibleCircuit(("a", "b"), (LogicGate("g", AND, ("a", "b")),), ("g",)), rom_circuit(BitString("101"), 4)]
+    nets += [random_netlist(rng.randint(1, 6), rng.randint(0, 10), rng) for _ in range(10)]
+    largest = []
+    for net in nets:
+        comp = bennett_compile(net)
+        largest.append(largest_fiber_told_apart(fibers(comp.circuit, comp.input_lines, comp.result_lines)))
+    assert largest[:2] == [3, 16]  # AND merges three inputs into 0; the ROM merges all 16
+
+
+@given(circuits_of_width(st.integers(1, 8)), st.integers(0, 255))
+@example(ReversibleCircuit(2, (cnot(0, 1),)), 1)
+@settings(max_examples=100, deadline=None)
+def test_simulation_resilience_any_admitted_circuit_keeps_each_fiber_apart(c, pick):
+    """Every admitted circuit is a bijection: whichever lines are read as
+    its result, the others tell apart every input of each fiber."""
+    result_lines = tuple(i for i in range(c.width) if pick >> i & 1)
+    largest_fiber_told_apart(fibers(c, tuple(range(c.width)), result_lines))
 
 
 def test_compiled_line_sets_are_the_circuit_roles():

@@ -369,6 +369,56 @@ MUTANTS = (
         ("tests/test_reference_kernels.py::test_row_proof_agrees_with_the_marking_pass",),
     ),
     Mutant(
+        "cube-doubling-without-the-new-line-shift",
+        "circuits.py",
+        "rows.append(((1 << size) - 1) << size)",
+        "rows.append((1 << size) - 1)",
+        ("tests/test_reference_kernels.py::test_cube_rows_equal_packed_arange_at_every_width",),
+    ),
+    Mutant(
+        "cnot-copies-instead-of-adding",
+        "circuits.py",
+        "            rows[t] ^= rows[b]\n",
+        "            rows[t] = rows[b]\n",
+        ("tests/test_synth.py::test_simulation_resilience_any_admitted_circuit_keeps_each_fiber_apart",),
+    ),
+    Mutant(
+        "table-path-drops-the-last-result-line",
+        "synth.py",
+        "for j, row in enumerate(got))",
+        "for j, row in enumerate(got[:-1]))",
+        ("tests/test_synth.py::test_the_table_path_equals_the_per_input_path_and_the_scalar_reference[bookmark8]",),
+    ),
+    Mutant(
+        "table-block-check-dropped",
+        "synth.py",
+        "    if isinstance(oracle, BlockTable) and oracle.block != k:\n"
+        '        raise WidthMismatch(f"expected {oracle.block} data bits, got {k}")\n',
+        "",
+        ("tests/test_synth.py::test_a_table_of_another_block_is_refused_after_the_sweep_ceiling[one-input-line]",),
+    ),
+    Mutant(
+        "table-fold-with-and",
+        "synth.py",
+        "functools.reduce(operator.or_, diffs)",
+        "functools.reduce(operator.and_, diffs)",
+        ("tests/test_synth.py::test_the_table_path_equals_the_per_input_path_and_the_scalar_reference[bookmark8]",),
+    ),
+    Mutant(
+        "mismatches-taken-highest-bit-first",
+        "synth.py",
+        "low = mask & -mask",
+        "low = 1 << mask.bit_length() - 1",
+        ("tests/test_synth.py::test_the_table_path_equals_the_per_input_path_and_the_scalar_reference[bookmark8]",),
+    ),
+    Mutant(
+        "first-offender-violation-before-its-mismatch",
+        "synth.py",
+        "min(mismatches[:1] + violations[:1]",
+        "min(violations[:1] + mismatches[:1]",
+        ("tests/test_synth.py::test_first_offender_names_the_input_and_first_line_a_table_differs_on",),
+    ),
+    Mutant(
         "role-superset-check-dropped",
         "circuits.py",
         "known = _ROLE_SET.issuperset(roles)",
