@@ -32,13 +32,13 @@ and the whole line set stays small enough for exhaustive
 bijectivity sweeps.  The helper is baked into the encoding table and
 carried on inert HELPER lines, unchanged by every gate.
 
-The build and fig1_block_oracle read one checked block table: one pass of
+fig1_block_oracle returns one checked BlockTable: one pass of
 compress.block_codes (one compress call for lz78 and xor, one decompress
 per block), whose codes, zero-padded to block+1 bits, are checked for a
-collision.  The build reads the codes as line masks (_to_mask); the
-oracle is a BlockTable of their text, which verify_compiled reads as one
-int row per result line in place of 2^block lookups.  Only the last
-table is cached: a build is verified right after it, and consecutive
+collision.  The build reads its codes as line masks (_to_mask), and
+verify_compiled takes them as the wants it compares on int rows, where
+it calls any other reference map once per input.  Only the last table
+is cached: a build is verified right after it, and consecutive
 builds seldom share (codec, block, helper), so more entries would only
 keep dead tables alive.  Verifying against that table is still not
 circular: it is the codec's encoding, not the gate list, and the tests
@@ -262,7 +262,7 @@ def build_fig1_compressor(
     # code is key | 1, which the final flip of line 0 undoes, so only a
     # compressed block moves: key x goes to c | 1 for its code mask c, and
     # those points take back the keys, each list in ascending order.
-    codes = _fig1_codes(codec, block, helper)
+    codes = fig1_block_oracle(codec, block, helper).codes
     sigma = {
         _to_mask(format(v, f"0{block}b")) << 1: _to_mask(code) | 1
         for v, code in enumerate(codes)
@@ -292,11 +292,16 @@ def build_fig1_compressor(
 @dataclass(frozen=True)
 class BlockTable:
     """A Fig. 1 reference map: codes[v] is the escape code of data value v
-    zero-padded to block+1 bits.  Called on data of `block` bits it looks
-    the code up; verify_compiled reads the codes as rows instead."""
+    zero-padded to block+1 bits, one code per block value (else
+    WidthMismatch).  Called on data of `block` bits it looks the code up;
+    verify_compiled takes the codes as its wants instead."""
 
     block: int
     codes: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.block < 0 or len(self.codes) != 1 << self.block:
+            raise WidthMismatch(f"a table of {len(self.codes)} codes for {self.block}-bit blocks")
 
     def __call__(self, data: BitString) -> BitString:
         if len(data) != self.block:
@@ -305,19 +310,14 @@ class BlockTable:
 
 
 def fig1_block_oracle(codec: CompressionCodec, block: int, helper: BitString) -> BlockTable:
-    """The BlockTable the built circuit must equal on its data register:
-    data -> code(data, helper) zero-padded to block+1 bits.  It holds the
-    build's own checked table (see the module docstring), and raises what
-    the build raises for it."""
-    return BlockTable(block, _fig1_codes(codec, block, helper))
-
-
-def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> tuple[str, ...]:
-    """The checked block table of a Fig. 1 compressor: the escape code of
-    each data value, in value order, as text zero-padded to block+1 bits.
+    """The checked block table of a Fig. 1 compressor, which the built
+    circuit must equal on its data register: the escape code of each data
+    value, in value order, zero-padded to block+1 bits.  The build reads
+    the same table (see the module docstring).
 
     Too small a block, or a register above the sweep ceiling, is refused
-    on every call before the cache and before any codec call.
+    on every call before the cache and before any codec call; a codec
+    that fails the block checks raises CodecNotInjective.
     """
     if block < 1:
         raise LandauerError("block must be at least 1")
@@ -326,7 +326,7 @@ def _fig1_codes(codec: CompressionCodec, block: int, helper: BitString) -> tuple
 
 
 @functools.lru_cache(maxsize=1)
-def _fig1_table(codec: CompressionCodec, block: int, helper: BitString) -> tuple[str, ...]:
+def _fig1_table(codec: CompressionCodec, block: int, helper: BitString) -> BlockTable:
     # One entry is the whole reuse: a build and then its oracle (see the
     # module docstring).  lru_cache stores no exception, so a codec that
     # fails the checks fails on every call.  A pure codec never trips the
@@ -341,7 +341,7 @@ def _fig1_table(codec: CompressionCodec, block: int, helper: BitString) -> tuple
         if code in seen:
             raise CodecNotInjective(f"{codec.name} block encoding collides at {format(v, f'0{block}b')}")
         seen.add(code)
-    return codes
+    return BlockTable(block, codes)
 
 
 # --- verification sweeps ----------------------------------------------------------
@@ -378,54 +378,60 @@ def verify_compiled(
     Sweeps the whole input register as one batch, checking result equality,
     ancilla restoration (ancilla lines back to 0, const lines still 1,
     helper lines untouched).  At most 16 offending cases of each kind are
-    recorded, in input order.  A BlockTable (of k-bit blocks, else
-    WidthMismatch) is compared on rows: the OR of each result row XOR its
-    codes' row has a bit set at each input that differs.  Any other map
-    is called on BitString.from_int(x, k) for each input x, in order.
+    recorded, in input order.  The wants are a BlockTable's codes (of k-bit
+    blocks, else WidthMismatch), or else the map's results, kept as text,
+    from one call per input x on BitString.from_int(x, k), in order.  Each
+    check is an int row with a bit set at each input it fails: one per
+    result line (its rows XOR the wants' column), one for wants of another
+    width, and one per ancilla, constant and helper check.
     """
     k = len(compiled.input_lines)
     check_sweep(f"an input register of {k} lines", lines=k)
     if isinstance(oracle, BlockTable) and oracle.block != k:
         raise WidthMismatch(f"expected {oracle.block} data bits, got {k}")
-    c = compiled.circuit
     count = 1 << k
     ones = (1 << count) - 1
     rows = [ones if bit else 0 for bit in compiled.assemble_input(BitString.zeros(k))]
     # Input x is BitString.from_int(x, k): data line j carries bit k-1-j of x.
     for line, row in zip(reversed(compiled.input_lines), cube_rows(k)):
         rows[line] = row
-    out = run_states(c, rows, count)
+    out = run_states(compiled.circuit, rows, count)
     got = [out[i] for i in compiled.result_lines]
-
-    mismatches = []
-    if isinstance(oracle, BlockTable):  # column j of the codes, read backwards, is result line j's row
-        text, width = "".join(oracle.codes), oracle.block + 1
-        diffs = (row ^ int(text[j::width][::-1], 2) for j, row in enumerate(got))
-        bad = functools.reduce(operator.or_, diffs) if len(got) == width else ones  # another width differs at every input
-        for x in _low_bits(bad):
-            data = BitString.from_int(x, k)
-            mismatches.append((data, _trusted("".join("01"[row >> x & 1] for row in got)), oracle(data)))
+    if isinstance(oracle, BlockTable):
+        wants = oracle.codes
     else:
-        for text, result in zip(_render([rows[i] for i in compiled.input_lines], count), _render(got, count)):
-            data = _trusted(text)
-            want = oracle(data)
-            if result != str(want) and len(mismatches) < _KEEP:
-                mismatches.append((data, _trusted(result), want))
+        texts = [""]  # input x's text, built by doubling as cube_rows builds its rows
+        for _ in range(k):
+            texts = ["0" + t for t in texts] + ["1" + t for t in texts]
+        wants = [str(oracle(_trusted(text))) for text in texts]
 
+    # column j of the joined wants, read backwards, is result line j's want
+    # row; a want of another width sets its input's bit in `wide` and reads 0
+    m, wide, text = len(got), 0, "".join(wants)
+    if set(map(len, wants)) - {m}:
+        wide = int("".join("01"[len(want) != m] for want in reversed(wants)), 2)
+        text = "".join(want if len(want) == m else "0" * m for want in wants)
+    results = [(wide, None, "result width differs")]
+    for i, j in sorted(zip(compiled.result_lines, range(m))):  # the lowest differing line first
+        results.append((got[j] ^ int(text[j::m][::-1], 2), i, "result differs"))
     checks = [(out[i], i, "ancilla not restored") for i in compiled.ancilla_lines]
     checks += [(ones ^ out[i], i, "constant line flipped") for i in compiled.const_one_lines]
     if compiled.helper_lines:
         changed = functools.reduce(operator.or_, (out[i] ^ rows[i] for i in compiled.helper_lines))
         checks.append((changed, compiled.helper_lines[0], "helper changed"))
+
+    def cases(x: int, found: list) -> list:  # input x's failed checks, in check order
+        return [(BitString.from_int(x, k), i, what) for row, i, what in found if row >> x & 1]
+
+    differs = functools.reduce(operator.or_, (row for row, _, _ in results))
     bad = functools.reduce(operator.or_, (row for row, _, _ in checks), 0)
-    violations = []  # input order, then check order
-    for x in _low_bits(bad):
-        violations += [(BitString.from_int(x, k), i, what) for row, i, what in checks if row >> x & 1]
-    first = min(mismatches[:1] + violations[:1], key=lambda case: case[0].to_int(), default=None)  # a tie keeps the mismatch
-    if mismatches and first is mismatches[0]:
-        data, result, want = first
-        lines = [i for i, a, b in zip(compiled.result_lines, result, want) if a != b]
-        first = (data, min(lines), "result differs") if len(result) == len(want) else (data, None, "result width differs")
+    mismatches = [
+        (BitString.from_int(x, k), _trusted("".join("01"[row >> x & 1] for row in got)), _trusted(wants[x]))
+        for x in _low_bits(differs)
+    ]
+    violations = [case for x in _low_bits(bad) for case in cases(x, checks)]
+    offending = differs | bad
+    first = cases((offending & -offending).bit_length() - 1, results + checks)[0] if offending else None
     return VerificationReport(count, tuple(mismatches), tuple(violations[:_KEEP]), first)
 
 
@@ -437,17 +443,3 @@ def _low_bits(mask: int) -> list[int]:
         found.append(low.bit_length() - 1)
         mask ^= low
     return found
-
-
-def _render(rows: list[int], count: int) -> list[str]:
-    """The first `count` states of run_states rows as '0'/'1' text, line i
-    of a state being character i: each row is written into every
-    width-th byte of one buffer, then decoded once."""
-    width = len(rows)
-    if not width:  # no lines: every state is the empty string (a 0 slice step would raise)
-        return [""] * count
-    buf = bytearray(count * width)
-    for i, row in enumerate(rows):
-        buf[i::width] = format(row, f"0{count}b")[::-1].encode()
-    text = buf.decode()
-    return [text[i : i + width] for i in range(0, len(text), width)]

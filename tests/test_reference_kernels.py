@@ -80,7 +80,7 @@ from landauer.compress import (
 )
 from landauer.errors import BadConstantLine, CodecNotInjective, DomainTooLarge, MalformedCode, NotConservative
 from landauer.prbox import CorrelationQuadruple, check_pr_condition, generate_pr_quadruple
-from landauer.synth import _fig1_codes, _transposition_gates, build_fig1_compressor
+from landauer.synth import _transposition_gates, build_fig1_compressor, fig1_block_oracle
 
 # --- references ------------------------------------------------------------------
 
@@ -569,7 +569,7 @@ def test_xor_int_matches_per_character_reference(pair):
 def test_fig1_table_equals_the_per_block_reference(codec):
     for helper in map(BitString, HELPERS):
         for block in range(1, 9):
-            codes = _fig1_codes(codec, block, helper)
+            codes = fig1_block_oracle(codec, block, helper).codes
             assert all(len(code) == block + 1 for code in codes)
             table = [(_to_mask(BitString.from_int(v, block)) << 1, _to_mask(code)) for v, code in enumerate(codes)]
             assert table == list(ref_fig1_table(codec, block, helper).items())

@@ -382,6 +382,43 @@ def test_a_table_against_a_result_register_of_another_width_reports_every_input(
         assert report.first_offender == (BitString("0000"), None, "result width differs")
 
 
+def test_a_table_with_codes_of_another_width_reports_as_the_per_input_path():
+    comp = build_fig1_compressor(XOR, 2, BitString("1"))
+    report = assert_both_paths_equal_the_reference(comp, BlockTable(2, ("100", "1010", "11", "111")))
+    assert [case[0] for case in report.mismatches] == [BitString("01"), BitString("10")]
+    assert report.first_offender == (BitString("01"), None, "result width differs")
+
+
+@pytest.mark.parametrize(
+    "block, codes", [(2, ("100", "101", "110")), (2, ("100", "101", "110", "111", "000")), (2, ()), (-1, ())]
+)
+def test_a_table_of_another_code_count_is_refused(block, codes):
+    with pytest.raises(WidthMismatch, match=f"a table of {len(codes)} codes for {block}-bit blocks"):
+        BlockTable(block, codes)
+
+
+@pytest.mark.parametrize("wide, flipped", [((1, 6), 3), ((5, 7), 3), ((0, 2), 7)])
+def test_wants_of_mixed_widths_report_as_the_scalar_reference(wide, flipped):
+    """A map whose want has another width on the inputs in `wide`, one
+    longer and one shorter, below and above the input whose want differs
+    in its last bit."""
+    comp = bennett_compile(wire_through(3))
+
+    def oracle(data):
+        x = data.to_int()
+        if x in wide:
+            return data + BitString("0") if x == wide[0] else data[:1]
+        return BitString.from_int(x ^ (x == flipped), 3)
+
+    report = verify_compiled(comp, oracle)
+    assert report == verify_one_state_at_a_time(comp, oracle)
+    assert [case[0].to_int() for case in report.mismatches] == sorted(wide + (flipped,))
+    if wide[0] < flipped:
+        assert report.first_offender == (BitString.from_int(wide[0], 3), None, "result width differs")
+    else:
+        assert report.first_offender == (BitString.from_int(flipped, 3), comp.output_lines[-1], "result differs")
+
+
 def test_first_offender_names_the_input_and_line_of_a_dropped_uncompute_gate():
     src = IrreversibleCircuit(("a", "b"), (LogicGate("g", AND, ("a", "b")),), ("g",))
     comp = bennett_compile(src)

@@ -16,7 +16,8 @@ a tool run on demand, not a tier-1 test:
     python tools/coverage.py            # the whole tier-1 suite
     python tools/coverage.py -k cli     # extra arguments go to pytest
 
-Exits with pytest's status when the suite fails, else 0.
+Exits with pytest's status when the suite fails, else 1 when any statement
+ran in no test, else 0.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
             total += 1
     print(f"{total} statements of src/landauer ran in no test")
-    return int(status)
+    return int(status) or int(total > 0)
 
 
 if __name__ == "__main__":

@@ -385,8 +385,8 @@ MUTANTS = (
     Mutant(
         "table-path-drops-the-last-result-line",
         "synth.py",
-        "for j, row in enumerate(got))",
-        "for j, row in enumerate(got[:-1]))",
+        "zip(compiled.result_lines, range(m))",
+        "zip(compiled.result_lines, range(m - 1))",
         ("tests/test_synth.py::test_the_table_path_equals_the_per_input_path_and_the_scalar_reference[bookmark8]",),
     ),
     Mutant(
@@ -400,8 +400,8 @@ MUTANTS = (
     Mutant(
         "table-fold-with-and",
         "synth.py",
-        "functools.reduce(operator.or_, diffs)",
-        "functools.reduce(operator.and_, diffs)",
+        "functools.reduce(operator.or_, (row for row, _, _ in results))",
+        "functools.reduce(operator.and_, (row for row, _, _ in results))",
         ("tests/test_synth.py::test_the_table_path_equals_the_per_input_path_and_the_scalar_reference[bookmark8]",),
     ),
     Mutant(
@@ -414,9 +414,30 @@ MUTANTS = (
     Mutant(
         "first-offender-violation-before-its-mismatch",
         "synth.py",
-        "min(mismatches[:1] + violations[:1]",
-        "min(violations[:1] + mismatches[:1]",
+        "results + checks)[0]",
+        "checks + results)[0]",
         ("tests/test_synth.py::test_first_offender_names_the_input_and_first_line_a_table_differs_on",),
+    ),
+    Mutant(
+        "wants-of-another-width-pass",
+        "synth.py",
+        'wide = int("".join("01"[len(want) != m] for want in reversed(wants)), 2)',
+        "wide = 0",
+        ("tests/test_synth.py::test_wants_of_mixed_widths_report_as_the_scalar_reference",),
+    ),
+    Mutant(
+        "first-offender-at-the-highest-input",
+        "synth.py",
+        "cases((offending & -offending).bit_length() - 1",
+        "cases(offending.bit_length() - 1",
+        ("tests/test_synth.py::test_first_offender_names_the_input_and_first_line_a_table_differs_on",),
+    ),
+    Mutant(
+        "block-table-count-check-dropped",
+        "synth.py",
+        "self.block < 0 or len(self.codes) != 1 << self.block",
+        "self.block < 0",
+        ("tests/test_synth.py::test_a_table_of_another_code_count_is_refused",),
     ),
     Mutant(
         "role-superset-check-dropped",
