@@ -21,13 +21,16 @@ width 21 they are drawn straight from the substream's getrandbits by
 CPython's own rule, so the circuits (and the golden files) are sample's
 without its per-call cost.  A class is swept as one run_states batch
 (`_class_rows`), and the half weights of its images are counted with
-exact-weight masks (`_weight_masks`).
+exact-weight masks (`_weight_masks`); the same masks of rows and image
+prove a non-Fredkin circuit conservative, over the cube's rows within the
+ceiling, else the class's.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -38,9 +41,9 @@ from .circuits import (
     _to_mask,
     check_conservative,
     check_sweep,
+    cube_rows,
     fredkin,
     max_sweep_width,
-    permutation_table,
     run_states,
     simulate_trajectory,
 )
@@ -190,16 +193,16 @@ def count_class_transitions(
 ) -> int:
     """Exact count of source-class strings mapped into the target class.
 
-    Sweeps the source class only, within the ceiling on swept states.
+    Sweeps the source class once, within the ceiling on swept states.
     Requires a circuit of width 2n that preserves Hamming weight.  An
     all-Fredkin circuit does so by construction.  Any other circuit is
-    proved conservative over its whole 2^(2n) cube when that cube is within
-    the sweep ceiling; above it, the check is that every image in the swept
-    class keeps its source state's weight, which is the property the count
-    relies on.  Either failure raises NotConservative, naming the first
-    offending state (in state-integer order over the cube, in sweep order
-    over the class) and the first gate that changes its weight.  A target
-    of another n than the source's raises LandauerError.
+    proved conservative on run_states rows: its whole 2^(2n) cube's when
+    that cube is within the sweep ceiling, else the class's, whose image the
+    count reads (the property the count relies on).  Either failure raises
+    NotConservative, naming the first offending state (in state-integer
+    order over the cube, in sweep order over the class) and the first gate
+    that changes its weight.  A target of another n than the source's
+    raises LandauerError.
     """
     n = source.n
     if target.n != n:
@@ -207,24 +210,19 @@ def count_class_transitions(
     if c.width != 2 * n:
         raise LandauerError(f"circuit width {c.width} does not match 2n = {2 * n}")
     check_sweep(f"{source} of {source.class_size()} states", states=source.class_size())
-    proved = check_conservative(c)
-    if not proved and c.width <= max_sweep_width():
-        if not check_conservative(c, exhaustive=True):
-            table = permutation_table(c).tolist()
-            x = next(x for x, y in enumerate(table) if x.bit_count() != y.bit_count())
-            state = format(x, f"0{c.width}b")[::-1]  # line i is bit i of x
-            offender = _weight_change(c, state)
-            raise NotConservative(f"circuit does not preserve Hamming weight: first offending state {offender}")
-        proved = True
     rows, size = _class_rows(source), source.class_size()
     ones = (1 << size) - 1
     image = run_states(c, rows, size)
     weight = source.left_weight + source.right_weight
-    if not proved and (bad := ones ^ _weight_masks(image, ones)[weight]):
-        x = (bad & -bad).bit_length() - 1  # the first offending state
-        state = "".join(str(r >> x & 1) for r in rows)
-        offender = _weight_change(c, state)
-        raise NotConservative(f"circuit changes the Hamming weight of source-class state {offender}")
+    if not check_conservative(c):
+        cube = c.width <= max_sweep_width()
+        proof, count = (cube_rows(c.width), 1 << c.width) if cube else (rows, size)
+        full, swept = (1 << count) - 1, run_states(c, proof, count) if cube else image
+        # a set bit is a state in one weight mask of the proof set and not in the same mask of its image
+        if bad := functools.reduce(operator.or_, map(operator.xor, _weight_masks(proof, full), _weight_masks(swept, full))):
+            x = (bad & -bad).bit_length() - 1  # the first offending state
+            what = "does not preserve Hamming weight: first offending state" if cube else "changes the Hamming weight of source-class state"
+            raise NotConservative(f"circuit {what} {_weight_change(c, ''.join(str(r >> x & 1) for r in proof))}")
     # every image keeps its weight, so the right half's weight follows from the left's
     if target.left_weight + target.right_weight != weight:
         return 0

@@ -84,6 +84,7 @@ from .bitstring import (
     decode_uint,
     encode_uint,
 )
+from .circuits import check_sweep
 from .errors import CodecNotInjective, LandauerError, MalformedCode
 
 
@@ -121,7 +122,7 @@ class CompressionCodec:
 
     def decompress(self, code: BitString, helper: BitString) -> BitString:
         data = BitString(self._decompress(str(code), str(helper)))
-        if self.compress(data, helper) != code:  # the one canonical-code check
+        if self.compress(data, helper) != code:  # the one canonical check of a codec code
             raise MalformedCode(f"{self.name}: not the code the encoder writes for the {len(data)} bits it decodes to")
         return data
 
@@ -450,7 +451,7 @@ def decode_with_escape(
     if len(data) != data_len:
         raise MalformedCode(f"block code decodes to {len(data)} bits, expected {data_len}")
     code = str(encode_with_escape(codec, data, helper))
-    if not text.startswith(code):  # the one canonical-code check
+    if not text.startswith(code):  # the one canonical check of a block code
         branch = "raw" if raw else "compressed"
         raise MalformedCode(f"{branch} block code is not the one encode_with_escape writes for its {data_len} bits")
     if "1" in text[len(code) :]:
@@ -462,9 +463,14 @@ def block_codes(codec: CompressionCodec, block: int, helper: BitString) -> list[
     """The escape code of each `block`-bit value under `helper`, as text in
     value order, after its round trip, outside the compress memo: one _codes
     call if the codec sets it, else one compress per value, and one decompress
-    per value.  A _codes list of the wrong length or a kernel output other than
-    bits raises LandauerError (a compress output before its decompress), and a
-    failed round trip CodecNotInjective."""
+    per value.  A block below 1 raises LandauerError and a block above the
+    sweep ceiling DomainTooLarge, both before any codec call.  A _codes list
+    of the wrong length or a kernel output other than bits raises
+    LandauerError (a compress output before its decompress), and a failed
+    round trip CodecNotInjective."""
+    if block < 1:
+        raise LandauerError("block must be at least 1")
+    check_sweep(f"a block of {block} bits", lines=block)
     compress, decompress = codec._compress, codec._decompress
     h = str(helper)
     width = f"0{block}b"

@@ -30,7 +30,7 @@ from landauer.compress import (
     estimate_complexity,
 )
 from landauer.demon import run_erase_then_extract, run_extract_then_erase
-from landauer.errors import CodecNotInjective, LandauerError, MalformedCode
+from landauer.errors import CodecNotInjective, DomainTooLarge, LandauerError, MalformedCode
 from landauer.prbox import generate_pr_quadruple, pr_report
 from landauer.rng import random_bits, substream
 from landauer.thermo import erasure_cost_interval, wv_report
@@ -203,6 +203,24 @@ def test_a_batch_still_round_trips_every_block():
     broken = dataclasses.replace(IDENTITY, _decompress=lambda code, helper: "1001" if code == "0110" else code)
     with pytest.raises(CodecNotInjective, match="batched fails round-trip on 0110"):
         block_codes(_batched(broken), 4, EMPTY)
+
+
+@pytest.mark.parametrize("codec", default_family(), ids=lambda c: c.name)
+def test_block_codes_refuses_a_block_it_cannot_sweep(codec, monkeypatch):
+    calls = []
+
+    def spy(kernel):
+        return None if kernel is None else lambda *args: calls.append(args) or kernel(*args)
+
+    spied = dataclasses.replace(codec, _compress=spy(codec._compress), _decompress=spy(codec._decompress), _codes=spy(codec._codes))
+    for block in (0, -1):
+        with pytest.raises(LandauerError, match="^block must be at least 1$"):
+            block_codes(spied, block, EMPTY)
+    monkeypatch.setenv("LANDAUER_MAX_WIDTH", "4")
+    with pytest.raises(DomainTooLarge, match=r"^a block of 5 bits exceeds the 2\^4 sweep ceiling$"):
+        block_codes(spied, 5, EMPTY)
+    assert calls == []  # every refusal comes before any codec call
+    assert len(block_codes(spied, 4, EMPTY)) == 16  # a block at the ceiling is swept
 
 
 def test_lz78_mismatched_helper_never_silently_succeeds():

@@ -17,6 +17,7 @@ the same object on a second call, and refuse writes.
 """
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -325,9 +326,17 @@ def ref_weight_change(c: ReversibleCircuit, state: BitString) -> str:
     raise AssertionError(f"{state} keeps its weight")
 
 
-def ref_count_class_transitions(c: ReversibleCircuit, source: WeightCouple, target: WeightCouple) -> int:
+def ref_count_class_transitions(c: ReversibleCircuit, source: WeightCouple, target: WeightCouple, cube: bool = False) -> int:
     """Simulate each class state and count the weights of its halves;
-    the first state whose image changes weight is named, with its gate."""
+    the first state whose image changes weight is named, with its gate.
+    With cube, every state of the circuit is checked first, in state-integer
+    order with line i as bit i of x, and the first that changes weight is
+    named the same way."""
+    for x in range(2**c.width if cube else 0):
+        state = BitString(format(x, f"0{c.width}b")[::-1])
+        if str(simulate(c, state)).count("1") != str(state).count("1"):
+            offender = ref_weight_change(c, state)
+            raise NotConservative(f"circuit does not preserve Hamming weight: first offending state {offender}")
     n, count = source.n, 0
     for state in ref_class_states(source):
         image = str(simulate(c, state))
@@ -822,9 +831,12 @@ def _count_outcome(count, *case):
 @example((ReversibleCircuit(6, (cnot(0, 5), cnot(0, 5))), WeightCouple(3, 2, 1), WeightCouple(3, 2, 1)))
 @settings(max_examples=100, deadline=None)
 def test_class_count_equals_the_per_state_reference(case):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("LANDAUER_MAX_WIDTH", str(2 * case[1].n - 1))  # below 2n: the in-class weight check runs
-        assert _count_outcome(count_class_transitions, *case) == _count_outcome(ref_count_class_transitions, *case)
+    # a ceiling below 2n checks the class alone; at 2n, as at the default, the whole cube
+    for ceiling in (2 * case[1].n - 1, 2 * case[1].n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("LANDAUER_MAX_WIDTH", str(ceiling))
+            reference = functools.partial(ref_count_class_transitions, cube=ceiling == case[0].width)
+            assert _count_outcome(count_class_transitions, *case) == _count_outcome(reference, *case)
 
 
 @given(st.data())

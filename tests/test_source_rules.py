@@ -48,7 +48,8 @@ holds its table) and `check_conservative(exhaustive=True)`.  Every other
 state batch is Python-int rows.  The modules that neither sweep states
 nor call one that does (bitstring, compress, irrev, thermo) import
 without numpy, a circuit with no table is proved injective without it,
-and the CLI runs compile, simulate, compress, bounds, the four demon
+a non-Fredkin circuit is proved conservative by the Clausius count
+without it, and the CLI runs compile, simulate, compress, bounds, the four demon
 scenarios, prbox and clausius without loading it.
 """
 
@@ -570,6 +571,16 @@ def test_the_numpy_free_modules_import_without_numpy(tmp_path):
         "print(check_injective_bruteforce(c, 4), 'numpy' in sys.modules)\n"
     )
     assert run_python(code) == "True False"
+    # a circuit that is not all-Fredkin is proved conservative on rows too: no table, no numpy
+    code = (
+        "import sys\n"
+        "from landauer.circuits import ReversibleCircuit, not_gate\n"
+        "from landauer.clausius import WeightCouple, count_class_transitions, random_conservative_circuit\n"
+        "c = ReversibleCircuit(8, (not_gate(0), not_gate(0)) + random_conservative_circuit(8, 32, 5).gates)\n"
+        "count = count_class_transitions(c, WeightCouple(4, 2, 2), WeightCouple(4, 3, 1))\n"
+        "print(count, 'numpy' in sys.modules, '_table' in c.__dict__)\n"
+    )
+    assert run_python(code) == "11 False False"
     # importing circuits (so the CLI) loads no numpy; only its permutation table needs it
     code = (
         "import contextlib, io, sys\n"

@@ -129,6 +129,27 @@ MUTANTS = (
         ("tests/test_clausius.py::test_refusals_name_what_is_wrong[negative-n-ratio]",),
     ),
     Mutant(
+        "conservation-fold-with-and",
+        "clausius.py",
+        "functools.reduce(operator.or_,",
+        "functools.reduce(operator.and_,",
+        ("tests/test_clausius.py::test_count_class_transitions_requires_conservative",),
+    ),
+    Mutant(
+        "conservation-offender-at-the-highest-bit",
+        "clausius.py",
+        "x = (bad & -bad).bit_length() - 1",
+        "x = bad.bit_length() - 1",
+        ("tests/test_clausius.py::test_whole_cube_refusal_names_the_first_state_and_gate",),
+    ),
+    Mutant(
+        "conservation-proves-the-class-within-the-ceiling",
+        "clausius.py",
+        "cube = c.width <= max_sweep_width()",
+        "cube = False",
+        ("tests/test_clausius.py::test_count_class_transitions_within_ceiling_proves_the_whole_cube",),
+    ),
+    Mutant(
         "fig1-pairs-keys-in-reverse",
         "synth.py",
         "zip(sorted(sigma.values()), sorted(sigma))",
@@ -191,6 +212,20 @@ MUTANTS = (
         "        back = decompress(code, h)\n",
         "        back = decompress(code, h) if batch is None else d\n",
         ("tests/test_compress.py::test_a_batch_still_round_trips_every_block",),
+    ),
+    Mutant(
+        "block-codes-take-a-block-below-1",
+        "compress.py",
+        '    if block < 1:\n        raise LandauerError("block must be at least 1")\n',
+        "",
+        ("tests/test_compress.py::test_block_codes_refuses_a_block_it_cannot_sweep[identity]",),
+    ),
+    Mutant(
+        "block-codes-past-the-sweep-ceiling",
+        "compress.py",
+        '    check_sweep(f"a block of {block} bits", lines=block)\n',
+        "",
+        ("tests/test_compress.py::test_block_codes_refuses_a_block_it_cannot_sweep[identity]",),
     ),
     Mutant(
         "states-refused-at-the-ceiling",
